@@ -19,6 +19,7 @@ level is read off the same statistic pool at that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +31,10 @@ from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
+    _replicate_chunks,
     alpha_at,
     c_at,
     ecdf,
-    map_chunks,
     resample_indices,
 )
 
@@ -146,12 +147,8 @@ def bootstrap_deviation_stats(
     if streams is None:
         streams = IndexStreams(cfg.seed)
     pirs = pir_matrix(frf_set, grid)
-    n = pirs.shape[0]
 
-    def run(start, stop):
-        gens = [streams.stream(b) for b in range(start, stop)]
-        idx = np.stack([resample_indices(n, g) for g in gens])
-        sub = pirs[idx]
+    def run(gens, idx, sub):
         means = sub.mean(axis=1)
         stds = sub.std(axis=1, ddof=1)
         for j in np.flatnonzero(np.any(stds == 0.0, axis=1)):
@@ -162,7 +159,7 @@ def bootstrap_deviation_stats(
         )
         return idx, means, stds, stats
 
-    parts = map_chunks(cfg.replications, run)
+    parts = list(starmap(run, _replicate_chunks(pirs, cfg.replications, streams)))
     return ReplicateDraws(
         indices=np.concatenate([p[0] for p in parts]),
         means=np.concatenate([p[1] for p in parts]),
@@ -193,7 +190,7 @@ def prediction_band(
     st = _checked_stats(frf_set, grid)
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
     e = ecdf(draws.pool, cfg.bins)
-    scale = c_at(e, alpha, exact=cfg.exact_quantiles)
+    scale = c_at(e, alpha)
     return Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
 
 
@@ -241,6 +238,6 @@ def minimal_prediction_band(
     scale = _containing_scale(st.mean, st.std, x_test)
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
     e = ecdf(draws.pool, cfg.bins)
-    alpha = alpha_at(e, scale, exact=cfg.exact_quantiles)
+    alpha = alpha_at(e, scale)
     band = Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
     return MinimalBand(band=band, alpha=alpha, stat_ecdf=e)

@@ -27,7 +27,6 @@ from .resampling import (
     StatEcdf,
     c_at,
     ecdf,
-    map_chunks,
     resample_indices,
 )
 
@@ -176,10 +175,7 @@ def compare_unpaired(
             f"{MAX_REDRAWS} redraws"
         )
 
-    def run(start, stop):
-        return [one_replication(b) for b in range(start, stop)]
-
-    rows = [row for part in map_chunks(cfg.replications, run) for row in part]
+    rows = [one_replication(b) for b in range(cfg.replications)]
     draws = DifferenceDraws(
         sigma_indices1=sigma_idx1,
         sigma_indices2=sigma_idx2,
@@ -192,7 +188,7 @@ def compare_unpaired(
     )
 
     e = ecdf(draws.stats, cfg.bins)
-    scale = c_at(e, alpha, exact=cfg.exact_quantiles)
+    scale = c_at(e, alpha)
     band = Band(mean=diff_mean, std=sigma, scale=scale, alpha=alpha)
     r = residuals(band)
     return ComparisonResult(

@@ -141,6 +141,30 @@ def _load_csv(path: Path) -> Dataset:
     return Dataset(grid=grid, groups=groups, metadata=metadata)
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: {value!r} is out of range") from None
+
+
+def _json_pairs(value, where: str, m: int | None = None) -> np.ndarray:
+    """Complex vector from a JSON list of [re, im] pairs (exactly m if given)."""
+    if (
+        not isinstance(value, list)
+        or not value
+        or (m is not None and len(value) != m)
+        or not all(isinstance(pair, list) and len(pair) == 2 for pair in value)
+    ):
+        count = "" if m is None else f"{m} "
+        raise ParseError(f"{where} is not a list of {count}[re, im] pairs")
+    return np.array(
+        [complex(_number(re, where), _number(im, where)) for re, im in value]
+    )
+
+
 def _load_json(path: Path) -> Dataset:
     try:
         doc = json.loads(path.read_text())
@@ -148,21 +172,27 @@ def _load_json(path: Path) -> Dataset:
         raise ParseError(f"{path.name}: {err}") from None
     if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
         raise ParseError(f"{path.name}: need an object with frequencies and groups")
-    grid = derive_grid(doc["frequencies"], doc.get("sample_rate"))
+    if not isinstance(doc["frequencies"], list):
+        raise ParseError(f"{path.name}: frequencies must be a list of numbers")
+    freqs = [_number(f, f"{path.name}: frequencies") for f in doc["frequencies"]]
+    rate = doc.get("sample_rate")
+    rate = None if rate is None else _number(rate, f"{path.name}: sample_rate")
+    if not isinstance(doc["groups"], dict):
+        raise ParseError(f"{path.name}: groups must map names to sample lists")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{path.name}: metadata must be an object")
+    grid = derive_grid(freqs, rate)
     groups = {}
     for name, samples in doc["groups"].items():
-        rows = []
-        for i, sample in enumerate(samples):
-            if len(sample) != grid.m or any(len(pair) != 2 for pair in sample):
-                raise ParseError(
-                    f"{path.name}: group {name!r} sample {i} is not a list of "
-                    f"{grid.m} [re, im] pairs"
-                )
-            rows.append([complex(re, im) for re, im in sample])
-        if not rows:
-            raise ParseError(f"{path.name}: group {name!r} has no samples")
+        if not isinstance(samples, list) or not samples:
+            raise ParseError(f"{path.name}: group {name!r} has no list of samples")
+        rows = [
+            _json_pairs(sample, f"{path.name}: group {name!r} sample {i}", grid.m)
+            for i, sample in enumerate(samples)
+        ]
         groups[name] = FRFSet(np.array(rows))
-    metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
+    metadata = {str(k): str(v) for k, v in metadata.items()}
     return Dataset(grid=grid, groups=groups, metadata=metadata)
 
 
@@ -228,10 +258,9 @@ def load_frf(path) -> FRF:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ParseError(f"{path.name}: {err}") from None
-        pairs = doc.get("values") if isinstance(doc, dict) else None
-        if not pairs or any(len(pair) != 2 for pair in pairs):
+        if not isinstance(doc, dict) or "values" not in doc:
             raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
-        return FRF(np.array([complex(re, im) for re, im in pairs]))
+        return FRF(_json_pairs(doc["values"], f"{path.name}: values"))
     values = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()

@@ -11,13 +11,14 @@ replications summarize both estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
-from .resampling import BootstrapConfig, IndexStreams, map_chunks, resample_indices
+from .resampling import BootstrapConfig, IndexStreams, _replicate_chunks
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
@@ -126,11 +127,7 @@ def estimate_density(
     n = pirs.shape[0]
     ds = max(1, n // 20)
 
-    def run(start, stop):
-        idx = np.stack(
-            [resample_indices(n, streams.stream(b)) for b in range(start, stop)]
-        )
-        sub = pirs[idx]
+    def run(gens, idx, sub):
         means = sub.mean(axis=1)
         es = np.sort(
             np.stack([distance(sub[j], means[j]) for j in range(len(idx))]),
@@ -158,7 +155,7 @@ def estimate_density(
             pdf_stats = np.where(width > 0.0, numer / (n * width), np.nan)
         return cdf_stats, pdf_stats
 
-    parts = map_chunks(cfg.replications, run)
+    parts = list(starmap(run, _replicate_chunks(pirs, cfg.replications, streams)))
     cdf_stats = np.concatenate([p[0] for p in parts])
     pdf_stats = np.concatenate([p[1] for p in parts])
 

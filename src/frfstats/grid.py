@@ -24,6 +24,19 @@ MAX_DENOMINATOR = 10**6
 COMMENSURATE_RTOL = 1e-9
 
 
+def _checked_frequencies(frequencies) -> np.ndarray:
+    """Float vector of the frequencies; GridError unless it is 1-D,
+    non-empty, finite, positive and strictly increasing."""
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise GridError("frequencies must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
+        raise GridError("frequencies must be finite and positive")
+    if np.any(np.diff(freqs) <= 0):
+        raise GridError("frequencies must be strictly increasing")
+    return freqs
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """A strictly increasing set of commensurable frequencies.
@@ -53,15 +66,9 @@ class FrequencyGrid:
     harmonics: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = _checked_frequencies(self.frequencies)
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
-        if freqs.ndim != 1 or freqs.size == 0:
-            raise GridError("frequencies must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
-            raise GridError("frequencies must be finite and positive")
-        if np.any(np.diff(freqs) <= 0):
-            raise GridError("frequencies must be strictly increasing")
         if self.base_frequency <= 0:
             raise GridError("base frequency must be positive")
         if self.n_samples < 1:
@@ -165,14 +172,7 @@ def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:
         If the (reconciled) sample rate does not strictly exceed twice the
         highest frequency.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0:
-        raise GridError("frequencies must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
-        raise GridError("frequencies must be finite and positive")
-    if np.any(np.diff(freqs) <= 0):
-        raise GridError("frequencies must be strictly increasing")
-
+    freqs = _checked_frequencies(frequencies)
     f_max = float(freqs[-1])
     requested = 10.0 * f_max if sample_rate is None else float(sample_rate)
     if not math.isfinite(requested) or requested <= 2.0 * f_max:

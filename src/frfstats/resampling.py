@@ -1,14 +1,13 @@
 """Seeded bootstrap plumbing.
 
-Index draws, per-replication random substreams, and the histogram-based
+Index draws, per-replication random substreams, the chunked replicate
+loop of the band and density bootstraps, and the histogram-based
 empirical CDF used to convert between band scaling constants and
-confidence levels.
+confidence levels.  Loops run serially; results depend only on the seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,12 @@ class BootstrapConfig:
         Root seed; all substreams derive from it.
     bins : int
         Histogram bin count for the empirical CDF.
-    exact_quantiles : bool
-        Use order statistics instead of the histogram when converting
-        between scaling constants and confidence levels.  Off by default;
-        useful for convergence studies.
     """
 
     replications: int = 1000
     nested_replications: int = 50
     seed: int = 0
     bins: int = 1000
-    exact_quantiles: bool = False
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -57,7 +51,7 @@ class IndexStreams:
     nested stream, and so on.  Streams with different keys are
     statistically independent and each key always yields the same
     sequence for a given root seed, so results do not depend on how the
-    replication loop is scheduled.
+    replication loop is chunked.
     """
 
     def __init__(self, seed: int):
@@ -81,28 +75,47 @@ def resample_indices(n: int, stream) -> np.ndarray:
     return stream.integers(0, n, size=n)
 
 
+_CHUNK = 64
+
+
+def _replicate_chunks(pirs: np.ndarray, replications: int, streams):
+    """Yield ``(gens, idx, sub)`` per chunk of `_CHUNK` replications.
+
+    `gens` are the replication streams (key b), `idx` the stacked
+    resample indices, one row per replication drawn from its own stream,
+    and `sub` the gathered rows ``pirs[idx]``.  Chunks come in replication
+    order, and no draw depends on the chunk length.  Callers consume it
+    with `itertools.starmap`, so each chunk's arrays are freed before the
+    next gather and never outlive the call (a loop body's would).
+    """
+    n = pirs.shape[0]
+    for start in range(0, replications, _CHUNK):
+        stop = min(start + _CHUNK, replications)
+        gens = [streams.stream(b) for b in range(start, stop)]
+        idx = np.stack([resample_indices(n, g) for g in gens])
+        yield gens, idx, pirs[idx]
+
+
 @dataclass(frozen=True)
 class StatEcdf:
     """Histogram CDF of a statistic pool.
 
     `bin_edges` has bins+1 entries; `cdf[j]` is the fraction of the pool
-    at or below ``bin_edges[j + 1]``.  The raw pool is kept sorted for the
-    exact-quantile code path.
+    at or below ``bin_edges[j + 1]``.
     """
 
-    sorted_stats: np.ndarray
     bin_edges: np.ndarray
     cdf: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("sorted_stats", "bin_edges", "cdf"):
+        for name in ("bin_edges", "cdf"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.bin_edges.size != self.cdf.size + 1:
             raise ValueError("need exactly one more edge than cdf entries")
-        if np.any(np.diff(self.sorted_stats) < 0) or np.any(np.diff(self.cdf) < 0):
-            raise ValueError("sorted_stats and cdf must be non-decreasing")
+        if np.any(np.diff(self.cdf) < 0):
+            raise ValueError("cdf must be non-decreasing")
         if self.cdf[-1] != 1.0:
             raise ValueError("cdf must end at exactly 1.0")
 
@@ -132,22 +145,18 @@ def ecdf(stats, bins: int) -> StatEcdf:
     counts, _ = np.histogram(values, bins=edges)
     cdf = np.cumsum(counts) / values.size
     cdf[-1] = 1.0
-    return StatEcdf(sorted_stats=np.sort(values), bin_edges=edges, cdf=cdf)
+    return StatEcdf(bin_edges=edges, cdf=cdf)
 
 
-def alpha_at(e: StatEcdf, c: float, exact: bool = False) -> float:
+def alpha_at(e: StatEcdf, c: float) -> float:
     """Confidence level at which the pool's band scale reaches `c`.
 
-    Histogram mode returns the cumulative count of the bin containing
-    `c`, clamped to 0 below the pool range and 1 at or above its top.
-    Exact mode returns the plain order-statistic rank fraction.
+    Returns the cumulative count of the histogram bin containing `c`,
+    clamped to 0 below the pool range and 1 at or above its top.
     """
     c = float(c)
     if not np.isfinite(c):
         raise ValueError("c must be finite")
-    if exact:
-        n = e.sorted_stats.size
-        return float(np.searchsorted(e.sorted_stats, c, side="right") / n)
     if c < e.bin_edges[0]:
         return 0.0
     if c >= e.bin_edges[-1]:
@@ -156,46 +165,17 @@ def alpha_at(e: StatEcdf, c: float, exact: bool = False) -> float:
     return float(e.cdf[j])
 
 
-def c_at(e: StatEcdf, alpha: float, exact: bool = False) -> float:
+def c_at(e: StatEcdf, alpha: float) -> float:
     """Band scale that reaches confidence level `alpha` on this pool.
 
-    Histogram mode returns the lower edge of the first bin whose
-    cumulative count exceeds `alpha`; at alpha = 1 that bin does not
-    exist and the top edge (the pool maximum) is returned.
+    Returns the lower edge of the first histogram bin whose cumulative
+    count exceeds `alpha`; at alpha = 1 that bin does not exist and the
+    top edge (the pool maximum) is returned.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if exact:
-        n = e.sorted_stats.size
-        k = min(int(np.floor(alpha * n)), n - 1)
-        return float(e.sorted_stats[k])
     idx = int(np.searchsorted(e.cdf, alpha, side="right"))
     if idx >= e.cdf.size:
         return float(e.bin_edges[-1])
     return float(e.bin_edges[idx])
-
-
-def thread_count() -> int:
-    """Worker count from the THREADS environment variable (default 1)."""
-    raw = os.environ.get("THREADS", "").strip()
-    if not raw:
-        return 1
-    workers = int(raw)
-    if workers < 1:
-        raise ValueError("THREADS must be a positive integer")
-    return workers
-
-
-def map_chunks(count: int, fn, chunk: int = 64) -> list:
-    """Apply ``fn(start, stop)`` over [0, count) in order, maybe threaded.
-
-    The chunk results are returned in index order whatever the worker
-    count, so callers stay schedule-independent for free.
-    """
-    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-    workers = thread_count()
-    if workers == 1 or len(spans) <= 1:
-        return [fn(s, t) for s, t in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))

@@ -194,17 +194,6 @@ def test_too_few_samples_rejected():
         prediction_band(small_set(), grid, 1.5, BootstrapConfig(seed=0))
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    grid = derive_grid([0.3, 0.5])
-    frfs = small_set(seed=14)
-    cfg = BootstrapConfig(replications=130, seed=15)
-    serial = bootstrap_deviation_stats(frfs, grid, cfg)
-    monkeypatch.setenv("THREADS", "3")
-    threaded = bootstrap_deviation_stats(frfs, grid, cfg)
-    np.testing.assert_array_equal(serial.indices, threaded.indices)
-    np.testing.assert_array_equal(serial.stats, threaded.stats)
-
-
 def test_fresh_draw_coverage_sane():
     # Light calibration check; the acceptance suite runs the full version.
     grid = derive_grid([0.3, 0.5])

@@ -213,6 +213,22 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_malformed_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"frequencies": [0.3, 0.5], "groups": {"a": 5}}))
+    code = main(["pir", str(bad), "--group", "a", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "group 'a'" in capsys.readouterr().err
+
+    data = make_dataset(tmp_path)
+    test = tmp_path / "test.json"
+    test.write_text('{"values": [[1, 0], 5]}')
+    code = main(["minband", str(data), "--group", "synth", "--test", str(test),
+                 "--B", "20", "--out", str(tmp_path / "mb")])
+    assert code == 2
+    assert "test.json: values" in capsys.readouterr().err
+
+
 def test_bad_alpha_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path)
     code = main([

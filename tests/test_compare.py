@@ -183,14 +183,3 @@ def test_type_one_error_rate_small():
         cfg = BootstrapConfig(seed=run, **cfg_base)
         rejections += compare_unpaired(a, b, GRID, 0.95, cfg).reject_null
     assert rejections / runs <= 0.25
-
-
-def test_determinism_across_threads(monkeypatch):
-    a, b = group(15), group(16, n=6)
-    cfg = BootstrapConfig(replications=70, nested_replications=6, seed=17)
-    serial = compare_unpaired(a, b, GRID, 0.95, cfg)
-    monkeypatch.setenv("THREADS", "2")
-    threaded = compare_unpaired(a, b, GRID, 0.95, cfg)
-    np.testing.assert_array_equal(serial.draws.stats, threaded.draws.stats)
-    np.testing.assert_array_equal(serial.residuals, threaded.residuals)
-    assert serial.band.scale == threaded.band.scale

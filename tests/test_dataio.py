@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,35 @@ def test_json_ragged_sample_rejected(tmp_path):
     path.write_text('{"frequencies": [0.3, 0.5], "groups": {"g": [[[1, 0]]]}}')
     with pytest.raises(ParseError, match="'g' sample 0"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"groups": {"a": 5}}, "group 'a'"),
+        ({"groups": {"a": [[["1", 0], [0, 0]]]}}, "group 'a' sample 0: '1' is not a number"),
+        ({"groups": [1]}, "groups"),
+        ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metadata": ["x"]}, "metadata"),
+        ({"frequencies": "0.3 0.5", "groups": {}}, "frequencies"),
+        ({"sample_rate": 10**400, "groups": {}}, "sample_rate"),
+    ],
+    ids=[
+        "group-not-list", "pair-not-number", "groups-not-object",
+        "metadata-not-object", "frequencies-not-list", "rate-out-of-range",
+    ],
+)
+def test_json_malformed_dataset_raises_parse_error(tmp_path, doc, where):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"frequencies": [0.3, 0.5], **doc}))
+    with pytest.raises(ParseError, match=f"data.json: {where}"):
+        load_dataset(path)
+
+
+def test_load_frf_json_malformed_pair(tmp_path):
+    path = tmp_path / "test.json"
+    path.write_text('{"values": [[1, 0], 5]}')
+    with pytest.raises(ParseError, match=r"test.json: values is not a list of \[re, im\] pairs"):
+        load_frf(path)
 
 
 def test_unknown_suffix_needs_format(tmp_path):

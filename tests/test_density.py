@@ -187,15 +187,3 @@ def test_validation():
         estimate_density(test, frfs, GRID, cfg, numerator_mode="other")
     with pytest.raises(ValueError):
         estimate_density(test, FRFSet(frfs.values[:2]), GRID, cfg)
-
-
-def test_determinism_across_threads(monkeypatch):
-    rng = np.random.default_rng(23)
-    frfs = FRFSet(rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1)))
-    test = FRF(frfs.values.mean(axis=0) + 0.4j)
-    cfg = BootstrapConfig(replications=150, seed=5)
-    serial = estimate_density(test, frfs, GRID, cfg)
-    monkeypatch.setenv("THREADS", "4")
-    threaded = estimate_density(test, frfs, GRID, cfg)
-    np.testing.assert_array_equal(serial.cdf_stats, threaded.cdf_stats)
-    np.testing.assert_array_equal(serial.pdf_stats, threaded.pdf_stats)

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from frfstats import resampling
+from frfstats.bands import bootstrap_deviation_stats
+from frfstats.compare import compare_unpaired
+from frfstats.density import estimate_density
+from frfstats.grid import derive_grid
+from frfstats.pir import FRF, FRFSet
 from frfstats.resampling import (
     BootstrapConfig,
     IndexStreams,
@@ -10,7 +16,6 @@ from frfstats.resampling import (
     alpha_at,
     c_at,
     ecdf,
-    map_chunks,
     resample_indices,
 )
 
@@ -20,7 +25,6 @@ def test_config_defaults_and_validation():
     assert cfg.replications == 1000
     assert cfg.nested_replications == 50
     assert cfg.bins == 1000
-    assert not cfg.exact_quantiles
     with pytest.raises(ValueError):
         BootstrapConfig(replications=0)
     with pytest.raises(ValueError):
@@ -89,7 +93,6 @@ def test_ecdf_permutation_invariant():
     e2 = ecdf(rng.permutation(stats), bins=40)
     np.testing.assert_array_equal(e1.bin_edges, e2.bin_edges)
     np.testing.assert_array_equal(e1.cdf, e2.cdf)
-    np.testing.assert_array_equal(e1.sorted_stats, e2.sorted_stats)
 
 
 def test_rank_oracle_on_even_grid():
@@ -136,42 +139,47 @@ def test_alpha_c_mutual_consistency():
         assert c - e.bin_width <= back <= c + e.bin_width
 
 
-def test_exact_quantile_variants():
-    stats = np.array([1.0, 2.0, 2.0, 3.0, 10.0])
-    e = ecdf(stats, bins=4)
-    assert alpha_at(e, 2.0, exact=True) == 0.6
-    assert alpha_at(e, 0.0, exact=True) == 0.0
-    assert alpha_at(e, 10.0, exact=True) == 1.0
-    assert c_at(e, 0.0, exact=True) == 1.0
-    assert c_at(e, 1.0, exact=True) == 10.0
-    assert c_at(e, 0.5, exact=True) == 2.0
-
-
 def test_statecdf_validation():
     with pytest.raises(ValueError):
         StatEcdf(
-            sorted_stats=np.array([1.0, 2.0]),
             bin_edges=np.array([1.0, 2.0]),
             cdf=np.array([0.5, 1.0]),
         )
     with pytest.raises(ValueError):
         StatEcdf(
-            sorted_stats=np.array([1.0, 2.0]),
             bin_edges=np.array([1.0, 1.5, 2.0]),
             cdf=np.array([0.5, 0.9]),
         )
 
 
-def test_map_chunks_matches_serial(monkeypatch):
-    def fn(start, stop):
-        return list(range(start, stop))
+def _seeded_runs():
+    grid = derive_grid([0.3, 0.5])
+    rng = np.random.default_rng(30)
+    values = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+    # Two identical rows make some band replications degenerate, so the
+    # per-row redraw runs inside every chunking.
+    tied = FRFSet(np.concatenate([values[:3], values[:1]]))
+    frfs = FRFSet(values)
+    cfg = BootstrapConfig(replications=130, nested_replications=6, seed=31)
+    draws = bootstrap_deviation_stats(tied, grid, cfg)
+    density = estimate_density(FRF(values[0] + 0.1), frfs, grid, cfg)
+    small = BootstrapConfig(replications=30, nested_replications=6, seed=32)
+    comparison = compare_unpaired(frfs, FRFSet(values[::-1] * 1.2), grid, 0.9, small)
+    return draws, density, comparison
 
-    serial = map_chunks(100, fn, chunk=7)
-    monkeypatch.setenv("THREADS", "4")
-    threaded = map_chunks(100, fn, chunk=7)
-    assert serial == threaded
-    assert [x for part in serial for x in part] == list(range(100))
 
-    monkeypatch.setenv("THREADS", "0")
-    with pytest.raises(ValueError):
-        map_chunks(10, fn)
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_results_depend_only_on_seed_not_chunking(monkeypatch, chunk):
+    draws, density, comparison = _seeded_runs()
+    first_draws = [
+        resample_indices(4, IndexStreams(31).stream(b)) for b in range(130)
+    ]
+    assert any(not np.array_equal(r, d) for r, d in zip(draws.indices, first_draws))
+
+    monkeypatch.setattr(resampling, "_CHUNK", chunk)
+    draws2, density2, comparison2 = _seeded_runs()
+    for name in ("indices", "means", "stds", "stats"):
+        np.testing.assert_array_equal(getattr(draws, name), getattr(draws2, name))
+    np.testing.assert_array_equal(density.cdf_stats, density2.cdf_stats)
+    np.testing.assert_array_equal(density.pdf_stats, density2.pdf_stats)
+    np.testing.assert_array_equal(comparison.draws.stats, comparison2.draws.stats)
