@@ -27,13 +27,14 @@ from .resampling import (
     StatEcdf,
     c_at,
     ecdf,
-    resample_indices,
 )
 
-# Stream key layout: sigma draw j uses (j, 2) and (j, 3) for the two
-# groups, outer replication b uses (b, 0) and (b, 1), and nested draw b2
-# inside b uses (b, b2, 0) and (b, b2, 1).  Keeping one key per group
-# makes swapping the groups equivalent to swapping the key tails.
+# Stream key layout (resampling.STREAM_LAYOUT 2): group g in {0, 1} draws
+# its Bs sigma resamples from stream (SIGMA_KEY_OFFSET + g,) in one call,
+# and outer replication b from stream (b, g) in one call of 1 + Bs rows:
+# row 0 is the outer resample, rows 1..Bs are nested positions into it.  A
+# redraw is the next call on the same stream.  The group is always the last
+# key element, so swapping the groups is swapping the key tails.
 SIGMA_KEY_OFFSET = 2
 
 
@@ -97,8 +98,20 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=np.asarray(r, dtype=float), grid=grid))
 
 
-def _mean_difference(pirs1, idx1, pirs2, idx2) -> np.ndarray:
-    return pirs1[idx1].mean(axis=0) - pirs2[idx2].mean(axis=0)
+def _nested_means(pirs: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Means of the nested resamples ``pirs[draw[0]][draw[1:]]``, shifted.
+
+    Row j weighs each original row by how often ``draw[0][draw[1 + j]]``
+    picks it, so no (Bs, n, T) gather is built.  Every mean is shifted by
+    the replicate member ``pirs[draw[0][0]]``: at a time point where all
+    replicate members agree the result is then exactly zero, and a zero
+    nested spread is detected exactly, not up to rounding.
+    """
+    n = pirs.shape[0]
+    nested = draw[0][draw[1:]]
+    rows = nested + n * np.arange(nested.shape[0])[:, None]
+    counts = np.bincount(rows.ravel(), minlength=nested.size).reshape(nested.shape)
+    return counts @ (pirs - pirs[draw[0][0]]) / n
 
 
 def compare_unpaired(
@@ -135,56 +148,46 @@ def compare_unpaired(
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 
-    sigma_idx1 = np.stack(
-        [
-            resample_indices(n1, streams.stream(j, SIGMA_KEY_OFFSET))
-            for j in range(bs)
-        ]
-    )
-    sigma_idx2 = np.stack(
-        [
-            resample_indices(n2, streams.stream(j, SIGMA_KEY_OFFSET + 1))
-            for j in range(bs)
-        ]
-    )
-    sigma_diffs = np.stack(
-        [_mean_difference(pirs1, sigma_idx1[j], pirs2, sigma_idx2[j]) for j in range(bs)]
-    )
+    sigma_idx1 = streams.stream(SIGMA_KEY_OFFSET).integers(0, n1, size=(bs, n1))
+    sigma_idx2 = streams.stream(SIGMA_KEY_OFFSET + 1).integers(0, n2, size=(bs, n2))
+    sigma_diffs = pirs1[sigma_idx1].mean(axis=1) - pirs2[sigma_idx2].mean(axis=1)
     sigma = sigma_diffs.std(axis=0, ddof=1)
 
-    def one_replication(b):
-        outer1 = streams.stream(b, 0)
-        outer2 = streams.stream(b, 1)
-        nested1 = [streams.stream(b, b2, 0) for b2 in range(bs)]
-        nested2 = [streams.stream(b, b2, 1) for b2 in range(bs)]
+    # Accepted draws are written row by row; keeping draw[0] itself would
+    # keep each replication's whole (1 + Bs, n) block alive.
+    B, T = cfg.replications, grid.n_samples
+    outer_idx1 = np.empty((B, n1), dtype=np.int64)
+    outer_idx2 = np.empty((B, n2), dtype=np.int64)
+    outer_diffs = np.empty((B, T))
+    nested_stds = np.empty((B, T))
+    stats = np.empty(B)
+    for b in range(B):
+        gen1, gen2 = streams.stream(b, 0), streams.stream(b, 1)
         for _ in range(1 + MAX_REDRAWS):
-            idx1 = resample_indices(n1, outer1)
-            idx2 = resample_indices(n2, outer2)
-            yb1 = pirs1[idx1]
-            yb2 = pirs2[idx2]
-            xb = yb1.mean(axis=0) - yb2.mean(axis=0)
-            nidx1 = np.stack([resample_indices(n1, g) for g in nested1])
-            nidx2 = np.stack([resample_indices(n2, g) for g in nested2])
-            ndiffs = yb1[nidx1].mean(axis=1) - yb2[nidx2].mean(axis=1)
+            draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
+            draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
+            ndiffs = _nested_means(pirs1, draw1) - _nested_means(pirs2, draw2)
             sb = ndiffs.std(axis=0, ddof=1)
             if np.all(sb > 0.0):
-                stat = float(np.max(np.abs(diff_mean - xb) / sb))
-                return idx1, idx2, xb, sb, stat
-        raise DegenerateSpread(
-            f"a comparison replication kept zero nested spread after "
-            f"{MAX_REDRAWS} redraws"
-        )
-
-    rows = [one_replication(b) for b in range(cfg.replications)]
+                break
+        else:
+            raise DegenerateSpread(
+                f"a comparison replication kept zero nested spread after "
+                f"{MAX_REDRAWS} redraws"
+            )
+        outer_idx1[b], outer_idx2[b] = draw1[0], draw2[0]
+        outer_diffs[b] = pirs1[draw1[0]].mean(axis=0) - pirs2[draw2[0]].mean(axis=0)
+        nested_stds[b] = sb
+        stats[b] = np.max(np.abs(diff_mean - outer_diffs[b]) / sb)
     draws = DifferenceDraws(
         sigma_indices1=sigma_idx1,
         sigma_indices2=sigma_idx2,
         sigma_diffs=sigma_diffs,
-        outer_indices1=np.stack([r[0] for r in rows]),
-        outer_indices2=np.stack([r[1] for r in rows]),
-        outer_diffs=np.stack([r[2] for r in rows]),
-        nested_stds=np.stack([r[3] for r in rows]),
-        stats=np.array([r[4] for r in rows]),
+        outer_indices1=outer_idx1,
+        outer_indices2=outer_idx2,
+        outer_diffs=outer_diffs,
+        nested_stds=nested_stds,
+        stats=stats,
     )
 
     e = ecdf(draws.stats, cfg.bins)

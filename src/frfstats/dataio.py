@@ -27,12 +27,13 @@ reproduces the dataset bit for bit.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GridError, ParseError
 from .grid import FrequencyGrid, derive_grid
 from .pir import FRF, FRFSet
 
@@ -74,6 +75,21 @@ def _infer_format(path: Path, format: str | None) -> str:
     if suffix in FORMATS:
         return suffix
     raise ValueError(f"cannot infer format from {path.name!r}; pass format=")
+
+
+@contextmanager
+def _reading(path: Path):
+    """Report any content error met while reading `path` as a ParseError.
+
+    Text that does not decode or is not JSON, JSON nested deeper than the
+    parser's recursion limit, and values that make no valid grid, FRF or
+    dataset (a frequency row no grid fits, a non-finite value, an empty
+    group name) all surface here from the code that meets them.
+    """
+    try:
+        yield
+    except (ValueError, GridError, RecursionError) as err:
+        raise ParseError(f"{path.name}: {err}") from err
 
 
 def _parse_float(cell: str, where: str) -> float:
@@ -166,10 +182,7 @@ def _json_pairs(value, where: str, m: int | None = None) -> np.ndarray:
 
 
 def _load_json(path: Path) -> Dataset:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path.name}: {err}") from None
+    doc = json.loads(path.read_text())
     if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
         raise ParseError(f"{path.name}: need an object with frequencies and groups")
     if not isinstance(doc["frequencies"], list):
@@ -197,11 +210,14 @@ def _load_json(path: Path) -> Dataset:
 
 
 def load_dataset(path, format: str | None = None) -> Dataset:
-    """Read a dataset from a CSV or JSON file (format inferred by suffix)."""
+    """Read a dataset from a CSV or JSON file (format inferred by suffix).
+
+    Any malformed content raises `ParseError` naming the file.
+    """
     path = Path(path)
-    if _infer_format(path, format) == "csv":
-        return _load_csv(path)
-    return _load_json(path)
+    load = _load_csv if _infer_format(path, format) == "csv" else _load_json
+    with _reading(path):
+        return load(path)
 
 
 def _save_csv(dataset: Dataset, path: Path) -> None:
@@ -250,14 +266,17 @@ def load_frf(path) -> FRF:
     """Read a single test FRF.
 
     JSON files hold ``{"values": [[re, im], ...]}``; CSV files hold one
-    ``re,im`` pair per line (blank lines and # comments ignored).
+    ``re,im`` pair per line (blank lines and # comments ignored).  Any
+    malformed content raises `ParseError` naming the file.
     """
     path = Path(path)
+    with _reading(path):
+        return _load_frf(path)
+
+
+def _load_frf(path: Path) -> FRF:
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path.name}: {err}") from None
+        doc = json.loads(path.read_text())
         if not isinstance(doc, dict) or "values" not in doc:
             raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
         return FRF(_json_pairs(doc["values"], f"{path.name}: values"))

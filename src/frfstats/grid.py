@@ -23,6 +23,24 @@ MAX_DENOMINATOR = 10**6
 #: Relative tolerance for "frequency is an integer multiple of the base".
 COMMENSURATE_RTOL = 1e-9
 
+#: Most time samples per period a grid may have.  The PIR basis holds
+#: 2 * M * n_samples floats and each bootstrap replication gathers
+#: N * n_samples, so a grid far past the experiment grids (90 and 440
+#: samples) comes from a wrong rate or frequency, not from a real study.
+MAX_SAMPLES = 100_000
+
+
+def _check_sample_count(n_samples: int) -> None:
+    """GridError unless 1 <= n_samples <= MAX_SAMPLES."""
+    if n_samples < 1:
+        raise GridError("grid needs at least one time sample")
+    if n_samples > MAX_SAMPLES:
+        raise GridError(
+            f"grid would have {n_samples} samples per period, more than "
+            f"MAX_SAMPLES = {MAX_SAMPLES}; lower the sample rate or check "
+            "the frequencies"
+        )
+
 
 def _checked_frequencies(frequencies) -> np.ndarray:
     """Float vector of the frequencies; GridError unless it is 1-D,
@@ -71,8 +89,7 @@ class FrequencyGrid:
         object.__setattr__(self, "frequencies", freqs)
         if self.base_frequency <= 0:
             raise GridError("base frequency must be positive")
-        if self.n_samples < 1:
-            raise GridError("grid needs at least one time sample")
+        _check_sample_count(self.n_samples)
 
         mult = freqs / self.base_frequency
         harmonics = np.rint(mult).astype(int)
@@ -171,6 +188,8 @@ def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:
     NyquistViolation
         If the (reconciled) sample rate does not strictly exceed twice the
         highest frequency.
+    GridError
+        If the grid would have more than `MAX_SAMPLES` samples per period.
     """
     freqs = _checked_frequencies(frequencies)
     f_max = float(freqs[-1])
@@ -187,6 +206,7 @@ def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:
     base = Fraction(g, q)
     period = 1 / base
     n_samples = round(period * Fraction(requested))
+    _check_sample_count(n_samples)
     rate = n_samples * base
 
     if float(rate) <= 2.0 * f_max:

@@ -44,12 +44,22 @@ class BootstrapConfig:
             raise ValueError("bins must be >= 2")
 
 
+#: Version of the stream key layout, the map from bootstrap draws to
+#: stream keys.  It changes whenever fixed-seed results of some operation
+#: change with it.  Layout 2: the band and density draw replication b from
+#: stream (b,); the comparison draws group g's sigma resamples from
+#: (SIGMA_KEY_OFFSET + g,) and its replication b, outer and nested rows in
+#: one block, from (b, g) (see `frfstats.compare`).
+STREAM_LAYOUT = 2
+
+
 class IndexStreams:
     """Deterministic family of random streams keyed by small integer tuples.
 
-    ``stream(b)`` is the stream of replication b, ``stream(b, b2, g)`` a
-    nested stream, and so on.  Streams with different keys are
-    statistically independent and each key always yields the same
+    ``stream(b)`` is the stream of band or density replication b, and
+    ``stream(b, g)`` that of comparison replication b for group g; the
+    full key table is under `STREAM_LAYOUT`.  Streams with different keys
+    are statistically independent and each key always yields the same
     sequence for a given root seed, so results do not depend on how the
     replication loop is chunked.
     """

@@ -9,10 +9,11 @@ EXPERIMENT_FREQS = [0.05, 0.15, 0.3, 0.4, 0.55, 0.7, 0.9, 1.1, 1.35, 1.75, 2.2]
 class FixedStreams:
     """Stand-in for IndexStreams that serves canned index vectors.
 
-    `table` maps a stream key (tuple) to a list of index vectors; each call
-    to ``integers`` on that stream pops the next vector.  Used to drive the
-    bootstrap loops with hand-chosen resamples so every intermediate value
-    can be checked against straight-line arithmetic.
+    `table` maps a stream key (tuple) to a list of canned draws, each an
+    index vector or a 2-D block of index rows; each call to ``integers`` on
+    that stream pops the next draw and checks it has the requested shape.
+    Used to drive the bootstrap loops with hand-chosen resamples so every
+    intermediate value can be checked against straight-line arithmetic.
     """
 
     def __init__(self, table):
@@ -28,7 +29,8 @@ class _FixedStream:
 
     def integers(self, low, high, size=None):
         draw = np.asarray(self._draws.pop(0), dtype=np.int64)
-        if size is not None and draw.shape != (size,):
+        want = (size,) if np.ndim(size) == 0 else tuple(size)
+        if size is not None and draw.shape != want:
             raise AssertionError(f"canned draw has shape {draw.shape}, wanted {size}")
         if np.any(draw < low) or np.any(draw >= high):
             raise AssertionError("canned draw out of range")

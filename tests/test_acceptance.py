@@ -400,16 +400,10 @@ def test_criterion_8_hand_oracles():
     outer_draws2 = [[1, 2, 2], [0, 0, 2]]
     nested_draws1 = [[[0, 1, 1], [1, 1, 2]], [[1, 0, 2], [0, 0, 1]]]
     nested_draws2 = [[[2, 0, 0], [0, 2, 1]], [[2, 2, 1], [1, 2, 0]]]
-    table = {}
-    for j in range(2):
-        table[(j, 2)] = [sigma_draws1[j]]
-        table[(j, 3)] = [sigma_draws2[j]]
+    table = {(2,): [sigma_draws1], (3,): [sigma_draws2]}
     for b in range(2):
-        table[(b, 0)] = [outer_draws1[b]]
-        table[(b, 1)] = [outer_draws2[b]]
-        for b2 in range(2):
-            table[(b, b2, 0)] = [nested_draws1[b][b2]]
-            table[(b, b2, 1)] = [nested_draws2[b][b2]]
+        table[(b, 0)] = [[outer_draws1[b], *nested_draws1[b]]]
+        table[(b, 1)] = [[outer_draws2[b], *nested_draws2[b]]]
     cfg = BootstrapConfig(replications=2, nested_replications=2, bins=2, seed=0)
     alpha = 0.5
 

@@ -229,6 +229,21 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "test.json: values" in capsys.readouterr().err
 
 
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    code = main(["synth", "--freqs", "0.0001", "1.0", "--rate", "1000", "--n", "3",
+                 "--out", str(tmp_path / "big.csv")])
+    assert code == 2
+    assert "10000000 samples per period" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
+
+    data = tmp_path / "big.json"
+    data.write_text(json.dumps({"frequencies": [0.0001, 1.0], "sample_rate": 1000,
+                                "groups": {"g": [[[1, 0], [0, 1]]]}}))
+    code = main(["pir", str(data), "--group", "g", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "big.json: grid would have 10000000 samples per period" in capsys.readouterr().err
+
+
 def test_bad_alpha_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path)
     code = main([

@@ -113,17 +113,13 @@ def test_injected_indices_match_loop_arithmetic():
     grid = derive_grid([1.0])
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    # Sigma draws: one (Bs, n) block per group.  Replication 0: one
+    # (1 + Bs, n) block per group, the outer resample then nested positions.
     table = {
-        (0, 2): [[0, 1, 1]],
-        (0, 3): [[2, 2, 0]],
-        (1, 2): [[1, 0, 2]],
-        (1, 3): [[0, 1, 2]],
-        (0, 0): [[2, 1, 0]],
-        (0, 1): [[0, 0, 1]],
-        (0, 0, 0): [[1, 1, 2]],
-        (0, 0, 1): [[2, 0, 1]],
-        (0, 1, 0): [[0, 2, 2]],
-        (0, 1, 1): [[1, 1, 0]],
+        (2,): [[[0, 1, 1], [1, 0, 2]]],
+        (3,): [[[2, 2, 0], [0, 1, 2]]],
+        (0, 0): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        (0, 1): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=FixedStreams(table))
@@ -161,6 +157,22 @@ def test_degenerate_groups_raise():
     cfg = BootstrapConfig(replications=5, nested_replications=4, seed=0)
     with pytest.raises(DegenerateSpread):
         compare_unpaired(a, a, GRID, 0.95, cfg)
+
+
+def test_zero_spread_at_one_time_point_is_caught_exactly():
+    # On a one-frequency grid the PIR at t = 0 is the real part, so members
+    # that differ only in their imaginary parts agree there exactly: every
+    # nested spread is zero at t = 0 and no redraw can help.  Unshifted
+    # count-weight means leave a rounding-sized spread there instead.
+    grid = derive_grid([1.0])
+    rng = np.random.default_rng(15)
+    a = FRFSet(0.1 + 1j * rng.standard_normal((8, 1)))
+    b = FRFSet(0.7 + 1j * rng.standard_normal((6, 1)))
+    assert np.ptp(pir_matrix(a, grid)[:, 0]) == 0.0
+    assert np.ptp(pir_matrix(b, grid)[:, 0]) == 0.0
+    cfg = BootstrapConfig(replications=5, nested_replications=8, seed=16)
+    with pytest.raises(DegenerateSpread):
+        compare_unpaired(a, b, grid, 0.95, cfg)
 
 
 def test_validation():

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frfstats import (
+    FRF,
     Dataset,
     FRFSet,
     ParseError,
@@ -119,6 +122,65 @@ def test_load_frf_json_malformed_pair(tmp_path):
     path.write_text('{"values": [[1, 0], 5]}')
     with pytest.raises(ParseError, match=r"test.json: values is not a list of \[re, im\] pairs"):
         load_frf(path)
+
+
+@pytest.mark.parametrize(
+    "name, content, where",
+    [
+        ("data.csv", b"freq_hz,re_0,im_0\n\xff,1.0,\ng,1.0,0.0\n", ""),
+        ("data.json", b"[" * 100_000, "recursion"),
+        ("data.csv", b"freq_hz,re_0,im_0\n,1.0,\ng,nan,0.0\n", "finite"),
+        ("data.json", b'{"frequencies": [0.3], "groups": {"": [[[1, 0]]]}}', "non-empty"),
+        ("data.csv", b"freq_hz,re_0,im_0,re_1,im_1\n1000,0.0001,,1.0,\ng,1,0,1,0\n", "samples"),
+        ("test.csv", b"1.0,inf\n", "finite"),
+        ("test.json", b'{"values": [[1.0, 1e999]]}', "finite"),
+    ],
+    ids=["not-utf8", "deep-json", "nan-value", "empty-group-name", "grid-too-large",
+         "frf-inf", "frf-json-overflow"],
+)
+def test_content_errors_raise_parse_error(tmp_path, name, content, where):
+    path = tmp_path / name
+    path.write_bytes(content)
+    load = load_dataset if name.startswith("data") else load_frf
+    with pytest.raises(ParseError, match=f"{name}: .*{where}"):
+        load(path)
+
+
+VALID_FILES = {
+    (load_dataset, "csv"): (
+        b"# condition=eyes-closed\nfreq_hz,re_0,im_0,re_1,im_1\n"
+        b"10.0,0.3,,0.5,\ng,1.0,0.5,0.3,-0.2\ng,0.9,0.6,0.2,-0.1\n"
+    ),
+    (load_dataset, "json"): json.dumps(
+        {"frequencies": [0.3, 0.5], "sample_rate": 10.0,
+         "groups": {"g": [[[1.0, 0.5], [0.3, -0.2]]]}, "metadata": {"k": "v"}}
+    ).encode(),
+    (load_frf, "csv"): b"# test\n1.0,-2.0\n0.5,0.0\n",
+    (load_frf, "json"): b'{"values": [[1.0, -2.0], [0.5, 0.0]]}',
+}
+
+
+def near(valid: bytes):
+    """Byte strings close to a valid file: one slice replaced by random bytes."""
+    cut = st.integers(0, len(valid))
+    return st.tuples(cut, cut, st.binary(max_size=8)).map(
+        lambda t: valid[: min(t[:2])] + t[2] + valid[max(t[:2]):]
+    )
+
+
+@pytest.mark.parametrize("loader, fmt", list(VALID_FILES), ids=lambda v: getattr(v, "__name__", v))
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loaders_return_valid_object_or_parse_error(tmp_path, loader, fmt, data):
+    content = data.draw(st.one_of(st.binary(max_size=120), near(VALID_FILES[loader, fmt])))
+    path = tmp_path / f"fuzz.{fmt}"
+    path.write_bytes(content)
+    try:
+        result = loader(path)
+    except ParseError:
+        return
+    assert isinstance(result, Dataset if loader is load_dataset else FRF)
 
 
 def test_unknown_suffix_needs_format(tmp_path):

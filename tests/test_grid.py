@@ -9,7 +9,7 @@ from frfstats import (
     NyquistViolation,
     derive_grid,
 )
-from frfstats.grid import FrequencyGrid
+from frfstats.grid import MAX_SAMPLES, FrequencyGrid
 
 from support import EXPERIMENT_FREQS
 
@@ -96,6 +96,21 @@ def test_invalid_vectors_rejected():
         derive_grid([-0.5, 0.3])
     with pytest.raises(GridError):
         derive_grid([0.0, 0.3])
+
+
+def test_oversized_grids_rejected():
+    # A 1e-4 Hz base frequency at 1000 Hz is 10^7 samples per period.
+    with pytest.raises(GridError, match="10000000 samples per period"):
+        derive_grid([1e-4, 1.0], 1000)
+    assert derive_grid([1.0], sample_rate=MAX_SAMPLES).n_samples == MAX_SAMPLES
+    with pytest.raises(GridError, match=f"{MAX_SAMPLES + 1} samples per period"):
+        FrequencyGrid(
+            frequencies=np.array([1.0]),
+            base_frequency=1.0,
+            period=1.0,
+            sample_rate=float(MAX_SAMPLES + 1),
+            n_samples=MAX_SAMPLES + 1,
+        )
 
 
 def test_direct_construction_checks_consistency():
