@@ -19,7 +19,6 @@ level is read off the same statistic pool at that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +30,12 @@ from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
-    _replicate_chunks,
+    _draw_with_spread,
     alpha_at,
     c_at,
     ecdf,
     resample_indices,
 )
-
-#: Redraw attempts per replication before giving up on zero spread.
-MAX_REDRAWS = 10
 
 #: One-ulp raises of the minimal band's scale before giving up on
 #: containing the test sample; rounding needs at most two in practice.
@@ -111,21 +107,11 @@ class ReplicateDraws:
         return self.stats.ravel()
 
 
-def _redraw_replication(pirs, gen, idx_row, means_row, stds_row):
-    """Redraw one replication until its std is nonzero everywhere."""
-    n = pirs.shape[0]
-    for _ in range(MAX_REDRAWS):
-        idx = resample_indices(n, gen)
-        sub = pirs[idx]
-        std = sub.std(axis=0, ddof=1)
-        if np.all(std > 0.0):
-            idx_row[:] = idx
-            means_row[:] = sub.mean(axis=0)
-            stds_row[:] = std
-            return
-    raise DegenerateSpread(
-        f"a bootstrap replication kept zero spread after {MAX_REDRAWS} redraws"
-    )
+def _resample(pirs: np.ndarray, gen):
+    """One replicate: ``((indices, rows), std of the rows)``."""
+    idx = resample_indices(pirs.shape[0], gen)
+    sub = pirs[idx]
+    return (idx, sub), sub.std(axis=0, ddof=1)
 
 
 def bootstrap_deviation_stats(
@@ -140,7 +126,7 @@ def bootstrap_deviation_stats(
     takes the replicate mean and std, and scores every original sample by
     ``max_t |x_i(t) - replicate_mean(t)| / replicate_std(t)``.
     Replications whose std hits zero anywhere are redrawn from their own
-    stream, at most MAX_REDRAWS times.
+    stream, at most `resampling.MAX_REDRAWS` times.
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
@@ -148,24 +134,19 @@ def bootstrap_deviation_stats(
         streams = IndexStreams(cfg.seed)
     pirs = pir_matrix(frf_set, grid)
 
-    def run(gens, idx, sub):
-        means = sub.mean(axis=1)
-        stds = sub.std(axis=1, ddof=1)
-        for j in np.flatnonzero(np.any(stds == 0.0, axis=1)):
-            _redraw_replication(pirs, gens[j], idx[j], means[j], stds[j])
-        stats = np.max(
-            np.abs(pirs[None, :, :] - means[:, None, :]) / stds[:, None, :],
-            axis=2,
+    B, (n, T) = cfg.replications, pirs.shape
+    indices = np.empty((B, n), dtype=np.int64)
+    means = np.empty((B, T))
+    stds = np.empty((B, T))
+    stats = np.empty((B, n))
+    for b in range(B):
+        (indices[b], sub), stds[b] = _draw_with_spread(
+            "a bootstrap replication kept zero spread",
+            _resample, pirs, streams.stream(b),
         )
-        return idx, means, stds, stats
-
-    parts = list(starmap(run, _replicate_chunks(pirs, cfg.replications, streams)))
-    return ReplicateDraws(
-        indices=np.concatenate([p[0] for p in parts]),
-        means=np.concatenate([p[1] for p in parts]),
-        stds=np.concatenate([p[2] for p in parts]),
-        stats=np.concatenate([p[3] for p in parts]),
-    )
+        means[b] = sub.mean(axis=0)
+        stats[b] = (np.abs(pirs - means[b]) / stds[b]).max(axis=1)
+    return ReplicateDraws(indices=indices, means=means, stds=stds, stats=stats)
 
 
 def _checked_stats(frf_set: FRFSet, grid: FrequencyGrid):

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import MAX_REDRAWS, Band
-from .errors import DegenerateSpread
+from .bands import Band
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, PIR, frf_from_pir, pir_matrix
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
+    _draw_with_spread,
     c_at,
     ecdf,
 )
@@ -133,7 +133,8 @@ def compare_unpaired(
     of the original groups.
 
     Replications whose nested std hits zero anywhere are redrawn from
-    their own streams, at most MAX_REDRAWS times, then DegenerateSpread.
+    their own streams, at most `resampling.MAX_REDRAWS` times, then
+    DegenerateSpread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -153,6 +154,12 @@ def compare_unpaired(
     sigma_diffs = pirs1[sigma_idx1].mean(axis=1) - pirs2[sigma_idx2].mean(axis=1)
     sigma = sigma_diffs.std(axis=0, ddof=1)
 
+    def nested_draw(gen1, gen2):
+        draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
+        draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
+        ndiffs = _nested_means(pirs1, draw1) - _nested_means(pirs2, draw2)
+        return (draw1[0], draw2[0]), ndiffs.std(axis=0, ddof=1)
+
     # Accepted draws are written row by row; keeping draw[0] itself would
     # keep each replication's whole (1 + Bs, n) block alive.
     B, T = cfg.replications, grid.n_samples
@@ -162,23 +169,14 @@ def compare_unpaired(
     nested_stds = np.empty((B, T))
     stats = np.empty(B)
     for b in range(B):
-        gen1, gen2 = streams.stream(b, 0), streams.stream(b, 1)
-        for _ in range(1 + MAX_REDRAWS):
-            draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
-            draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
-            ndiffs = _nested_means(pirs1, draw1) - _nested_means(pirs2, draw2)
-            sb = ndiffs.std(axis=0, ddof=1)
-            if np.all(sb > 0.0):
-                break
-        else:
-            raise DegenerateSpread(
-                f"a comparison replication kept zero nested spread after "
-                f"{MAX_REDRAWS} redraws"
-            )
-        outer_idx1[b], outer_idx2[b] = draw1[0], draw2[0]
-        outer_diffs[b] = pirs1[draw1[0]].mean(axis=0) - pirs2[draw2[0]].mean(axis=0)
-        nested_stds[b] = sb
-        stats[b] = np.max(np.abs(diff_mean - outer_diffs[b]) / sb)
+        (outer_idx1[b], outer_idx2[b]), nested_stds[b] = _draw_with_spread(
+            "a comparison replication kept zero nested spread",
+            nested_draw, streams.stream(b, 0), streams.stream(b, 1),
+        )
+        outer_diffs[b] = (
+            pirs1[outer_idx1[b]].mean(axis=0) - pirs2[outer_idx2[b]].mean(axis=0)
+        )
+        stats[b] = np.max(np.abs(diff_mean - outer_diffs[b]) / nested_stds[b])
     draws = DifferenceDraws(
         sigma_indices1=sigma_idx1,
         sigma_indices2=sigma_idx2,

@@ -11,14 +11,13 @@ replications summarize both estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
-from .resampling import BootstrapConfig, IndexStreams, _replicate_chunks
+from .resampling import BootstrapConfig, IndexStreams, resample_indices
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
@@ -127,37 +126,33 @@ def estimate_density(
     n = pirs.shape[0]
     ds = max(1, n // 20)
 
-    def run(gens, idx, sub):
-        means = sub.mean(axis=1)
-        es = np.sort(
-            np.stack([distance(sub[j], means[j]) for j in range(len(idx))]),
-            axis=1,
-        )
-        et = np.array([distance(x_test, means[j]) for j in range(len(idx))])
+    B = cfg.replications
+    es = np.empty((B, n))
+    et = np.empty(B)
+    for b in range(B):
+        sub = pirs[resample_indices(n, streams.stream(b))]
+        mean = sub.mean(axis=0)
+        es[b] = np.sort(distance(sub, mean))
+        et[b] = distance(x_test, mean)
 
-        # 1-based rank of the test distance among the sorted member
-        # distances: first position strictly above it, N when none is.
-        rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
-        cdf_stats = rank / n
+    # 1-based rank of the test distance among the sorted member
+    # distances: first position strictly above it, N when none is.
+    rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
+    cdf_stats = rank / n
 
-        i1 = rank - ds
-        i2 = rank + ds
-        low = i1 < 1
-        i1 = np.where(low, 1, i1)
-        i2 = np.where(low, 1 + ds, i2)
-        high = i2 > n
-        i2 = np.where(high, n, i2)
-        i1 = np.where(high, n - ds, i1)
-        rows = np.arange(len(idx))
-        width = es[rows, i2 - 1] - es[rows, i1 - 1]
-        numer = float(ds) if numerator_mode == "code-compatible" else (i2 - i1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pdf_stats = np.where(width > 0.0, numer / (n * width), np.nan)
-        return cdf_stats, pdf_stats
-
-    parts = list(starmap(run, _replicate_chunks(pirs, cfg.replications, streams)))
-    cdf_stats = np.concatenate([p[0] for p in parts])
-    pdf_stats = np.concatenate([p[1] for p in parts])
+    i1 = rank - ds
+    i2 = rank + ds
+    low = i1 < 1
+    i1 = np.where(low, 1, i1)
+    i2 = np.where(low, 1 + ds, i2)
+    high = i2 > n
+    i2 = np.where(high, n, i2)
+    i1 = np.where(high, n - ds, i1)
+    rows = np.arange(B)
+    width = es[rows, i2 - 1] - es[rows, i1 - 1]
+    numer = float(ds) if numerator_mode == "code-compatible" else (i2 - i1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pdf_stats = np.where(width > 0.0, numer / (n * width), np.nan)
 
     kept = pdf_stats[~np.isnan(pdf_stats)]
     skipped = cfg.replications - kept.size

@@ -151,18 +151,19 @@ def _common_denominator(freqs: np.ndarray) -> int:
         if q <= MAX_DENOMINATOR:
             return q
     # Exhaustive scan; only reached when the per-frequency rationals do not
-    # share a small denominator.
+    # share a small denominator.  Each chunk of candidates is filtered one
+    # frequency at a time, so memory stays O(chunk) for any number of
+    # frequencies.
     chunk = 1 << 16
     for start in range(1, MAX_DENOMINATOR + 1, chunk):
         q = np.arange(start, min(start + chunk, MAX_DENOMINATOR + 1), dtype=float)
-        scaled = q[:, None] * freqs[None, :]
-        nearest = np.rint(scaled)
-        ok = (nearest >= 1.0) & (
-            np.abs(scaled - nearest) <= COMMENSURATE_RTOL * scaled
-        )
-        hits = np.flatnonzero(ok.all(axis=1))
-        if hits.size:
-            return int(q[hits[0]])
+        for f in freqs:
+            scaled = q * f
+            nearest = np.rint(scaled)
+            ok = np.abs(scaled - nearest) <= COMMENSURATE_RTOL * scaled
+            q = q[ok & (nearest >= 1.0)]
+        if q.size:
+            return int(q[0])
     raise NonCommensurableFrequencies(
         f"no common denominator <= {MAX_DENOMINATOR} reconciles the "
         "frequencies as rational multiples of a base frequency"

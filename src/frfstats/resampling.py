@@ -1,9 +1,10 @@
 """Seeded bootstrap plumbing.
 
-Index draws, per-replication random substreams, the chunked replicate
-loop of the band and density bootstraps, and the histogram-based
-empirical CDF used to convert between band scaling constants and
-confidence levels.  Loops run serially; results depend only on the seed.
+Index draws, per-replication random substreams, the redraw rule for
+degenerate replications, and the histogram-based empirical CDF used to
+convert between band scaling constants and confidence levels.  Every
+bootstrap loop runs serially, one replication at a time; results depend
+only on the seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DegenerateSpread
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class IndexStreams:
     ``stream(b, g)`` that of comparison replication b for group g; the
     full key table is under `STREAM_LAYOUT`.  Streams with different keys
     are statistically independent and each key always yields the same
-    sequence for a given root seed, so results do not depend on how the
-    replication loop is chunked.
+    sequence for a given root seed, so results do not depend on the order
+    in which replications run.
     """
 
     def __init__(self, seed: int):
@@ -85,25 +88,24 @@ def resample_indices(n: int, stream) -> np.ndarray:
     return stream.integers(0, n, size=n)
 
 
-_CHUNK = 64
+#: Redraws per replication before zero spread is given up on.
+MAX_REDRAWS = 10
 
 
-def _replicate_chunks(pirs: np.ndarray, replications: int, streams):
-    """Yield ``(gens, idx, sub)`` per chunk of `_CHUNK` replications.
+def _draw_with_spread(what: str, draw, *gens):
+    """First of up to 1 + MAX_REDRAWS draws with spread everywhere.
 
-    `gens` are the replication streams (key b), `idx` the stacked
-    resample indices, one row per replication drawn from its own stream,
-    and `sub` the gathered rows ``pirs[idx]``.  Chunks come in replication
-    order, and no draw depends on the chunk length.  Callers consume it
-    with `itertools.starmap`, so each chunk's arrays are freed before the
-    next gather and never outlive the call (a loop body's would).
+    ``draw(*gens)`` makes one draw from the replication's own streams and
+    returns ``(result, spread)``.  The first draw whose spread is positive
+    at every time point is returned as that pair; a redraw is the next
+    call on the same streams.  When every draw has a zero somewhere,
+    DegenerateSpread says that `what` kept zero spread.
     """
-    n = pirs.shape[0]
-    for start in range(0, replications, _CHUNK):
-        stop = min(start + _CHUNK, replications)
-        gens = [streams.stream(b) for b in range(start, stop)]
-        idx = np.stack([resample_indices(n, g) for g in gens])
-        yield gens, idx, pirs[idx]
+    for _ in range(1 + MAX_REDRAWS):
+        result, spread = draw(*gens)
+        if (spread > 0.0).all():
+            return result, spread
+    raise DegenerateSpread(f"{what} after {MAX_REDRAWS} redraws")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,12 @@ import pytest
 from frfstats import BandContainment, DegenerateSpread, derive_grid
 from frfstats.bands import (
     Band,
-    MAX_REDRAWS,
     bootstrap_deviation_stats,
     minimal_prediction_band,
     prediction_band,
 )
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix, pir_stats
-from frfstats.resampling import BootstrapConfig, IndexStreams, alpha_at
+from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams, alpha_at
 
 from support import EXPERIMENT_FREQS, FixedStreams
 
@@ -181,7 +180,8 @@ def test_degenerate_replication_is_redrawn():
     np.testing.assert_array_equal(draws.indices, [[0, 1, 2]])
 
     exhausted = FixedStreams({(0,): [[1, 1, 1]] * (MAX_REDRAWS + 1)})
-    with pytest.raises(DegenerateSpread):
+    message = f"a bootstrap replication kept zero spread after {MAX_REDRAWS} redraws"
+    with pytest.raises(DegenerateSpread, match=message):
         bootstrap_deviation_stats(frfs, grid, cfg, exhausted)
 
 

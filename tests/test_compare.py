@@ -7,7 +7,7 @@ from frfstats import DegenerateSpread, GridMismatch, derive_grid
 from frfstats.bands import Band
 from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
-from frfstats.resampling import BootstrapConfig, IndexStreams
+from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams
 
 from support import EXPERIMENT_FREQS, FixedStreams, MirroredStreams
 
@@ -149,6 +149,44 @@ def test_injected_indices_match_loop_arithmetic():
     np.testing.assert_allclose(result.draws.nested_stds[0], sb, atol=1e-12)
     stat = np.max(np.abs(xm - xb) / sb)
     assert result.draws.stats[0] == pytest.approx(stat, abs=1e-12)
+
+
+def test_degenerate_replication_is_redrawn():
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
+    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 2, 0], [0, 1, 2]]]}
+    valid = {
+        (0, 0): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        (0, 1): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+    }
+    # An outer resample of one repeated member has zero nested spread in
+    # both groups, so the replication must take each stream's next block.
+    degenerate = {
+        (0, 0): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]],
+        (0, 1): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]],
+    }
+
+    def streams(blocks):
+        return FixedStreams({**sigma, **blocks})
+
+    direct = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams(valid))
+    for redraws in (1, MAX_REDRAWS):
+        redrawn = compare_unpaired(
+            a, b, grid, 0.5, cfg,
+            streams=streams({k: degenerate[k] * redraws + valid[k] for k in valid}),
+        )
+        np.testing.assert_array_equal(redrawn.draws.outer_indices1, [[2, 1, 0]])
+        np.testing.assert_array_equal(redrawn.draws.outer_indices2, [[0, 0, 1]])
+        np.testing.assert_array_equal(redrawn.draws.stats, direct.draws.stats)
+
+    exhausted = streams({k: degenerate[k] * (MAX_REDRAWS + 1) for k in valid})
+    message = (
+        f"a comparison replication kept zero nested spread after {MAX_REDRAWS} redraws"
+    )
+    with pytest.raises(DegenerateSpread, match=message):
+        compare_unpaired(a, b, grid, 0.5, cfg, streams=exhausted)
 
 
 def test_degenerate_groups_raise():

@@ -1,5 +1,7 @@
 """Tests for frequency grid derivation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from frfstats import (
     NyquistViolation,
     derive_grid,
 )
-from frfstats.grid import MAX_SAMPLES, FrequencyGrid
+from frfstats.grid import MAX_SAMPLES, FrequencyGrid, _common_denominator
 
 from support import EXPERIMENT_FREQS
 
@@ -83,6 +85,26 @@ def test_non_commensurable_rejected():
     # scan: no q <= 10^6 fits all three within 1e-9 relative).
     with pytest.raises(NonCommensurableFrequencies):
         derive_grid([np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0)])
+
+
+def test_scan_reconciles_what_the_lcm_path_misses():
+    # Both are k / 1897 within 1e-9 relative, but each float's own best
+    # rational below 10^6 has another denominator, and their lcm is too big.
+    assert _common_denominator(np.array([24.55192406747081, 38.62941488516335])) == 1897
+
+
+def test_scan_memory_does_not_grow_with_frequency_count():
+    freqs = np.sort(np.random.default_rng(3).uniform(0.1, 5.0, size=100))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonCommensurableFrequencies):
+            _common_denominator(freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 65,536-candidate chunk and a few same-sized temporaries, not
+    # 65,536 x 100 (about 210 MB per temporary before).
+    assert peak < 8e6
 
 
 def test_invalid_vectors_rejected():

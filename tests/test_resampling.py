@@ -1,9 +1,10 @@
 """Tests for bootstrap plumbing: streams, index draws, and the histogram CDF."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from frfstats import resampling
 from frfstats.bands import bootstrap_deviation_stats
 from frfstats.compare import compare_unpaired
 from frfstats.density import estimate_density
@@ -18,6 +19,8 @@ from frfstats.resampling import (
     ecdf,
     resample_indices,
 )
+
+from support import EXPERIMENT_FREQS
 
 
 def test_config_defaults_and_validation():
@@ -152,34 +155,63 @@ def test_statecdf_validation():
         )
 
 
-def _seeded_runs():
+def _seeded_runs(replications):
     grid = derive_grid([0.3, 0.5])
     rng = np.random.default_rng(30)
     values = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
     # Two identical rows make some band replications degenerate, so the
-    # per-row redraw runs inside every chunking.
+    # per-replication redraw runs inside the loop.
     tied = FRFSet(np.concatenate([values[:3], values[:1]]))
     frfs = FRFSet(values)
-    cfg = BootstrapConfig(replications=130, nested_replications=6, seed=31)
+    cfg = BootstrapConfig(replications=replications, nested_replications=6, seed=31)
     draws = bootstrap_deviation_stats(tied, grid, cfg)
     density = estimate_density(FRF(values[0] + 0.1), frfs, grid, cfg)
-    small = BootstrapConfig(replications=30, nested_replications=6, seed=32)
+    small = BootstrapConfig(
+        replications=min(replications, 30), nested_replications=6, seed=32
+    )
     comparison = compare_unpaired(frfs, FRFSet(values[::-1] * 1.2), grid, 0.9, small)
     return draws, density, comparison
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_results_depend_only_on_seed_not_chunking(monkeypatch, chunk):
-    draws, density, comparison = _seeded_runs()
+@pytest.mark.parametrize("short", [1, 7, 64])
+def test_short_run_is_prefix_of_long_run(short):
+    draws, density, comparison = _seeded_runs(130)
     first_draws = [
         resample_indices(4, IndexStreams(31).stream(b)) for b in range(130)
     ]
     assert any(not np.array_equal(r, d) for r, d in zip(draws.indices, first_draws))
 
-    monkeypatch.setattr(resampling, "_CHUNK", chunk)
-    draws2, density2, comparison2 = _seeded_runs()
+    draws2, density2, comparison2 = _seeded_runs(short)
     for name in ("indices", "means", "stds", "stats"):
-        np.testing.assert_array_equal(getattr(draws, name), getattr(draws2, name))
-    np.testing.assert_array_equal(density.cdf_stats, density2.cdf_stats)
-    np.testing.assert_array_equal(density.pdf_stats, density2.pdf_stats)
-    np.testing.assert_array_equal(comparison.draws.stats, comparison2.draws.stats)
+        np.testing.assert_array_equal(getattr(draws2, name), getattr(draws, name)[:short])
+    np.testing.assert_array_equal(density2.cdf_stats, density.cdf_stats[:short])
+    np.testing.assert_array_equal(density2.pdf_stats, density.pdf_stats[:short])
+    np.testing.assert_array_equal(
+        comparison2.draws.stats, comparison.draws.stats[: min(short, 30)]
+    )
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_memory_is_one_replication_deep():
+    # T = 440 and N = 200: a replication's rows are 88,000 doubles, and
+    # 64 of them at once would take 45 MB.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    rng = np.random.default_rng(40)
+    values = rng.standard_normal((201, grid.m)) + 1j * rng.standard_normal((201, grid.m))
+    frfs, test = FRFSet(values[:200]), FRF(values[200])
+    cfg = BootstrapConfig(replications=64, seed=41)
+    allowance = 8 * frfs.n * grid.n_samples * 8
+
+    draws, peak = _traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
+    outputs = sum(getattr(draws, k).nbytes for k in ("indices", "means", "stds", "stats"))
+    assert peak < outputs + allowance
+
+    density, peak = _traced_peak(lambda: estimate_density(test, frfs, grid, cfg))
+    assert peak < density.cdf_stats.nbytes + density.pdf_stats.nbytes + allowance
