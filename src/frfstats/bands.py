@@ -30,11 +30,10 @@ from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
-    _draw_with_spread,
+    _replicates,
     alpha_at,
     c_at,
     ecdf,
-    resample_indices,
 )
 
 #: One-ulp raises of the minimal band's scale before giving up on
@@ -107,13 +106,6 @@ class ReplicateDraws:
         return self.stats.ravel()
 
 
-def _resample(pirs: np.ndarray, gen):
-    """One replicate: ``((indices, rows), std of the rows)``."""
-    idx = resample_indices(pirs.shape[0], gen)
-    sub = pirs[idx]
-    return (idx, sub), sub.std(axis=0, ddof=1)
-
-
 def bootstrap_deviation_stats(
     frf_set: FRFSet,
     grid: FrequencyGrid,
@@ -139,23 +131,26 @@ def bootstrap_deviation_stats(
     means = np.empty((B, T))
     stds = np.empty((B, T))
     stats = np.empty((B, n))
-    for b in range(B):
-        (indices[b], sub), stds[b] = _draw_with_spread(
-            "a bootstrap replication kept zero spread",
-            _resample, pirs, streams.stream(b),
-        )
-        means[b] = sub.mean(axis=0)
-        stats[b] = (np.abs(pirs - means[b]) / stds[b]).max(axis=1)
+    for b, (idx, mean, std, _) in enumerate(_replicates(pirs, B, streams)):
+        indices[b], means[b], stds[b] = idx, mean, std
+        stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
     return ReplicateDraws(indices=indices, means=means, stds=stds, stats=stats)
 
 
-def _checked_stats(frf_set: FRFSet, grid: FrequencyGrid):
+def _calibrated(
+    frf_set: FRFSet,
+    grid: FrequencyGrid,
+    cfg: BootstrapConfig,
+    streams: IndexStreams | None,
+):
+    """The set's PIR stats, checked for spread, and its pool's ECDF."""
     st = pir_stats(frf_set, grid)
     if np.any(st.std == 0.0):
         raise DegenerateSpread(
             "the sample set has zero spread at some time point"
         )
-    return st
+    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
+    return st, ecdf(draws.pool, cfg.bins)
 
 
 def prediction_band(
@@ -168,9 +163,7 @@ def prediction_band(
     """Band expected to contain a fresh draw with confidence `alpha`."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    st = _checked_stats(frf_set, grid)
-    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-    e = ecdf(draws.pool, cfg.bins)
+    st, e = _calibrated(frf_set, grid, cfg, streams)
     scale = c_at(e, alpha)
     return Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
 
@@ -214,11 +207,8 @@ def minimal_prediction_band(
     bootstrap pool, clamped to 1 when the test lies beyond every pooled
     statistic.
     """
-    st = _checked_stats(frf_set, grid)
-    x_test = pir_from_frf(test, grid).values
-    scale = _containing_scale(st.mean, st.std, x_test)
-    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-    e = ecdf(draws.pool, cfg.bins)
+    st, e = _calibrated(frf_set, grid, cfg, streams)
+    scale = _containing_scale(st.mean, st.std, pir_from_frf(test, grid).values)
     alpha = alpha_at(e, scale)
     band = Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
     return MinimalBand(band=band, alpha=alpha, stat_ecdf=e)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import minimal_prediction_band, prediction_band
+from .bands import Band, minimal_prediction_band, prediction_band
 from .compare import compare_unpaired
 from .dataio import Dataset, load_dataset, load_frf, save_dataset
 from .density import NUMERATOR_MODES, estimate_density
@@ -38,6 +38,11 @@ def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> N
     for row in zip(*columns):
         lines.append(",".join(_fmt(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_band(path: str, times: np.ndarray, band: Band) -> None:
+    header = ["t", "mean", "lower", "upper"]
+    _write_columns(path, header, [times, band.mean, band.lower, band.upper])
 
 
 def _write_ecdf(path: str, stat_ecdf: StatEcdf) -> None:
@@ -77,11 +82,7 @@ def _cmd_pir(args: argparse.Namespace) -> int:
 def _cmd_band(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     band = prediction_band(dataset.group(args.group), dataset.grid, args.alpha, _config(args))
-    _write_columns(
-        args.out,
-        ["t", "mean", "lower", "upper"],
-        [dataset.grid.times, band.mean, band.lower, band.upper],
-    )
+    _write_band(args.out, dataset.grid.times, band)
     return 0
 
 
@@ -91,12 +92,7 @@ def _cmd_minband(args: argparse.Namespace) -> int:
     result = minimal_prediction_band(test, dataset.group(args.group), dataset.grid, _config(args))
     print(f"alpha = {_fmt(result.alpha)}")
     print(f"C_p = {_fmt(result.band.scale)}")
-    band = result.band
-    _write_columns(
-        f"{args.out}_band.csv",
-        ["t", "mean", "lower", "upper"],
-        [dataset.grid.times, band.mean, band.lower, band.upper],
-    )
+    _write_band(f"{args.out}_band.csv", dataset.grid.times, result.band)
     _write_ecdf(f"{args.out}_ecdf.csv", result.stat_ecdf)
     return 0
 
@@ -131,12 +127,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print("result = reject" if result.reject_null else "result = accept")
     print(f"C_u = {_fmt(result.band.scale)}")
     times = dataset.grid.times
-    band = result.band
-    _write_columns(
-        f"{args.out}_band.csv",
-        ["t", "mean", "lower", "upper"],
-        [times, band.mean, band.lower, band.upper],
-    )
+    _write_band(f"{args.out}_band.csv", times, result.band)
     _write_columns(f"{args.out}_residuals.csv", ["t", "residual"], [times, result.residuals])
     _write_columns(
         f"{args.out}_residual_frf.csv",

@@ -66,15 +66,12 @@ class Dataset:
             raise KeyError(f"no group {name!r} in dataset (have: {known})") from None
 
 
-def _infer_format(path: Path, format: str | None) -> str:
-    if format is not None:
-        if format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        return format
+def _is_csv(path: Path) -> bool:
+    """True for a .csv path, False for .json; any other suffix is refused."""
     suffix = path.suffix.lower().lstrip(".")
-    if suffix in FORMATS:
-        return suffix
-    raise ValueError(f"cannot infer format from {path.name!r}; pass format=")
+    if suffix not in FORMATS:
+        raise ValueError(f"cannot infer format from {path.name!r}; use .csv or .json")
+    return suffix == "csv"
 
 
 @contextmanager
@@ -209,13 +206,13 @@ def _load_json(path: Path) -> Dataset:
     return Dataset(grid=grid, groups=groups, metadata=metadata)
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset from a CSV or JSON file (format inferred by suffix).
 
     Any malformed content raises `ParseError` naming the file.
     """
     path = Path(path)
-    load = _load_csv if _infer_format(path, format) == "csv" else _load_json
+    load = _load_csv if _is_csv(path) else _load_json
     with _reading(path):
         return load(path)
 
@@ -253,10 +250,10 @@ def _save_json(dataset: Dataset, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def save_dataset(dataset: Dataset, path, format: str | None = None) -> None:
+def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset to a CSV or JSON file (format inferred by suffix)."""
     path = Path(path)
-    if _infer_format(path, format) == "csv":
+    if _is_csv(path):
         _save_csv(dataset, path)
     else:
         _save_json(dataset, path)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
-from .resampling import BootstrapConfig, IndexStreams, resample_indices
+from .resampling import BootstrapConfig, IndexStreams, _replicates
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
@@ -25,34 +25,16 @@ MAX_SKIPPED_FRACTION = 0.2
 NUMERATOR_MODES = ("code-compatible", "index-span")
 
 
-def _squared(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = rows - center
-    return np.sum(diff * diff, axis=-1)
-
-
-def _max_abs(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(rows - center), axis=-1)
-
-
-def resolve_metric(metric):
-    """Map a metric name or callable to a (rows, center) -> distances function.
-
-    Built-ins: "squared" is the discrete sum of squared differences (no
-    time-step factor, so rescale when comparing across sample rates) and
-    "max" the maximum absolute difference.  A callable must map two PIR
-    value vectors to a scalar and is applied row by row.
-    """
-    if callable(metric):
-        def rowwise(rows, center):
-            out = np.array([float(metric(row, center)) for row in np.atleast_2d(rows)])
-            return out if np.ndim(rows) > 1 else out[0]
-
-        return rowwise
-    if metric == "squared":
-        return _squared
-    if metric == "max":
-        return _max_abs
-    raise ValueError(f"{metric!r} is not a valid metric")
+# Distance of a row from the replicate mean, as a function of its squared
+# deviations over the time points: "squared" is the discrete sum of squared
+# differences (no time-step factor, so rescale when comparing across sample
+# rates) and "max" the maximum absolute difference.  In binary floating
+# point sqrt(x * x) == |x| exactly while x * x neither underflows nor
+# overflows, so "max" needs no second pass over the unsquared rows.
+_METRICS = {
+    "squared": lambda sq: np.sum(sq, axis=-1),
+    "max": lambda sq: np.sqrt(np.max(sq, axis=-1)),
+}
 
 
 @dataclass(frozen=True)
@@ -96,31 +78,36 @@ def estimate_density(
     frf_set: FRFSet,
     grid: FrequencyGrid,
     cfg: BootstrapConfig,
-    metric="squared",
+    metric: str = "squared",
     numerator_mode: str = "code-compatible",
     streams: IndexStreams | None = None,
 ) -> DensityEstimate:
     """Estimate CDF and PDF of the test sample's distance from the mean.
 
-    Per replication b (stream key b): resample the set, compute the
-    replicate mean, sort the resampled members' distances to it, and rank
-    the test distance as the first position exceeding it (N when none
-    does).  The CDF statistic is rank/N.  The PDF statistic divides the
-    rank-window mass by the distance increment across a window of
-    half-width Ds = max(1, N // 20) around the rank, clamped to [1, N]
+    Per replication b: take resample b of the band bootstrap (the same
+    stream (b,) and the same redraw rule as `bootstrap_deviation_stats`),
+    sort the resampled members' distances to its mean, and rank the test
+    distance as the first position exceeding it (N when none does).
+    `metric` is "squared" (sum of squared differences) or "max" (maximum
+    absolute difference).  The CDF statistic is rank/N.  The PDF statistic
+    divides the rank-window mass by the distance increment across a window
+    of half-width Ds = max(1, N // 20) around the rank, clamped to [1, N]
     while keeping its span; "code-compatible" keeps Ds in the numerator
     even at clamped edges, "index-span" uses the actual index span.
 
     Raises ZeroSpread when more than 20% of replications had a zero-width
-    distance window.
+    distance window, and DegenerateSpread when a replication kept zero
+    spread through every redraw.
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to estimate a density")
     if numerator_mode not in NUMERATOR_MODES:
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")
+    distance = _METRICS.get(metric) if isinstance(metric, str) else None
+    if distance is None:
+        raise ValueError(f"{metric!r} is not a valid metric")
     if streams is None:
         streams = IndexStreams(cfg.seed)
-    distance = resolve_metric(metric)
     pirs = pir_matrix(frf_set, grid)
     x_test = pir_from_frf(test, grid).values
     n = pirs.shape[0]
@@ -129,11 +116,9 @@ def estimate_density(
     B = cfg.replications
     es = np.empty((B, n))
     et = np.empty(B)
-    for b in range(B):
-        sub = pirs[resample_indices(n, streams.stream(b))]
-        mean = sub.mean(axis=0)
-        es[b] = np.sort(distance(sub, mean))
-        et[b] = distance(x_test, mean)
+    for b, (_, mean, _, sq) in enumerate(_replicates(pirs, B, streams)):
+        es[b] = np.sort(distance(sq))
+        et[b] = distance(np.square(x_test - mean))
 
     # 1-based rank of the test distance among the sorted member
     # distances: first position strictly above it, N when none is.

@@ -1,10 +1,10 @@
 """Seeded bootstrap plumbing.
 
 Index draws, per-replication random substreams, the redraw rule for
-degenerate replications, and the histogram-based empirical CDF used to
-convert between band scaling constants and confidence levels.  Every
-bootstrap loop runs serially, one replication at a time; results depend
-only on the seed.
+degenerate replications, the replicate loop that the band and the density
+share, and the histogram-based empirical CDF used to convert between band
+scaling constants and confidence levels.  Every bootstrap loop runs
+serially, one replication at a time; results depend only on the seed.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ class BootstrapConfig:
 
 #: Version of the stream key layout, the map from bootstrap draws to
 #: stream keys.  It changes whenever fixed-seed results of some operation
-#: change with it.  Layout 2: the band and density draw replication b from
-#: stream (b,); the comparison draws group g's sigma resamples from
+#: change with it.  Layout 3: the band and density draw replication b from
+#: stream (b,), through one loop (`_replicates`) that redraws a degenerate
+#: resample for both; the comparison draws group g's sigma resamples from
 #: (SIGMA_KEY_OFFSET + g,) and its replication b, outer and nested rows in
-#: one block, from (b, g) (see `frfstats.compare`).
-STREAM_LAYOUT = 2
+#: one block, from (b, g) (see `frfstats.compare`).  Layout 3 differs from
+#: layout 2 only where the density's first draw of a replication had zero
+#: spread: the density used that draw, it now uses the redrawn one.
+STREAM_LAYOUT = 3
 
 
 class IndexStreams:
@@ -106,6 +109,36 @@ def _draw_with_spread(what: str, draw, *gens):
         if (spread > 0.0).all():
             return result, spread
     raise DegenerateSpread(f"{what} after {MAX_REDRAWS} redraws")
+
+
+def _replicate(pirs: np.ndarray, gen):
+    """One resample: ``((indices, mean, squared deviations), std)``.
+
+    The mean is taken once; the deviations of the resampled rows from it
+    are squared in place and give the N-1 std.
+    """
+    idx = resample_indices(pirs.shape[0], gen)
+    sq = pirs[idx]
+    mean = sq.mean(axis=0)
+    sq -= mean
+    sq *= sq
+    return (idx, mean, sq), np.sqrt(sq.sum(axis=0) / (idx.size - 1))
+
+
+def _replicates(pirs: np.ndarray, B: int, streams: IndexStreams):
+    """The band and density bootstrap, one replication at a time.
+
+    Replication b resamples the rows of `pirs` from stream (b,), redrawn
+    under the `_draw_with_spread` rule, and yields ``(indices, mean, std,
+    sq)``: the accepted resample indices, its mean and N-1 std over the
+    rows, and the rows' squared deviations from that mean.
+    """
+    for b in range(B):
+        (idx, mean, sq), std = _draw_with_spread(
+            "a bootstrap replication kept zero spread",
+            _replicate, pirs, streams.stream(b),
+        )
+        yield idx, mean, std, sq
 
 
 @dataclass(frozen=True)

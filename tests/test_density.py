@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from frfstats import ZeroSpread, derive_grid
-from frfstats.density import estimate_density, resolve_metric
+from frfstats import DegenerateSpread, ZeroSpread, derive_grid
+from frfstats.bands import bootstrap_deviation_stats
+from frfstats.density import estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
@@ -18,12 +19,16 @@ def five_frfs():
     return FRFSet(rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1)))
 
 
-def brute_force(pirs, picks, x_test, ds, numerator=None):
+def squared_distance(d):
+    return float(np.sum(d**2))
+
+
+def brute_force(pirs, picks, x_test, ds, numerator=None, distance=squared_distance):
     """Straight-line mirror of one replication, 1-based like the reference."""
     rows = pirs[list(picks)]
     mean = rows.mean(axis=0)
-    es = np.sort([float(np.sum((row - mean) ** 2)) for row in rows])
-    et = float(np.sum((x_test - mean) ** 2))
+    es = np.sort([distance(row - mean) for row in rows])
+    et = distance(x_test - mean)
     n = len(picks)
     idx = sum(1 for d in es if d <= et) + 1
     if idx > n:
@@ -130,7 +135,7 @@ def test_scaling_preserves_ranks_and_rescales_pdf():
     np.testing.assert_allclose(scaled.pdf_stats, base.pdf_stats / 4.0, rtol=1e-13)
 
 
-def test_max_metric_and_callable():
+def test_max_metric():
     frfs = five_frfs()
     pirs = pir_matrix(frfs, GRID)
     test = FRF(frfs.values.mean(axis=0) + 0.2 + 0.1j)
@@ -138,44 +143,64 @@ def test_max_metric_and_callable():
     cfg = BootstrapConfig(replications=1, seed=0)
     picks = [1, 3, 3, 0, 2]
 
-    for metric in ("max", lambda x, y: float(np.abs(x - y).sum())):
-        streams = FixedStreams({(0,): [picks]})
-        est = estimate_density(test, frfs, GRID, cfg, metric=metric, streams=streams)
-        fn = resolve_metric(metric)
-        rows = pirs[picks]
-        mean = rows.mean(axis=0)
-        dists = sorted(float(fn(row, mean)) for row in rows)
-        et = float(fn(x_test, mean))
-        idx = min(sum(d <= et for d in dists) + 1, 5)
-        assert est.cdf_stats[0] == pytest.approx(idx / 5, abs=1e-12)
+    streams = FixedStreams({(0,): [picks]})
+    est = estimate_density(test, frfs, GRID, cfg, metric="max", streams=streams)
+    cdf, pdf = brute_force(
+        pirs, picks, x_test, est.window, distance=lambda d: float(np.max(np.abs(d)))
+    )
+    assert est.cdf_stats[0] == pytest.approx(cdf, abs=1e-12)
+    assert est.pdf_stats[0] == pytest.approx(pdf, rel=1e-12)
 
     with pytest.raises(ValueError):
         estimate_density(test, frfs, GRID, cfg, metric="manhattan")
+
+
+def test_density_ranks_the_bands_redrawn_resample():
+    # A degenerate first draw is redrawn for the density exactly as for
+    # the band, so the density ranks against the band's accepted resample.
+    frfs = five_frfs()
+    pirs = pir_matrix(frfs, GRID)
+    test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
+    x_test = pir_from_frf(test, GRID).values
+    cfg = BootstrapConfig(replications=1, seed=0)
+    table = {(0,): [[2, 2, 2, 2, 2], [0, 0, 1, 2, 3]]}
+    draws = bootstrap_deviation_stats(frfs, GRID, cfg, FixedStreams(table))
+    est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
+
+    np.testing.assert_array_equal(draws.indices[0], [0, 0, 1, 2, 3])
+    mean = draws.means[0]
+    es = sorted(float(np.sum((pirs[i] - mean) ** 2)) for i in draws.indices[0])
+    et = float(np.sum((x_test - mean) ** 2))
+    rank = min(sum(d <= et for d in es) + 1, 5)
+    assert rank < 5  # the degenerate draw would rank the test at N
+    assert est.cdf_stats[0] == rank / 5
 
 
 def test_zero_spread_handling():
     rows = np.array([[1.0 + 0.0j], [1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]])
     frfs = FRFSet(rows)
     test = FRF(np.array([0.5 + 0.5j]))
-    degenerate = [0, 0, 0, 0]
+    # Three coincident members: the resample has spread, but the test
+    # ranks inside their run of tied distances, so its window is zero wide.
+    coincident = [2, 2, 2, 3]
     fine = [0, 1, 2, 3]
 
-    table = {(0,): [degenerate], (1,): [fine], (2,): [fine], (3,): [fine], (4,): [fine]}
+    table = {(0,): [coincident], (1,): [fine], (2,): [fine], (3,): [fine], (4,): [fine]}
     cfg = BootstrapConfig(replications=5, seed=0)
     est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
     assert est.skipped == 1
     assert np.isnan(est.pdf_stats[0])
     assert np.isfinite(est.pdf_mean)
 
-    table = {(0,): [degenerate], (1,): [degenerate], (2,): [fine], (3,): [fine], (4,): [fine]}
+    table = {(0,): [coincident], (1,): [coincident], (2,): [fine], (3,): [fine], (4,): [fine]}
     with pytest.raises(ZeroSpread):
         estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
 
 
-def test_all_identical_rows_raise_zero_spread():
+def test_all_identical_rows_raise_degenerate_spread():
     frfs = FRFSet(np.tile(np.array([1.0 + 2.0j]), (5, 1)))
     test = FRF(np.array([0.0 + 0.0j]))
-    with pytest.raises(ZeroSpread):
+    with pytest.raises(DegenerateSpread, match="kept zero spread"):
         estimate_density(test, frfs, GRID, BootstrapConfig(replications=10, seed=0))
 
 
