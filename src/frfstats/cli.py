@@ -254,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err.filename}: file not found", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -149,9 +149,13 @@ def compare_unpaired(
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 
+    def mean_diff(idx1, idx2):
+        return pirs1[idx1].mean(axis=0) - pirs2[idx2].mean(axis=0)
+
+    # One resample's rows at a time, never a (Bs, n, T) gather.
     sigma_idx1 = streams.stream(SIGMA_KEY_OFFSET).integers(0, n1, size=(bs, n1))
     sigma_idx2 = streams.stream(SIGMA_KEY_OFFSET + 1).integers(0, n2, size=(bs, n2))
-    sigma_diffs = pirs1[sigma_idx1].mean(axis=1) - pirs2[sigma_idx2].mean(axis=1)
+    sigma_diffs = np.array([mean_diff(i, j) for i, j in zip(sigma_idx1, sigma_idx2)])
     sigma = sigma_diffs.std(axis=0, ddof=1)
 
     def nested_draw(gen1, gen2):
@@ -173,9 +177,7 @@ def compare_unpaired(
             "a comparison replication kept zero nested spread",
             nested_draw, streams.stream(b, 0), streams.stream(b, 1),
         )
-        outer_diffs[b] = (
-            pirs1[outer_idx1[b]].mean(axis=0) - pirs2[outer_idx2[b]].mean(axis=0)
-        )
+        outer_diffs[b] = mean_diff(outer_idx1[b], outer_idx2[b])
         stats[b] = np.max(np.abs(diff_mean - outer_diffs[b]) / nested_stds[b])
     draws = DifferenceDraws(
         sigma_indices1=sigma_idx1,

@@ -90,10 +90,11 @@ def estimate_density(
     distance as the first position exceeding it (N when none does).
     `metric` is "squared" (sum of squared differences) or "max" (maximum
     absolute difference).  The CDF statistic is rank/N.  The PDF statistic
-    divides the rank-window mass by the distance increment across a window
-    of half-width Ds = max(1, N // 20) around the rank, clamped to [1, N]
-    while keeping its span; "code-compatible" keeps Ds in the numerator
-    even at clamped edges, "index-span" uses the actual index span.
+    divides the rank-window mass by the distance increment across the
+    window [rank - Ds, rank + Ds], Ds = max(1, N // 20), which spans 2*Ds
+    ranks; a window running past either end becomes [1, 1 + Ds] or
+    [N - Ds, N] and spans only Ds ranks.  "code-compatible" keeps Ds in
+    the numerator for every window, "index-span" uses the actual span.
 
     Raises ZeroSpread when more than 20% of replications had a zero-width
     distance window, and DegenerateSpread when a replication kept zero

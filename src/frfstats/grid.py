@@ -103,15 +103,10 @@ class FrequencyGrid:
             )
         object.__setattr__(self, "harmonics", tuple(int(k) for k in harmonics))
 
-        if self.sample_rate <= 2.0 * freqs[-1]:
+        if 2 * self.harmonics[-1] >= self.n_samples:
             raise NyquistViolation(
                 f"sample rate {self.sample_rate} Hz must strictly exceed "
                 f"twice the highest frequency ({2.0 * freqs[-1]} Hz)"
-            )
-        if 2 * self.harmonics[-1] >= self.n_samples:
-            raise NyquistViolation(
-                "number of samples per period is too small for the highest "
-                "frequency"
             )
         if abs(self.period * self.base_frequency - 1.0) > COMMENSURATE_RTOL:
             raise GridError("period must equal 1 / base_frequency")
@@ -208,17 +203,10 @@ def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:
     period = 1 / base
     n_samples = round(period * Fraction(requested))
     _check_sample_count(n_samples)
-    rate = n_samples * base
-
-    if float(rate) <= 2.0 * f_max:
-        raise NyquistViolation(
-            f"reconciled sample rate {float(rate)} Hz does not strictly "
-            f"exceed {2.0 * f_max} Hz"
-        )
     return FrequencyGrid(
         frequencies=freqs,
         base_frequency=float(base),
         period=float(period),
-        sample_rate=float(rate),
+        sample_rate=float(n_samples * base),
         n_samples=int(n_samples),
     )

@@ -13,7 +13,6 @@ and the inverse is a plain projection with a 2/n_samples normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,10 +86,6 @@ class PIR:
         if not np.all(np.isfinite(vals)):
             raise ValueError("PIR values must be finite")
 
-    @property
-    def time_step(self) -> float:
-        return self.grid.time_step
-
 
 @dataclass(frozen=True)
 class PirStats:
@@ -115,7 +110,6 @@ class PirStats:
             raise ValueError("std must be non-negative")
 
 
-@lru_cache(maxsize=64)
 def _basis(n_samples: int, harmonics: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Sampled cosine/sine basis, shape (M, n_samples) each.
 
@@ -128,11 +122,7 @@ def _basis(n_samples: int, harmonics: tuple[int, ...]) -> tuple[np.ndarray, np.n
     m = np.asarray(harmonics, dtype=np.int64)
     phase = (m[:, None] * n[None, :]) % n_samples
     angle = (2.0 * np.pi / n_samples) * phase
-    cos = np.cos(angle)
-    sin = np.sin(angle)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    return np.cos(angle), np.sin(angle)
 
 
 def _check_m(values: np.ndarray, grid: FrequencyGrid) -> None:

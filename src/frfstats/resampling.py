@@ -73,10 +73,6 @@ class IndexStreams:
     def __init__(self, seed: int):
         self._seed = int(seed)
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def stream(self, *key: int) -> np.random.Generator:
         seq = np.random.SeedSequence(
             self._seed, spawn_key=tuple(int(k) for k in key)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 # The frequency vector used throughout the posture-control experiments.
@@ -52,3 +54,12 @@ class MirroredStreams:
     def stream(self, *key):
         mirrored = key[:-1] + (key[-1] ^ 1,)
         return self._inner.stream(*mirrored)
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes that tracemalloc saw allocated during the call)``."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -213,6 +213,20 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_directory_paths_exit_2(tmp_path, capsys):
+    folder = tmp_path / "d.csv"
+    folder.mkdir()
+    code = main(["pir", str(folder), "--group", "g", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {folder}: " in err and "Traceback" not in err
+
+    code = main(["synth", "--freqs", "0.3", "0.5", "--n", "5", "--out", str(folder)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {folder}: " in err and "Traceback" not in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"frequencies": [0.3, 0.5], "groups": {"a": 5}}))

@@ -9,7 +9,7 @@ from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
 from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams
 
-from support import EXPERIMENT_FREQS, FixedStreams, MirroredStreams
+from support import EXPERIMENT_FREQS, FixedStreams, MirroredStreams, traced_peak
 
 GRID = derive_grid([0.3, 0.5])
 
@@ -221,6 +221,29 @@ def test_validation():
         compare_unpaired(group(1), group(2), GRID, 1.5, cfg)
     with pytest.raises(GridMismatch):
         compare_unpaired(group(1, m=3), group(2, m=3), GRID, 0.95, cfg)
+
+
+def test_comparison_memory_is_one_replication_deep():
+    # T = 440 and N = 200: Bs = 50 resamples gathered at once would be
+    # 4.4M doubles (35 MB) per group.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    rng = np.random.default_rng(42)
+    values = rng.standard_normal((400, grid.m)) + 1j * rng.standard_normal((400, grid.m))
+    set1, set2 = FRFSet(values[:200]), FRFSet(values[200:])
+    cfg = BootstrapConfig(replications=4, nested_replications=50, seed=43)
+
+    result, peak = traced_peak(lambda: compare_unpaired(set1, set2, grid, 0.95, cfg))
+    outputs = sum(
+        arr.nbytes
+        for arr in (
+            *(getattr(result.draws, k) for k in result.draws.__dataclass_fields__),
+            result.diff_mean, result.sigma, result.residuals,
+            result.band.upper, result.band.lower,
+            result.stat_ecdf.bin_edges, result.stat_ecdf.cdf,
+            result.residual_frf.values,
+        )
+    )
+    assert peak < outputs + 8 * set1.n * grid.n_samples * 8
 
 
 def test_type_one_error_rate_small():

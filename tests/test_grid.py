@@ -1,5 +1,6 @@
 """Tests for frequency grid derivation."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -73,8 +74,8 @@ def test_times_cover_one_period():
 def test_nyquist_rejected():
     with pytest.raises(NyquistViolation):
         derive_grid([1.0], sample_rate=2.0)
-    with pytest.raises(NyquistViolation):
-        # Rounding 2.05 * 1 period down to 2 samples breaks the strict bound.
+    with pytest.raises(NyquistViolation, match="twice the highest frequency"):
+        # Rounding 2.2 samples per period down to 2 breaks the strict bound.
         derive_grid([1.0], sample_rate=2.2)
 
 
@@ -124,6 +125,10 @@ def test_oversized_grids_rejected():
     # A 1e-4 Hz base frequency at 1000 Hz is 10^7 samples per period.
     with pytest.raises(GridError, match="10000000 samples per period"):
         derive_grid([1e-4, 1.0], 1000)
+    # The sample count is checked before the reconciled rate is made a
+    # float, which would overflow here.
+    with pytest.raises(GridError, match="samples per period"):
+        derive_grid([2e300], sys.float_info.max)
     assert derive_grid([1.0], sample_rate=MAX_SAMPLES).n_samples == MAX_SAMPLES
     with pytest.raises(GridError, match=f"{MAX_SAMPLES + 1} samples per period"):
         FrequencyGrid(

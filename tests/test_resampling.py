@@ -1,7 +1,5 @@
 """Tests for bootstrap plumbing: streams, index draws, and the histogram CDF."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from frfstats.resampling import (
     resample_indices,
 )
 
-from support import EXPERIMENT_FREQS
+from support import EXPERIMENT_FREQS, traced_peak
 
 
 def test_config_defaults_and_validation():
@@ -191,14 +189,6 @@ def test_short_run_is_prefix_of_long_run(short):
     )
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bootstrap_memory_is_one_replication_deep():
     # T = 440 and N = 200: a replication's rows are 88,000 doubles, and
     # 64 of them at once would take 45 MB.
@@ -209,9 +199,9 @@ def test_bootstrap_memory_is_one_replication_deep():
     cfg = BootstrapConfig(replications=64, seed=41)
     allowance = 8 * frfs.n * grid.n_samples * 8
 
-    draws, peak = _traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
+    draws, peak = traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
     outputs = sum(getattr(draws, k).nbytes for k in ("indices", "means", "stds", "stats"))
     assert peak < outputs + allowance
 
-    density, peak = _traced_peak(lambda: estimate_density(test, frfs, grid, cfg))
+    density, peak = traced_peak(lambda: estimate_density(test, frfs, grid, cfg))
     assert peak < density.cdf_stats.nbytes + density.pdf_stats.nbytes + allowance
