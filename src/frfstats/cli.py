@@ -51,12 +51,16 @@ def _write_ecdf(path: str, stat_ecdf: StatEcdf) -> None:
     _write_columns(path, ["c", "alpha"], [edges, cdf])
 
 
+#: The library's bootstrap defaults, which the CLI flags share.
+_DEFAULTS = BootstrapConfig()
+
+
 def _config(args: argparse.Namespace) -> BootstrapConfig:
     return BootstrapConfig(
         replications=args.B,
-        nested_replications=getattr(args, "Bs", 50),
+        nested_replications=getattr(args, "Bs", _DEFAULTS.nested_replications),
         seed=args.seed,
-        bins=getattr(args, "bins", 1000),
+        bins=getattr(args, "bins", _DEFAULTS.bins),
     )
 
 
@@ -165,11 +169,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_bootstrap_flags(parser: argparse.ArgumentParser, nested: bool = False) -> None:
-    parser.add_argument("--B", type=int, default=1000, help="bootstrap replications")
+def _add_bootstrap_flags(
+    parser: argparse.ArgumentParser, nested: bool = False, bins: bool = True
+) -> None:
+    parser.add_argument(
+        "--B", type=int, default=_DEFAULTS.replications, help="bootstrap replications"
+    )
     if nested:
-        parser.add_argument("--Bs", type=int, default=50, help="nested replications")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+        parser.add_argument(
+            "--Bs", type=int, default=_DEFAULTS.nested_replications, help="nested replications"
+        )
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="random seed")
+    if bins:
+        parser.add_argument("--bins", type=int, default=_DEFAULTS.bins)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     band.add_argument("--group", required=True)
     band.add_argument("--alpha", type=float, default=0.95)
     _add_bootstrap_flags(band)
-    band.add_argument("--bins", type=int, default=1000)
     band.add_argument("--out", required=True)
     band.set_defaults(run=_cmd_band)
 
@@ -200,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     minband.add_argument("--group", required=True)
     minband.add_argument("--test", required=True, help="test FRF file (json or csv)")
     _add_bootstrap_flags(minband)
-    minband.add_argument("--bins", type=int, default=1000)
     minband.add_argument("--out", required=True, help="output file prefix")
     minband.set_defaults(run=_cmd_minband)
 
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument("--test", required=True, help="test FRF file (json or csv)")
     density.add_argument("--metric", choices=["squared", "max"], default="squared")
     density.add_argument("--numerator", choices=list(NUMERATOR_MODES), default="code-compatible")
-    _add_bootstrap_flags(density)
+    _add_bootstrap_flags(density, bins=False)
     density.set_defaults(run=_cmd_density)
 
     compare = sub.add_parser("compare", help="unpaired two-group comparison")
@@ -219,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--group2", required=True)
     compare.add_argument("--alpha", type=float, default=0.95)
     _add_bootstrap_flags(compare, nested=True)
-    compare.add_argument("--bins", type=int, default=1000)
     compare.add_argument("--out", required=True, help="output file prefix")
     compare.set_defaults(run=_cmd_compare)
 

@@ -217,10 +217,20 @@ def load_dataset(path) -> Dataset:
         return load(path)
 
 
+def _reads_back(text: str) -> bool:
+    """True if `text` survives `_load_csv`'s line split and cell strip."""
+    return text == text.strip() and len(text.splitlines()) <= 1
+
+
 def _save_csv(dataset: Dataset, path: Path) -> None:
     for name in dataset.groups:
-        if "," in name or "\n" in name or name.startswith("#"):
+        if not _reads_back(name) or "," in name or name.startswith("#"):
             raise ValueError(f"group name {name!r} cannot be stored in CSV")
+    for key, value in dataset.metadata.items():
+        if not _reads_back(key) or "=" in key:
+            raise ValueError(f"metadata key {key!r} cannot be stored in CSV")
+        if not _reads_back(value):
+            raise ValueError(f"metadata value {value!r} cannot be stored in CSV")
     m = dataset.grid.m
     lines = [f"# {key}={value}" for key, value in dataset.metadata.items()]
     lines.append("freq_hz," + ",".join(f"re_{k},im_{k}" for k in range(m)))

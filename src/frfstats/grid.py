@@ -30,104 +30,119 @@ COMMENSURATE_RTOL = 1e-9
 MAX_SAMPLES = 100_000
 
 
-def _check_sample_count(n_samples: int) -> None:
-    """GridError unless 1 <= n_samples <= MAX_SAMPLES."""
-    if n_samples < 1:
-        raise GridError("grid needs at least one time sample")
-    if n_samples > MAX_SAMPLES:
-        raise GridError(
-            f"grid would have {n_samples} samples per period, more than "
-            f"MAX_SAMPLES = {MAX_SAMPLES}; lower the sample rate or check "
-            "the frequencies"
-        )
-
-
-def _checked_frequencies(frequencies) -> np.ndarray:
-    """Float vector of the frequencies; GridError unless it is 1-D,
-    non-empty, finite, positive and strictly increasing."""
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0:
-        raise GridError("frequencies must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
-        raise GridError("frequencies must be finite and positive")
-    if np.any(np.diff(freqs) <= 0):
-        raise GridError("frequencies must be strictly increasing")
-    return freqs
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """A strictly increasing set of commensurable frequencies.
+    """One period of a commensurable frequency vector, uniformly sampled.
+
+    Only the frequencies and the requested sample rate are inputs; every
+    other field is derived from them exactly, so the fields agree by
+    construction.  The base frequency is the rational gcd of the
+    frequencies: they are scaled to integers by the smallest common
+    denominator q that fits them all within ``COMMENSURATE_RTOL``, and g
+    is the integer gcd of the scaled values, so ``base = g / q``.  The
+    sample count is ``round(period * requested_rate)`` and the rate is
+    reconciled to ``n_samples * base_frequency``, so the time grid divides
+    the period exactly.  ``FrequencyGrid(grid.frequencies,
+    grid.sample_rate)`` derives the same grid again.
+
+    Parameters
+    ----------
+    frequencies : array_like
+        The M frequencies in Hz: a non-empty 1-D vector, finite, positive
+        and strictly increasing.  Stored as a read-only float array.
+    sample_rate : float, optional
+        Requested samples per second; ten times the highest frequency when
+        omitted.  After construction it holds the reconciled rate.
 
     Attributes
     ----------
-    frequencies : ndarray
-        The M frequencies in Hz, strictly increasing, all positive.
     base_frequency : float
         Rational gcd of the frequencies (Hz).
     period : float
         1 / base_frequency (seconds); the period of any signal built from
         these frequencies.
-    sample_rate : float
-        Samples per second.  Reconciled so that
-        ``n_samples * base_frequency == sample_rate``.
     n_samples : int
-        Time samples per period, ``round(period * sample_rate)``.
+        Time samples per period, at most `MAX_SAMPLES`.
+    harmonics : tuple of int
+        The integer multiples k with ``frequencies == k * base_frequency``;
+        ``2 * harmonics[-1] < n_samples``.
+
+    Raises
+    ------
+    GridError
+        If the frequencies are not a valid vector, or the grid would have
+        fewer than one or more than `MAX_SAMPLES` samples per period.
+    NyquistViolation
+        If the requested or the reconciled sample rate does not strictly
+        exceed twice the highest frequency.
+    NonCommensurableFrequencies
+        If no common denominator up to `MAX_DENOMINATOR` fits all
+        frequencies.
     """
 
     frequencies: np.ndarray
-    base_frequency: float
-    period: float
-    sample_rate: float
-    n_samples: int
-    #: integer multiples k with frequencies == harmonics * base_frequency
+    sample_rate: float | None = None
+    base_frequency: float = field(init=False)
+    period: float = field(init=False)
+    n_samples: int = field(init=False)
     harmonics: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        freqs = _checked_frequencies(self.frequencies)
-        freqs.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        if self.base_frequency <= 0:
-            raise GridError("base frequency must be positive")
-        _check_sample_count(self.n_samples)
-
-        mult = freqs / self.base_frequency
-        harmonics = np.rint(mult).astype(int)
-        if np.any(harmonics < 1) or np.any(
-            np.abs(freqs - harmonics * self.base_frequency)
-            > COMMENSURATE_RTOL * freqs
-        ):
-            raise NonCommensurableFrequencies(
-                "frequencies are not integer multiples of "
-                f"{self.base_frequency} Hz within tolerance"
-            )
-        object.__setattr__(self, "harmonics", tuple(int(k) for k in harmonics))
-
-        if 2 * self.harmonics[-1] >= self.n_samples:
+        freqs = np.asarray(self.frequencies, dtype=float)
+        if freqs.ndim != 1 or freqs.size == 0:
+            raise GridError("frequencies must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
+            raise GridError("frequencies must be finite and positive")
+        if np.any(np.diff(freqs) <= 0):
+            raise GridError("frequencies must be strictly increasing")
+        f_max = float(freqs[-1])
+        requested = 10.0 * f_max if self.sample_rate is None else float(self.sample_rate)
+        if not math.isfinite(requested) or requested <= 2.0 * f_max:
             raise NyquistViolation(
-                f"sample rate {self.sample_rate} Hz must strictly exceed "
-                f"twice the highest frequency ({2.0 * freqs[-1]} Hz)"
+                f"sample rate {requested} Hz must strictly exceed "
+                f"{2.0 * f_max} Hz (twice the highest frequency)"
             )
-        if abs(self.period * self.base_frequency - 1.0) > COMMENSURATE_RTOL:
-            raise GridError("period must equal 1 / base_frequency")
-        if (
-            abs(self.n_samples * self.base_frequency - self.sample_rate)
-            > COMMENSURATE_RTOL * self.sample_rate
-        ):
+
+        q = _common_denominator(freqs)
+        scaled = [round(float(f) * q) for f in freqs]
+        g = math.gcd(*scaled)
+        base = Fraction(g, q)
+        period = 1 / base
+        n_samples = round(period * Fraction(requested))
+        # Checked before n_samples * base becomes a float, which can overflow.
+        if n_samples < 1:
+            raise GridError("grid needs at least one time sample")
+        if n_samples > MAX_SAMPLES:
             raise GridError(
-                "sample rate must equal n_samples * base_frequency; "
-                "build grids through derive_grid"
+                f"grid would have {n_samples} samples per period, more than "
+                f"MAX_SAMPLES = {MAX_SAMPLES}; lower the sample rate or check "
+                "the frequencies"
             )
+
+        harmonics = tuple(s // g for s in scaled)
+        rate = float(n_samples * base)
+        if 2 * harmonics[-1] >= n_samples:
+            raise NyquistViolation(
+                f"sample rate {rate} Hz must strictly exceed "
+                f"twice the highest frequency ({2.0 * f_max} Hz)"
+            )
+
+        freqs.setflags(write=False)
+        derived = {
+            "frequencies": freqs,
+            "sample_rate": rate,
+            "base_frequency": float(base),
+            "period": float(period),
+            "n_samples": n_samples,
+            "harmonics": harmonics,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         """Number of frequencies."""
         return self.frequencies.size
-
-    @property
-    def time_step(self) -> float:
-        """Seconds between consecutive samples."""
-        return 1.0 / self.sample_rate
 
     @property
     def times(self) -> np.ndarray:
@@ -166,47 +181,7 @@ def _common_denominator(freqs: np.ndarray) -> int:
 
 
 def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:
-    """Build a :class:`FrequencyGrid` from a frequency vector.
-
-    The base frequency is the rational gcd of the frequencies, found by
-    scaling them to integers with a common denominator and taking the
-    integer gcd.  The period is the inverse of the base frequency.  When
-    `sample_rate` is omitted it defaults to ten times the highest
-    frequency.  The sample count per period is ``round(period *
-    sample_rate)`` and the stored sample rate is reconciled to
-    ``n_samples * base_frequency`` so the time grid divides the period
-    exactly.
-
-    Raises
-    ------
-    NonCommensurableFrequencies
-        If no common denominator up to ``10**6`` fits all frequencies.
-    NyquistViolation
-        If the (reconciled) sample rate does not strictly exceed twice the
-        highest frequency.
-    GridError
-        If the grid would have more than `MAX_SAMPLES` samples per period.
-    """
-    freqs = _checked_frequencies(frequencies)
-    f_max = float(freqs[-1])
-    requested = 10.0 * f_max if sample_rate is None else float(sample_rate)
-    if not math.isfinite(requested) or requested <= 2.0 * f_max:
-        raise NyquistViolation(
-            f"sample rate {requested} Hz must strictly exceed "
-            f"{2.0 * f_max} Hz (twice the highest frequency)"
-        )
-
-    q = _common_denominator(freqs)
-    scaled = [round(float(f) * q) for f in freqs]
-    g = math.gcd(*scaled)
-    base = Fraction(g, q)
-    period = 1 / base
-    n_samples = round(period * Fraction(requested))
-    _check_sample_count(n_samples)
-    return FrequencyGrid(
-        frequencies=freqs,
-        base_frequency=float(base),
-        period=float(period),
-        sample_rate=float(n_samples * base),
-        n_samples=int(n_samples),
-    )
+    """The :class:`FrequencyGrid` of `frequencies` at the requested
+    `sample_rate`; the same derivation, under the name the loaders and the
+    CLI call.  Raises what the constructor raises."""
+    return FrequencyGrid(frequencies, sample_rate)

@@ -69,6 +69,14 @@ def test_synth_append_and_grid_guard(tmp_path, capsys):
     assert code == 2
 
 
+def test_synth_refuses_csv_unsafe_group_name(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["synth", "--freqs", "0.3", "0.5", "--n", "2", "--name", " a", "--out", str(out)])
+    assert code == 2
+    assert "' a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pir_exports_all_and_single_curves(tmp_path):
     data = make_dataset(tmp_path, n=3, seed=9)
     out_all = tmp_path / "all.csv"

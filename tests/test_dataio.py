@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,32 @@ def test_roundtrip_is_exact(tmp_path, format):
     for name in dataset.groups:
         assert np.array_equal(loaded.groups[name].values, dataset.groups[name].values)
     assert loaded.metadata == dataset.metadata
+
+
+@pytest.mark.parametrize(
+    "group, metadata, offending",
+    [
+        ("g", {"k": "x\ny"}, "x\ny"),
+        ("g", {"k=1": "v"}, "k=1"),
+        ("g", {"k": " v "}, " v "),
+        ("a\rb", {}, "a\rb"),
+        ("a\x85b", {}, "a\x85b"),
+        (" a", {}, " a"),
+    ],
+)
+def test_csv_save_refuses_what_would_read_back_changed(tmp_path, group, metadata, offending):
+    base = example_dataset()
+    dataset = Dataset(
+        grid=base.grid, groups={group: base.groups["control"]}, metadata=metadata
+    )
+    with pytest.raises(ValueError, match=re.escape(repr(offending))):
+        save_dataset(dataset, tmp_path / "data.csv")
+    assert not (tmp_path / "data.csv").exists()
+    save_dataset(dataset, tmp_path / "data.json")
+    loaded = load_dataset(tmp_path / "data.json")
+    assert list(loaded.groups) == [group]
+    assert np.array_equal(loaded.groups[group].values, dataset.groups[group].values)
+    assert loaded.metadata == metadata
 
 
 def test_minimal_json_dataset(tmp_path):

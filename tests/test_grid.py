@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfstats import (
     GridError,
@@ -68,7 +70,7 @@ def test_times_cover_one_period():
     times = grid.times
     assert times.shape == (grid.n_samples,)
     assert times[0] == 0.0
-    assert times[-1] == pytest.approx(grid.period - grid.time_step, rel=1e-12)
+    assert times[-1] == pytest.approx(grid.period - 1 / grid.sample_rate, rel=1e-12)
 
 
 def test_nyquist_rejected():
@@ -131,35 +133,46 @@ def test_oversized_grids_rejected():
         derive_grid([2e300], sys.float_info.max)
     assert derive_grid([1.0], sample_rate=MAX_SAMPLES).n_samples == MAX_SAMPLES
     with pytest.raises(GridError, match=f"{MAX_SAMPLES + 1} samples per period"):
-        FrequencyGrid(
-            frequencies=np.array([1.0]),
-            base_frequency=1.0,
-            period=1.0,
-            sample_rate=float(MAX_SAMPLES + 1),
-            n_samples=MAX_SAMPLES + 1,
-        )
-
-
-def test_direct_construction_checks_consistency():
-    with pytest.raises(GridError):
-        FrequencyGrid(
-            frequencies=np.array([1.0]),
-            base_frequency=1.0,
-            period=1.0,
-            sample_rate=11.0,
-            n_samples=10,
-        )
-    with pytest.raises(NonCommensurableFrequencies):
-        FrequencyGrid(
-            frequencies=np.array([1.0, 2.5]),
-            base_frequency=1.0,
-            period=1.0,
-            sample_rate=25.0,
-            n_samples=25,
-        )
+        FrequencyGrid([1.0], MAX_SAMPLES + 1)
 
 
 def test_grid_is_immutable():
     grid = derive_grid([1.0])
     with pytest.raises(Exception):
         grid.frequencies[0] = 2.0
+
+
+@st.composite
+def grid_inputs(draw):
+    """A frequency vector and a requested rate, most of them commensurable."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([1, 3, 20, 1000, 1897, 10**6]) | st.integers(1, 10**6))
+        ks = draw(st.lists(st.integers(1, 500), min_size=1, max_size=12, unique=True))
+        freqs = (np.sort(ks) * draw(st.integers(1, 7)) / q).tolist()
+    else:
+        freqs = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3, unique=True)))
+    rate = draw(st.none() | st.floats(1.5, 60.0).map(lambda x: x * freqs[-1]))
+    return freqs, rate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=grid_inputs())
+def test_every_accepted_grid_is_consistent_by_construction(inputs):
+    try:
+        grid = FrequencyGrid(*inputs)
+    except GridError:
+        return
+    base = grid.base_frequency
+    assert 1 <= grid.n_samples <= MAX_SAMPLES
+    assert 2 * grid.harmonics[-1] < grid.n_samples
+    assert np.all(
+        np.abs(np.array(grid.harmonics) * base - grid.frequencies) <= 1e-9 * grid.frequencies
+    )
+    assert abs(grid.period * base - 1.0) <= 1e-9
+    assert abs(grid.n_samples * base - grid.sample_rate) <= 1e-9 * grid.sample_rate
+    # The stored fields derive the same grid again, which is what makes a
+    # dataset's save -> load exact.
+    again = FrequencyGrid(grid.frequencies, grid.sample_rate)
+    assert np.array_equal(again.frequencies, grid.frequencies)
+    for name in ("sample_rate", "base_frequency", "period", "n_samples", "harmonics"):
+        assert getattr(again, name) == getattr(grid, name)
