@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import hold
 from .errors import BandContainment, DegenerateSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix, pir_stats
@@ -41,7 +42,7 @@ from .resampling import (
 MAX_SCALE_STEPS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Band:
     """A symmetric band around a mean curve.
 
@@ -56,21 +57,19 @@ class Band:
     lower: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        mean = hold(self, "mean")
+        std = hold(self, "std")
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be 1-D vectors of equal length")
-        if np.any(std < 0):
+        if not np.all(std >= 0):
             raise ValueError("std must be non-negative")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValueError("scale must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         upper = mean + self.scale * std
         lower = mean - self.scale * std
-        for arr in (mean, std, upper, lower):
+        for arr in (upper, lower):
             arr.setflags(write=False)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
@@ -81,7 +80,7 @@ class Band:
         return bool(np.all((v >= self.lower) & (v <= self.upper)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateDraws:
     """Everything the band bootstrap produced, one row per replication.
 

@@ -38,7 +38,7 @@ from .resampling import (
 SIGMA_KEY_OFFSET = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceDraws:
     """Intermediates of the comparison bootstrap, for audit and tests."""
 
@@ -56,7 +56,7 @@ class DifferenceDraws:
             getattr(self, name).setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonResult:
     """Outcome of the unpaired comparison.
 
@@ -95,7 +95,7 @@ def residuals(band: Band) -> np.ndarray:
 
 def residual_frf(r, grid: FrequencyGrid) -> FRF:
     """Spectrum of a residual curve on the grid frequencies."""
-    return frf_from_pir(PIR(values=np.asarray(r, dtype=float), grid=grid))
+    return frf_from_pir(PIR(values=r, grid=grid))
 
 
 def _nested_means(pirs: np.ndarray, draw: np.ndarray) -> np.ndarray:
@@ -194,9 +194,10 @@ def compare_unpaired(
     scale = c_at(e, alpha)
     band = Band(mean=diff_mean, std=sigma, scale=scale, alpha=alpha)
     r = residuals(band)
+    # The result shares the band's copies, so each curve is held once.
     return ComparisonResult(
-        diff_mean=diff_mean,
-        sigma=sigma,
+        diff_mean=band.mean,
+        sigma=band.std,
         band=band,
         reject_null=bool(np.any(r != 0.0)),
         residuals=r,

@@ -40,7 +40,7 @@ from .pir import FRF, FRFSet
 FORMATS = ("csv", "json")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     grid: FrequencyGrid
     groups: dict[str, FRFSet]

@@ -37,7 +37,7 @@ _METRICS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityEstimate:
     """CDF/PDF estimate of the test distance, with per-replication detail.
 

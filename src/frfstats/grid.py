@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._frozen import hold
 from .errors import GridError, NonCommensurableFrequencies, NyquistViolation
 
 #: Largest common denominator tried when expressing frequencies as rationals.
@@ -30,7 +31,7 @@ COMMENSURATE_RTOL = 1e-9
 MAX_SAMPLES = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """One period of a commensurable frequency vector, uniformly sampled.
 
@@ -49,7 +50,7 @@ class FrequencyGrid:
     ----------
     frequencies : array_like
         The M frequencies in Hz: a non-empty 1-D vector, finite, positive
-        and strictly increasing.  Stored as a read-only float array.
+        and strictly increasing.  Stored as a read-only float copy.
     sample_rate : float, optional
         Requested samples per second; ten times the highest frequency when
         omitted.  After construction it holds the reconciled rate.
@@ -85,10 +86,10 @@ class FrequencyGrid:
     base_frequency: float = field(init=False)
     period: float = field(init=False)
     n_samples: int = field(init=False)
-    harmonics: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    harmonics: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = hold(self, "frequencies")
         if freqs.ndim != 1 or freqs.size == 0:
             raise GridError("frequencies must be a non-empty 1-D vector")
         if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
@@ -127,9 +128,7 @@ class FrequencyGrid:
                 f"twice the highest frequency ({2.0 * f_max} Hz)"
             )
 
-        freqs.setflags(write=False)
         derived = {
-            "frequencies": freqs,
             "sample_rate": rate,
             "base_frequency": float(base),
             "period": float(period),

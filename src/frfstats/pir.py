@@ -16,20 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import hold
 from .errors import GridMismatch
 from .grid import FrequencyGrid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FRF:
     """A single frequency response: complex value per grid frequency."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = hold(self, "values", complex)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("FRF values must be a non-empty 1-D vector")
         if not np.all(np.isfinite(vals)):
@@ -40,16 +39,14 @@ class FRF:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FRFSet:
     """N frequency responses on a shared grid, stacked as an (N, M) array."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = hold(self, "values", complex)
         if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
             raise ValueError("FRF set must be a non-empty 2-D array (N, M)")
         if not np.all(np.isfinite(vals)):
@@ -67,7 +64,7 @@ class FRFSet:
         return FRF(self.values[i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PIR:
     """A pseudo impulse response: one period of the real time signal."""
 
@@ -75,9 +72,7 @@ class PIR:
     grid: FrequencyGrid
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = hold(self, "values")
         if vals.shape != (self.grid.n_samples,):
             raise GridMismatch(
                 f"PIR length {vals.shape} does not match the grid's "
@@ -87,7 +82,7 @@ class PIR:
             raise ValueError("PIR values must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PirStats:
     """Pointwise mean and standard deviation of a set of PIRs.
 
@@ -98,15 +93,11 @@ class PirStats:
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        for arr in (mean, std):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        mean = hold(self, "mean")
+        std = hold(self, "std")
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be 1-D vectors of equal length")
-        if np.any(std < 0):
+        if not np.all(std >= 0):
             raise ValueError("std must be non-negative")
 
 
@@ -125,51 +116,34 @@ def _basis(n_samples: int, harmonics: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return np.cos(angle), np.sin(angle)
 
 
-def _check_m(values: np.ndarray, grid: FrequencyGrid) -> None:
+def _pirs(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """PIRs of FRF values whose last axis runs over the grid frequencies."""
     if values.shape[-1] != grid.m:
         raise GridMismatch(
             f"FRF has {values.shape[-1]} components but the grid has "
             f"{grid.m} frequencies"
         )
+    cos, sin = _basis(grid.n_samples, grid.harmonics)
+    return values.real @ cos + values.imag @ sin
 
 
 def pir_from_frf(frf: FRF, grid: FrequencyGrid) -> PIR:
     """Time-domain signal of a single FRF over one period."""
-    _check_m(frf.values, grid)
-    cos, sin = _basis(grid.n_samples, grid.harmonics)
-    values = frf.values.real @ cos + frf.values.imag @ sin
-    return PIR(values=values, grid=grid)
+    return PIR(values=_pirs(frf.values, grid), grid=grid)
 
 
 def pir_matrix(frf_set: FRFSet, grid: FrequencyGrid) -> np.ndarray:
     """PIRs of every sample in the set, stacked as an (N, n_samples) array."""
-    _check_m(frf_set.values, grid)
-    cos, sin = _basis(grid.n_samples, grid.harmonics)
-    return frf_set.values.real @ cos + frf_set.values.imag @ sin
+    return _pirs(frf_set.values, grid)
 
 
-def frf_from_pir(pir: PIR, grid: FrequencyGrid | None = None) -> FRF:
-    """Project a time signal back onto the grid sinusoids.
+def frf_from_pir(pir: PIR) -> FRF:
+    """Project a PIR back onto its grid's sinusoids.
 
-    Parameters
-    ----------
-    pir : PIR
-        One period of the signal.
-    grid : FrequencyGrid, optional
-        Defaults to the PIR's own grid; when given it must match.
-
-    Returns
-    -------
-    FRF
-        Re(H_k) and Im(H_k) recovered with the 2/n_samples normalization,
-        so ``frf_from_pir(pir_from_frf(h, g), g) == h`` up to rounding.
+    Re(H_k) and Im(H_k) are recovered with the 2/n_samples normalization,
+    so ``frf_from_pir(pir_from_frf(h, g))`` is h up to rounding.
     """
-    if grid is None:
-        grid = pir.grid
-    elif grid.n_samples != pir.grid.n_samples or not np.array_equal(
-        grid.frequencies, pir.grid.frequencies
-    ):
-        raise GridMismatch("PIR was sampled on a different grid")
+    grid = pir.grid
     cos, sin = _basis(grid.n_samples, grid.harmonics)
     scale = 2.0 / grid.n_samples
     re = scale * (cos @ pir.values)

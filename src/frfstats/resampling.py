@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import hold
 from .errors import DegenerateSpread
 
 
@@ -137,7 +138,7 @@ def _replicates(pirs: np.ndarray, B: int, streams: IndexStreams):
         yield idx, mean, std, sq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatEcdf:
     """Histogram CDF of a statistic pool.
 
@@ -150,9 +151,7 @@ class StatEcdf:
 
     def __post_init__(self) -> None:
         for name in ("bin_edges", "cdf"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            hold(self, name)
         if self.bin_edges.size != self.cdf.size + 1:
             raise ValueError("need exactly one more edge than cdf entries")
         if np.any(np.diff(self.cdf) < 0):

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import hold
 from .grid import FrequencyGrid
 from .pir import FRFSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSpec:
     mean_frf: np.ndarray
     noise_std: float
@@ -23,13 +24,11 @@ class SyntheticSpec:
     gain_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean_frf, dtype=complex)
+        mean = hold(self, "mean_frf", complex)
         if mean.ndim != 1 or mean.size == 0:
             raise ValueError("mean_frf must be a non-empty vector")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean_frf must be finite")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean_frf", mean)
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be non-negative")
         if self.n < 1:
