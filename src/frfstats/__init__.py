@@ -33,7 +33,6 @@ from .pir import (
     FRF,
     FRFSet,
     PIR,
-    PirStats,
     frf_from_pir,
     pir_from_frf,
     pir_matrix,
@@ -71,7 +70,6 @@ __all__ = [
     "NyquistViolation",
     "PIR",
     "ParseError",
-    "PirStats",
     "ReplicateDraws",
     "StatEcdf",
     "SyntheticSpec",

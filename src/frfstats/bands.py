@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import hold
+from ._frozen import fix, hold
 from .errors import BandContainment, DegenerateSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix, pir_stats
@@ -67,16 +67,16 @@ class Band:
             raise ValueError("scale must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        upper = mean + self.scale * std
-        lower = mean - self.scale * std
-        for arr in (upper, lower):
-            arr.setflags(write=False)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
+        fix(self, upper=mean + self.scale * std, lower=mean - self.scale * std)
 
     def contains(self, values) -> bool:
-        """True when the curve stays inside the band at every time point."""
+        """True when the curve stays inside the band at every time point.
+
+        The curve must have the band's shape; it is never broadcast.
+        """
         v = np.asarray(values, dtype=float)
+        if v.shape != self.mean.shape:
+            raise ValueError(f"curve shape {v.shape} is not the band's {self.mean.shape}")
         return bool(np.all((v >= self.lower) & (v <= self.upper)))
 
 
@@ -95,9 +95,7 @@ class ReplicateDraws:
     stats: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("indices", "means", "stds", "stats"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        fix(self, **vars(self))
 
     @property
     def pool(self) -> np.ndarray:
@@ -142,14 +140,14 @@ def _calibrated(
     cfg: BootstrapConfig,
     streams: IndexStreams | None,
 ):
-    """The set's PIR stats, checked for spread, and its pool's ECDF."""
-    st = pir_stats(frf_set, grid)
-    if np.any(st.std == 0.0):
+    """The set's PIR mean and std, checked for spread, and its pool's ECDF."""
+    mean, std = pir_stats(frf_set, grid)
+    if np.any(std == 0.0):
         raise DegenerateSpread(
             "the sample set has zero spread at some time point"
         )
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-    return st, ecdf(draws.pool, cfg.bins)
+    return mean, std, ecdf(draws.pool, cfg.bins)
 
 
 def prediction_band(
@@ -162,9 +160,8 @@ def prediction_band(
     """Band expected to contain a fresh draw with confidence `alpha`."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    st, e = _calibrated(frf_set, grid, cfg, streams)
-    scale = c_at(e, alpha)
-    return Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
+    mean, std, e = _calibrated(frf_set, grid, cfg, streams)
+    return Band(mean=mean, std=std, scale=c_at(e, alpha), alpha=alpha)
 
 
 def _containing_scale(mean: np.ndarray, std: np.ndarray, x: np.ndarray) -> float:
@@ -181,9 +178,15 @@ def _containing_scale(mean: np.ndarray, std: np.ndarray, x: np.ndarray) -> float
 
 
 class MinimalBand(NamedTuple):
+    """The tightest band holding a test sample, and the pool's ECDF."""
+
     band: Band
-    alpha: float
     stat_ecdf: StatEcdf
+
+    @property
+    def alpha(self) -> float:
+        """The confidence level of the band's scale on the pool."""
+        return self.band.alpha
 
 
 def minimal_prediction_band(
@@ -206,8 +209,7 @@ def minimal_prediction_band(
     bootstrap pool, clamped to 1 when the test lies beyond every pooled
     statistic.
     """
-    st, e = _calibrated(frf_set, grid, cfg, streams)
-    scale = _containing_scale(st.mean, st.std, pir_from_frf(test, grid).values)
-    alpha = alpha_at(e, scale)
-    band = Band(mean=st.mean, std=st.std, scale=scale, alpha=alpha)
-    return MinimalBand(band=band, alpha=alpha, stat_ecdf=e)
+    mean, std, e = _calibrated(frf_set, grid, cfg, streams)
+    scale = _containing_scale(mean, std, pir_from_frf(test, grid).values)
+    band = Band(mean=mean, std=std, scale=scale, alpha=alpha_at(e, scale))
+    return MinimalBand(band=band, stat_ecdf=e)

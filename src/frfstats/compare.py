@@ -13,10 +13,11 @@ spectrum localizes the difference in frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import fix
 from .bands import Band
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, PIR, frf_from_pir, pir_matrix
@@ -52,34 +53,42 @@ class DifferenceDraws:
     stats: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            getattr(self, name).setflags(write=False)
+        fix(self, **vars(self))
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonResult:
     """Outcome of the unpaired comparison.
 
-    `diff_mean` is the original-data mean difference, `sigma` its
-    pointwise bootstrap std, and `band` the corridor diff_mean +/- C_u *
-    sigma at the requested confidence.  `residuals` is the part of the
-    band beyond zero (the evidence against the null) and `residual_frf`
-    its spectrum on the grid frequencies.
+    `band` is the corridor diff_mean +/- C_u * sigma at the requested
+    confidence.  The rest is derived from it: `residuals` is the part of
+    the band beyond zero (the evidence against the null), `residual_frf`
+    its spectrum on the `grid` frequencies, and `reject_null` whether any
+    residual is nonzero.
     """
 
-    diff_mean: np.ndarray
-    sigma: np.ndarray
     band: Band
-    reject_null: bool
-    residuals: np.ndarray
-    residual_frf: FRF
+    grid: FrequencyGrid
     stat_ecdf: StatEcdf
     draws: DifferenceDraws
+    residuals: np.ndarray = field(init=False)
+    residual_frf: FRF = field(init=False)
+    reject_null: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.diff_mean.setflags(write=False)
-        self.sigma.setflags(write=False)
-        self.residuals.setflags(write=False)
+        r = residuals(self.band)
+        fix(self, residuals=r, residual_frf=residual_frf(r, self.grid),
+            reject_null=bool(np.any(r != 0.0)))
+
+    @property
+    def diff_mean(self) -> np.ndarray:
+        """The original-data mean difference: ``band.mean``."""
+        return self.band.mean
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Its pointwise bootstrap std: ``band.std``."""
+        return self.band.std
 
 
 def residuals(band: Band) -> np.ndarray:
@@ -191,17 +200,5 @@ def compare_unpaired(
     )
 
     e = ecdf(draws.stats, cfg.bins)
-    scale = c_at(e, alpha)
-    band = Band(mean=diff_mean, std=sigma, scale=scale, alpha=alpha)
-    r = residuals(band)
-    # The result shares the band's copies, so each curve is held once.
-    return ComparisonResult(
-        diff_mean=band.mean,
-        sigma=band.std,
-        band=band,
-        reject_null=bool(np.any(r != 0.0)),
-        residuals=r,
-        residual_frf=residual_frf(r, grid),
-        stat_ecdf=e,
-        draws=draws,
-    )
+    band = Band(mean=diff_mean, std=sigma, scale=c_at(e, alpha), alpha=alpha)
+    return ComparisonResult(band=band, grid=grid, stat_ecdf=e, draws=draws)

@@ -10,10 +10,11 @@ replications summarize both estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import fix
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
@@ -43,25 +44,24 @@ class DensityEstimate:
 
     `pdf_stats` holds NaN where a replication's window had zero width and
     its PDF statistic was skipped; `window` is the half-width Ds of the
-    rank window.
+    rank window.  The means and N-1 stds are derived: `cdf_*` over
+    `cdf_stats`, `pdf_*` over the non-NaN `pdf_stats`.
     """
 
-    cdf_mean: float
-    cdf_std: float
-    pdf_mean: float
-    pdf_std: float
     window: int
     numerator_mode: str
     cdf_stats: np.ndarray
     pdf_stats: np.ndarray
+    cdf_mean: float = field(init=False)
+    cdf_std: float = field(init=False)
+    pdf_mean: float = field(init=False)
+    pdf_std: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("cdf_stats", "pdf_stats"):
-            getattr(self, name).setflags(write=False)
-        if not 0.0 <= self.cdf_mean <= 1.0:
-            raise ValueError("cdf_mean must lie in [0, 1]")
-        if self.pdf_mean < 0 or self.cdf_std < 0 or self.pdf_std < 0:
-            raise ValueError("density estimates must be non-negative")
+        cdf, pdf = self.cdf_stats, self.pdf_stats
+        kept = pdf[~np.isnan(pdf)]
+        fix(self, cdf_stats=cdf, pdf_stats=pdf, cdf_mean=float(cdf.mean()),
+            cdf_std=_spread(cdf), pdf_mean=float(kept.mean()), pdf_std=_spread(kept))
 
     @property
     def skipped(self) -> int:
@@ -140,18 +140,12 @@ def estimate_density(
     with np.errstate(divide="ignore", invalid="ignore"):
         pdf_stats = np.where(width > 0.0, numer / (n * width), np.nan)
 
-    kept = pdf_stats[~np.isnan(pdf_stats)]
-    skipped = cfg.replications - kept.size
-    if skipped > MAX_SKIPPED_FRACTION * cfg.replications:
+    skipped = np.count_nonzero(np.isnan(pdf_stats))
+    if skipped > MAX_SKIPPED_FRACTION * B:
         raise ZeroSpread(
-            f"{skipped} of {cfg.replications} replications had a zero-width "
-            "distance window"
+            f"{skipped} of {B} replications had a zero-width distance window"
         )
     return DensityEstimate(
-        cdf_mean=float(cdf_stats.mean()),
-        cdf_std=_spread(cdf_stats),
-        pdf_mean=float(kept.mean()),
-        pdf_std=_spread(kept),
         window=ds,
         numerator_mode=numerator_mode,
         cdf_stats=cdf_stats,

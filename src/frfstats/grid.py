@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._frozen import hold
+from ._frozen import fix, hold
 from .errors import GridError, NonCommensurableFrequencies, NyquistViolation
 
 #: Largest common denominator tried when expressing frequencies as rationals.
@@ -128,15 +128,8 @@ class FrequencyGrid:
                 f"twice the highest frequency ({2.0 * f_max} Hz)"
             )
 
-        derived = {
-            "sample_rate": rate,
-            "base_frequency": float(base),
-            "period": float(period),
-            "n_samples": n_samples,
-            "harmonics": harmonics,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        fix(self, sample_rate=rate, base_frequency=float(base), period=float(period),
+            n_samples=n_samples, harmonics=harmonics)
 
     @property
     def m(self) -> int:

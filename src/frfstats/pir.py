@@ -82,25 +82,6 @@ class PIR:
             raise ValueError("PIR values must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class PirStats:
-    """Pointwise mean and standard deviation of a set of PIRs.
-
-    The standard deviation uses the N-1 divisor.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = hold(self, "mean")
-        std = hold(self, "std")
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be 1-D vectors of equal length")
-        if not np.all(std >= 0):
-            raise ValueError("std must be non-negative")
-
-
 def _basis(n_samples: int, harmonics: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Sampled cosine/sine basis, shape (M, n_samples) each.
 
@@ -151,9 +132,9 @@ def frf_from_pir(pir: PIR) -> FRF:
     return FRF(values=re + 1j * im)
 
 
-def pir_stats(frf_set: FRFSet, grid: FrequencyGrid) -> PirStats:
-    """Pointwise mean and N-1 standard deviation of the set's PIRs."""
+def pir_stats(frf_set: FRFSet, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise ``(mean, std)`` of the set's PIRs; the std uses N-1."""
     if frf_set.n < 2:
         raise ValueError("need at least two samples for PIR statistics")
     pirs = pir_matrix(frf_set, grid)
-    return PirStats(mean=pirs.mean(axis=0), std=pirs.std(axis=0, ddof=1))
+    return pirs.mean(axis=0), pirs.std(axis=0, ddof=1)

@@ -9,7 +9,7 @@ serially, one replication at a time; results depend only on the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import DegenerateSpread
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Knobs shared by every bootstrap operation.
+    """Knobs shared by every bootstrap operation, each an integer, not a bool.
 
     Attributes
     ----------
@@ -29,7 +29,7 @@ class BootstrapConfig:
         Replication count Bs of the nested loop and of the pointwise-std
         estimate in the two-group comparison.
     seed : int
-        Root seed; all substreams derive from it.
+        Root seed, non-negative; all substreams derive from it.
     bins : int
         Histogram bin count for the empirical CDF.
     """
@@ -46,6 +46,12 @@ class BootstrapConfig:
             raise ValueError("nested_replications must be >= 2")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 #: Version of the stream key layout, the map from bootstrap draws to
@@ -143,21 +149,27 @@ class StatEcdf:
     """Histogram CDF of a statistic pool.
 
     `bin_edges` has bins+1 entries; `cdf[j]` is the fraction of the pool
-    at or below ``bin_edges[j + 1]``.
+    at or below ``bin_edges[j + 1]``.  The edges are finite and
+    non-decreasing, not all equal; a widened constant pool repeats some.
     """
 
     bin_edges: np.ndarray
     cdf: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("bin_edges", "cdf"):
-            hold(self, name)
-        if self.bin_edges.size != self.cdf.size + 1:
+        edges, cdf = hold(self, "bin_edges"), hold(self, "cdf")
+        if edges.size != cdf.size + 1:
             raise ValueError("need exactly one more edge than cdf entries")
-        if np.any(np.diff(self.cdf) < 0):
+        if not np.all(np.diff(cdf) >= 0):
             raise ValueError("cdf must be non-decreasing")
-        if self.cdf[-1] != 1.0:
+        if cdf[-1] != 1.0:
             raise ValueError("cdf must end at exactly 1.0")
+        if not cdf[0] >= 0:
+            raise ValueError("cdf must start at or above 0")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("bin edges must be finite")
+        if not (np.all(np.diff(edges) >= 0) and edges[0] < edges[-1]):
+            raise ValueError("bin edges must be non-decreasing and not all equal")
 
     @property
     def bin_width(self) -> float:

@@ -29,6 +29,9 @@ def test_band_geometry():
     np.testing.assert_allclose(band.lower, [0.0, -4.0])
     assert band.contains([1.5, -3.0])
     assert not band.contains([2.5, -3.0])
+    for curve in (1.5, [1.5], [1.5, -3.0, 0.0], [[1.5, -3.0]]):
+        with pytest.raises(ValueError, match="is not the band's"):
+            band.contains(curve)
     with pytest.raises(ValueError):
         Band(mean=np.zeros(2), std=np.ones(2), scale=-1.0, alpha=0.5)
 
@@ -100,12 +103,12 @@ def test_minimal_band_far_test_clamps_to_one():
 def test_minimal_band_touches_test_sample():
     grid = derive_grid([0.3, 0.5])
     frfs = small_set(seed=9)
-    st = pir_stats(frfs, grid)
+    mean, std = pir_stats(frfs, grid)
     test = FRF(frfs.values.mean(axis=0) + np.array([0.4 - 0.2j, 0.1 + 0.3j]))
     cfg = BootstrapConfig(replications=80, seed=10)
     result = minimal_prediction_band(test, frfs, grid, cfg)
     x_test = pir_from_frf(test, grid).values
-    reached = np.max(np.abs(x_test - st.mean) / st.std)
+    reached = np.max(np.abs(x_test - mean) / std)
     assert reached > 0.1
     assert result.band.scale == pytest.approx(reached, abs=1e-12)
     assert result.band.contains(x_test)
@@ -125,15 +128,15 @@ def test_minimal_band_contains_test_over_seeded_sweep(freqs, rate):
         frfs = small_set(seed=int(rng.integers(2**32)), n=20, m=grid.m)
         test = FRF(frfs.values[0] + 0.3 * (rng.standard_normal(grid.m)
                                            + 1j * rng.standard_normal(grid.m)))
-        st = pir_stats(frfs, grid)
+        mean, std = pir_stats(frfs, grid)
         x_test = pir_from_frf(test, grid).values
-        reached = float(np.max(np.abs(x_test - st.mean) / st.std))
+        reached = float(np.max(np.abs(x_test - mean) / std))
         result = minimal_prediction_band(test, frfs, grid, cfg)
         scale = result.band.scale
         assert result.band.contains(x_test)
         assert reached <= scale <= reached + 4 * np.spacing(reached)
         if scale > reached:
-            tighter = Band(st.mean, st.std, float(np.nextafter(scale, 0.0)), 0.0)
+            tighter = Band(mean, std, float(np.nextafter(scale, 0.0)), 0.0)
             assert not tighter.contains(x_test)
         assert result.alpha == alpha_at(result.stat_ecdf, scale)
 

@@ -1,4 +1,4 @@
-"""Tests for how the records hold their arrays and compare."""
+"""Tests for how the records hold their arrays, derive fields and compare."""
 
 import re
 from pathlib import Path
@@ -13,9 +13,13 @@ from frfstats import (
     BootstrapConfig,
     FRFSet,
     FrequencyGrid,
-    PirStats,
     StatEcdf,
     SyntheticSpec,
+    bootstrap_deviation_stats,
+    compare_unpaired,
+    estimate_density,
+    frf_from_pir,
+    minimal_prediction_band,
 )
 
 GRID = FrequencyGrid([0.3, 0.5])
@@ -27,7 +31,6 @@ VALUE_RECORDS = {
     "FRF": (FRF, [[1 + 1j, 2 - 1j]], ["values"]),
     "FRFSet": (FRFSet, [[[1 + 1j, 2 - 1j], [0.5j, 1.0]]], ["values"]),
     "PIR": (lambda v: PIR(v, GRID), [np.zeros(GRID.n_samples)], ["values"]),
-    "PirStats": (PirStats, [[0.0, 1.0], [1.0, 2.0]], ["mean", "std"]),
     "Band": (
         lambda m, s: Band(m, s, scale=2.0, alpha=0.5),
         [[0.0, 1.0], [1.0, 2.0]],
@@ -72,13 +75,84 @@ def test_config_keeps_value_equality():
     [
         lambda: Band(np.zeros(3), np.ones(3), scale=np.nan, alpha=0.5),
         lambda: Band(np.zeros(3), np.array([1.0, np.nan, 1.0]), scale=1.0, alpha=0.5),
-        lambda: PirStats(np.zeros(3), np.array([1.0, np.nan, 1.0])),
     ],
-    ids=["band-scale", "band-std", "pirstats-std"],
+    ids=["band-scale", "band-std"],
 )
 def test_nan_spread_is_refused(make):
     with pytest.raises(ValueError, match="must be non-negative"):
         make()
+
+
+CFG = BootstrapConfig(replications=40, nested_replications=6, seed=3)
+
+
+def _group(seed, shift=0.0, n=20):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, GRID.m)) + 1j * rng.standard_normal((n, GRID.m))
+    return FRFSet(1.0 + shift + 0.5 * noise)
+
+
+@pytest.fixture(scope="module")
+def results():
+    group = _group(1)
+    test = FRF(group.values.mean(axis=0) + 0.4)
+    return {
+        "draws": bootstrap_deviation_stats(group, GRID, CFG),
+        "minimal": minimal_prediction_band(test, group, GRID, CFG),
+        "density": estimate_density(test, group, GRID, CFG),
+        "comparison": compare_unpaired(group, _group(2, shift=1.0), GRID, 0.9, CFG),
+    }
+
+
+def test_result_records_are_read_only(results):
+    comparison = results["comparison"]
+    records = [
+        results["draws"],
+        results["minimal"].band,
+        results["density"],
+        comparison,
+        comparison.draws,
+        comparison.band,
+    ]
+    for record in records:
+        arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+        assert arrays
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, f"{type(record).__name__}.{name}"
+
+
+def test_result_records_agree_with_their_inputs(results):
+    comparison = results["comparison"]
+    assert comparison.diff_mean is comparison.band.mean
+    assert comparison.sigma is comparison.band.std
+    assert comparison.reject_null
+    assert comparison.reject_null == bool(np.any(comparison.residuals != 0.0))
+    expected = frf_from_pir(PIR(comparison.residuals, GRID)).values
+    np.testing.assert_array_equal(comparison.residual_frf.values, expected)
+
+    density = results["density"]
+    kept = density.pdf_stats[~np.isnan(density.pdf_stats)]
+    assert density.cdf_mean == float(density.cdf_stats.mean())
+    assert density.cdf_std == float(density.cdf_stats.std(ddof=1))
+    assert density.pdf_mean == float(kept.mean())
+    assert density.pdf_std == float(kept.std(ddof=1))
+
+    minimal = results["minimal"]
+    assert minimal.alpha == minimal.band.alpha
+
+
+def test_only_the_frozen_helper_sets_record_fields():
+    # Every computed field goes through frfstats._frozen (fix or hold), so
+    # no other module writes a frozen field or a writeable flag itself.
+    package = Path(__file__).parents[1] / "src" / "frfstats"
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_frozen.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "setflags(" in line or "object.__setattr__(" in line
+    ]
+    assert offenders == []
 
 
 def test_readme_quickstart_finds_a_difference():

@@ -32,6 +32,20 @@ def test_config_defaults_and_validation():
         BootstrapConfig(nested_replications=1)
     with pytest.raises(ValueError):
         BootstrapConfig(bins=1)
+    for name, value in [
+        ("replications", 2.5),
+        ("nested_replications", 2.5),
+        ("seed", 1.7),
+        ("bins", 2.5),
+        ("replications", True),
+        ("seed", np.float64(3.0)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            BootstrapConfig(**{name: value})
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        BootstrapConfig(seed=-1)
+    cfg = BootstrapConfig(replications=np.int64(7), seed=np.uint32(5))
+    assert (cfg.replications, cfg.seed) == (7, 5)
 
 
 def test_resample_single_index():
@@ -72,12 +86,15 @@ def test_ecdf_two_halves():
 
 
 def test_ecdf_constant_pool_widened():
-    e = ecdf([3.0, 3.0, 3.0], bins=4)
-    assert e.bin_edges[0] < 3.0 < e.bin_edges[-1]
-    assert e.cdf[-1] == 1.0
-    jumps = np.diff(np.concatenate([[0.0], e.cdf]))
-    assert np.count_nonzero(jumps) == 1
-    assert jumps.max() == 1.0
+    # Away from zero the widened range is a few ulp across, so the linspace
+    # edges repeat values; the ECDF must still accept them.
+    for value in (1.0, 3.0, 3.7, 1e300):
+        e = ecdf([value] * 3, bins=4)
+        assert e.bin_edges[0] < value < e.bin_edges[-1]
+        assert e.cdf[-1] == 1.0
+        jumps = np.diff(np.concatenate([[0.0], e.cdf]))
+        assert np.count_nonzero(jumps) == 1
+        assert jumps.max() == 1.0
 
 
 def test_ecdf_rejects_bad_input():
@@ -151,6 +168,19 @@ def test_statecdf_validation():
             bin_edges=np.array([1.0, 1.5, 2.0]),
             cdf=np.array([0.5, 0.9]),
         )
+    bad = {
+        "decreasing edges": ([2.0, 1.0, 0.0], [0.5, 1.0]),
+        "equal end edges": ([1.0, 1.0, 1.0], [0.5, 1.0]),
+        "nan edge": ([0.0, np.nan, 2.0], [0.5, 1.0]),
+        "infinite edge": ([0.0, 1.0, np.inf], [0.5, 1.0]),
+        "nan cdf": ([0.0, 1.0, 2.0], [np.nan, 1.0]),
+        "negative cdf": ([0.0, 1.0, 2.0], [-0.5, 1.0]),
+    }
+    for edges, cdf in bad.values():
+        with pytest.raises(ValueError):
+            StatEcdf(bin_edges=np.array(edges), cdf=np.array(cdf))
+    # Repeated interior edges are accepted.
+    StatEcdf(bin_edges=np.array([0.0, 1.0, 1.0, 2.0]), cdf=np.array([0.0, 0.5, 1.0]))
 
 
 def _seeded_runs(replications):
