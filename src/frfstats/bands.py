@@ -5,9 +5,9 @@ fresh draw from the population falls inside it with a chosen confidence.
 The scale is calibrated with a pivotized bootstrap: each replication
 resamples the set, and every original sample contributes its maximum
 standardized deviation from the replicate mean, standardized by the
-replicate std.  The pool of B*N such statistics is summarized by a
-histogram CDF; converting a confidence level to a scale (or back) is then
-a lookup.
+replicate std.  The pool of B*N such statistics is summarized by its
+empirical CDF; converting a confidence level to a scale (or back) is then
+an exact order-statistic lookup.
 
 The reverse question, "which confidence level would a given test sample
 just reach?", is answered by minimal_prediction_band: the scale is fixed
@@ -147,7 +147,7 @@ def _calibrated(
             "the sample set has zero spread at some time point"
         )
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-    return mean, std, ecdf(draws.pool, cfg.bins)
+    return mean, std, ecdf(draws.pool)
 
 
 def prediction_band(
@@ -205,9 +205,8 @@ def minimal_prediction_band(
     times, until the returned band contains the test PIR; it may therefore
     exceed the raw deviation by a few ulp.  `BandContainment` is raised
     when no such scale is found (an overflowing deviation, say).  The
-    returned alpha is the confidence level of that returned scale on the
-    bootstrap pool, clamped to 1 when the test lies beyond every pooled
-    statistic.
+    returned alpha is the fraction of the bootstrap pool at or below that
+    returned scale, 1 when the test lies beyond every pooled statistic.
     """
     mean, std, e = _calibrated(frf_set, grid, cfg, streams)
     scale = _containing_scale(mean, std, pir_from_frf(test, grid).values)

@@ -45,10 +45,17 @@ def _write_band(path: str, times: np.ndarray, band: Band) -> None:
     _write_columns(path, header, [times, band.mean, band.lower, band.upper])
 
 
-def _write_ecdf(path: str, stat_ecdf: StatEcdf) -> None:
-    edges = stat_ecdf.bin_edges
-    cdf = np.concatenate([[0.0], stat_ecdf.cdf])
-    _write_columns(path, ["c", "alpha"], [edges, cdf])
+def _write_ecdf(path: str, stat_ecdf: StatEcdf, bins: int) -> None:
+    """The pool's CDF on bins + 1 even steps from its minimum to its maximum.
+
+    Each row's alpha is the fraction of the pool below c, and the last row
+    is 1.0.
+    """
+    pool = stat_ecdf.pool
+    c = np.linspace(pool[0], pool[-1], bins + 1)
+    alpha = np.searchsorted(pool, c, side="left") / pool.size
+    alpha[-1] = 1.0
+    _write_columns(path, ["c", "alpha"], [c, alpha])
 
 
 #: The library's bootstrap defaults, which the CLI flags share.
@@ -93,11 +100,12 @@ def _cmd_band(args: argparse.Namespace) -> int:
 def _cmd_minband(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     test = load_frf(args.test)
-    result = minimal_prediction_band(test, dataset.group(args.group), dataset.grid, _config(args))
+    cfg = _config(args)
+    result = minimal_prediction_band(test, dataset.group(args.group), dataset.grid, cfg)
     print(f"alpha = {_fmt(result.alpha)}")
     print(f"C_p = {_fmt(result.band.scale)}")
     _write_band(f"{args.out}_band.csv", dataset.grid.times, result.band)
-    _write_ecdf(f"{args.out}_ecdf.csv", result.stat_ecdf)
+    _write_ecdf(f"{args.out}_ecdf.csv", result.stat_ecdf, cfg.bins)
     return 0
 
 
@@ -169,9 +177,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_bootstrap_flags(
-    parser: argparse.ArgumentParser, nested: bool = False, bins: bool = True
-) -> None:
+def _add_bootstrap_flags(parser: argparse.ArgumentParser, nested: bool = False) -> None:
     parser.add_argument(
         "--B", type=int, default=_DEFAULTS.replications, help="bootstrap replications"
     )
@@ -180,8 +186,6 @@ def _add_bootstrap_flags(
             "--Bs", type=int, default=_DEFAULTS.nested_replications, help="nested replications"
         )
     parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="random seed")
-    if bins:
-        parser.add_argument("--bins", type=int, default=_DEFAULTS.bins)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     minband.add_argument("--group", required=True)
     minband.add_argument("--test", required=True, help="test FRF file (json or csv)")
     _add_bootstrap_flags(minband)
+    minband.add_argument(
+        "--bins", type=int, default=_DEFAULTS.bins,
+        help="rows of the exported ECDF table, minus one",
+    )
     minband.add_argument("--out", required=True, help="output file prefix")
     minband.set_defaults(run=_cmd_minband)
 
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument("--test", required=True, help="test FRF file (json or csv)")
     density.add_argument("--metric", choices=["squared", "max"], default="squared")
     density.add_argument("--numerator", choices=list(NUMERATOR_MODES), default="code-compatible")
-    _add_bootstrap_flags(density, bins=False)
+    _add_bootstrap_flags(density)
     density.set_defaults(run=_cmd_density)
 
     compare = sub.add_parser("compare", help="unpaired two-group comparison")

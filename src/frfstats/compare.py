@@ -30,7 +30,7 @@ from .resampling import (
     ecdf,
 )
 
-# Stream key layout (resampling.STREAM_LAYOUT 2 and 3): group g in {0, 1} draws
+# Stream key layout (resampling.STREAM_LAYOUT 2 to 4): group g in {0, 1} draws
 # its Bs sigma resamples from stream (SIGMA_KEY_OFFSET + g,) in one call,
 # and outer replication b from stream (b, g) in one call of 1 + Bs rows:
 # row 0 is the outer resample, rows 1..Bs are nested positions into it.  A
@@ -199,6 +199,6 @@ def compare_unpaired(
         stats=stats,
     )
 
-    e = ecdf(draws.stats, cfg.bins)
+    e = ecdf(draws.stats)
     band = Band(mean=diff_mean, std=sigma, scale=c_at(e, alpha), alpha=alpha)
     return ComparisonResult(band=band, grid=grid, stat_ecdf=e, draws=draws)

@@ -2,18 +2,20 @@
 
 Index draws, per-replication random substreams, the redraw rule for
 degenerate replications, the replicate loop that the band and the density
-share, and the histogram-based empirical CDF used to convert between band
-scaling constants and confidence levels.  Every bootstrap loop runs
-serially, one replication at a time; results depend only on the seed.
+share, and the empirical CDF of a statistic pool, whose exact order
+statistics convert between band scaling constants and confidence levels.
+Every bootstrap loop runs serially, one replication at a time; results
+depend only on the seed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._frozen import hold
+from ._frozen import fix
 from .errors import DegenerateSpread
 
 
@@ -31,7 +33,8 @@ class BootstrapConfig:
     seed : int
         Root seed, non-negative; all substreams derive from it.
     bins : int
-        Histogram bin count for the empirical CDF.
+        Resolution of the CLI's exported ECDF table, which has bins + 1
+        rows; no result depends on it.
     """
 
     replications: int = 1000
@@ -56,14 +59,18 @@ class BootstrapConfig:
 
 #: Version of the stream key layout, the map from bootstrap draws to
 #: stream keys.  It changes whenever fixed-seed results of some operation
-#: change with it.  Layout 3: the band and density draw replication b from
-#: stream (b,), through one loop (`_replicates`) that redraws a degenerate
-#: resample for both; the comparison draws group g's sigma resamples from
-#: (SIGMA_KEY_OFFSET + g,) and its replication b, outer and nested rows in
-#: one block, from (b, g) (see `frfstats.compare`).  Layout 3 differs from
-#: layout 2 only where the density's first draw of a replication had zero
-#: spread: the density used that draw, it now uses the redrawn one.
-STREAM_LAYOUT = 3
+#: change with it.  Layouts 3 and 4: the band and density draw replication
+#: b from stream (b,), through one loop (`_replicates`) that redraws a
+#: degenerate resample for both; the comparison draws group g's sigma
+#: resamples from (SIGMA_KEY_OFFSET + g,) and its replication b, outer and
+#: nested rows in one block, from (b, g) (see `frfstats.compare`).
+#: Layout 3 differs from layout 2 only where the density's first draw of a
+#: replication had zero spread: the density used that draw, it now uses
+#: the redrawn one.  Layout 4 differs from layout 3 only in the ECDF
+#: lookups: the band scale, the minimal band's alpha and the comparison's
+#: C_u are exact order statistics of the pool, where layout 3 read them
+#: off a histogram.
+STREAM_LAYOUT = 4
 
 
 class IndexStreams:
@@ -146,88 +153,52 @@ def _replicates(pirs: np.ndarray, B: int, streams: IndexStreams):
 
 @dataclass(frozen=True, eq=False)
 class StatEcdf:
-    """Histogram CDF of a statistic pool.
+    """Empirical CDF of a statistic pool, held as the sorted pool.
 
-    `bin_edges` has bins+1 entries; `cdf[j]` is the fraction of the pool
-    at or below ``bin_edges[j + 1]``.  The edges are finite and
-    non-decreasing, not all equal; a widened constant pool repeats some.
+    `pool` is a sorted copy of the M statistics it is given; they must be
+    finite and at least one.  The CDF at c is the fraction of the pool at
+    or below c, and every lookup is an order statistic of `pool`.
     """
 
-    bin_edges: np.ndarray
-    cdf: np.ndarray
+    pool: np.ndarray
 
     def __post_init__(self) -> None:
-        edges, cdf = hold(self, "bin_edges"), hold(self, "cdf")
-        if edges.size != cdf.size + 1:
-            raise ValueError("need exactly one more edge than cdf entries")
-        if not np.all(np.diff(cdf) >= 0):
-            raise ValueError("cdf must be non-decreasing")
-        if cdf[-1] != 1.0:
-            raise ValueError("cdf must end at exactly 1.0")
-        if not cdf[0] >= 0:
-            raise ValueError("cdf must start at or above 0")
-        if not np.all(np.isfinite(edges)):
-            raise ValueError("bin edges must be finite")
-        if not (np.all(np.diff(edges) >= 0) and edges[0] < edges[-1]):
-            raise ValueError("bin edges must be non-decreasing and not all equal")
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
+        pool = np.sort(np.asarray(self.pool, dtype=float), axis=None)
+        if pool.size == 0:
+            raise ValueError("cannot build an ECDF from an empty pool")
+        if not np.all(np.isfinite(pool)):
+            raise ValueError("statistic pool must be finite")
+        fix(self, pool=pool)
 
 
-def ecdf(stats, bins: int) -> StatEcdf:
-    """Equal-width histogram CDF over the range of the statistics.
-
-    A constant pool gets its range widened by one machine epsilon on each
-    side so the histogram stays well defined.
-    """
-    values = np.asarray(stats, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("cannot build an ECDF from an empty pool")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("statistic pool must be finite")
-    lo = float(values.min())
-    hi = float(values.max())
-    if lo == hi:
-        pad = np.spacing(max(abs(lo), 1.0))
-        lo -= pad
-        hi += pad
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    cdf = np.cumsum(counts) / values.size
-    cdf[-1] = 1.0
-    return StatEcdf(bin_edges=edges, cdf=cdf)
+def ecdf(stats) -> StatEcdf:
+    """Empirical CDF of the statistics, in any order or shape."""
+    return StatEcdf(stats)
 
 
 def alpha_at(e: StatEcdf, c: float) -> float:
     """Confidence level at which the pool's band scale reaches `c`.
 
-    Returns the cumulative count of the histogram bin containing `c`,
-    clamped to 0 below the pool range and 1 at or above its top.
+    Returns the fraction of the pool at or below `c`: 0 below the pool,
+    1 at or above its maximum.
     """
     c = float(c)
     if not np.isfinite(c):
         raise ValueError("c must be finite")
-    if c < e.bin_edges[0]:
-        return 0.0
-    if c >= e.bin_edges[-1]:
-        return 1.0
-    j = int(np.searchsorted(e.bin_edges, c, side="right")) - 1
-    return float(e.cdf[j])
+    return int(np.searchsorted(e.pool, c, side="right")) / e.pool.size
 
 
 def c_at(e: StatEcdf, alpha: float) -> float:
     """Band scale that reaches confidence level `alpha` on this pool.
 
-    Returns the lower edge of the first histogram bin whose cumulative
-    count exceeds `alpha`; at alpha = 1 that bin does not exist and the
-    top edge (the pool maximum) is returned.
+    Returns the smallest pooled statistic whose CDF exceeds `alpha`: with
+    k the number of ranks r in 1..M with ``r / M <= alpha``, that is the
+    order statistic ``pool[k]``.  At k = M no statistic exceeds alpha and
+    the pool maximum is returned.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    idx = int(np.searchsorted(e.cdf, alpha, side="right"))
-    if idx >= e.cdf.size:
-        return float(e.bin_edges[-1])
-    return float(e.bin_edges[idx])
+    m = e.pool.size
+    k = bisect_right(range(1, m + 1), alpha, key=lambda r: r / m)
+    return float(e.pool[min(k, m - 1)])

@@ -285,32 +285,23 @@ def test_criterion_7_power_and_localization():
     )
 
 
-def hand_ecdf(pool, bins):
-    lo, hi = min(pool), max(pool)
-    edges = [lo + (hi - lo) * j / bins for j in range(bins + 1)]
-    counts = [0] * bins
+def hand_ecdf(pool):
+    """The pool in ascending order, built by insertion."""
+    ordered = []
     for v in pool:
-        if v == hi:
-            counts[-1] += 1
-            continue
         j = 0
-        while not (edges[j] <= v < edges[j + 1]):
+        while j < len(ordered) and ordered[j] <= v:
             j += 1
-        counts[j] += 1
-    cdf = []
-    total = 0
-    for c in counts:
-        total += c
-        cdf.append(total / len(pool))
-    cdf[-1] = 1.0
-    return edges, cdf
+        ordered.insert(j, v)
+    return ordered
 
 
-def hand_quantile(edges, cdf, alpha):
-    for j, c in enumerate(cdf):
-        if c > alpha:
-            return edges[j]
-    return edges[-1]
+def hand_quantile(ordered, alpha):
+    """Smallest pooled value whose CDF exceeds alpha, else the maximum."""
+    for v in ordered:
+        if sum(w <= v for w in ordered) / len(ordered) > alpha:
+            return v
+    return ordered[-1]
 
 
 def hand_mean_std(rows):
@@ -339,7 +330,7 @@ def test_criterion_8_hand_oracles():
     )
     band_draws = [[0, 1, 1], [2, 0, 2]]
     table = {(b,): [draw] for b, draw in enumerate(band_draws)}
-    cfg = BootstrapConfig(replications=2, bins=4, seed=0)
+    cfg = BootstrapConfig(replications=2, seed=0)
     alpha = 0.6
 
     pirs = pir_matrix(frf_set, grid)
@@ -355,21 +346,20 @@ def test_criterion_8_hand_oracles():
             ]
         )
     pool = [s for row in hand_stats for s in row]
-    hand_edges, hand_cdf = hand_ecdf(pool, cfg.bins)
-    hand_cp = hand_quantile(hand_edges, hand_cdf, alpha)
+    hand_sorted = hand_ecdf(pool)
+    hand_cp = hand_quantile(hand_sorted, alpha)
     orig_mean, orig_std = hand_mean_std(list(pirs))
     hand_upper = [m + hand_cp * s for m, s in zip(orig_mean, orig_std)]
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=FixedStreams(table))
-    pool_ecdf = ecdf(draws.pool, cfg.bins)
+    pool_ecdf = ecdf(draws.pool)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=FixedStreams(table))
     band_checks = [
         np.allclose(draws.means, hand_means, **tol),
         np.allclose(draws.stds, hand_stds, **tol),
         np.allclose(draws.stats, hand_stats, **tol),
-        np.allclose(pool_ecdf.bin_edges, hand_edges, **tol),
-        np.array_equal(pool_ecdf.cdf, np.array(hand_cdf)),
+        np.allclose(pool_ecdf.pool, hand_sorted, **tol),
         np.isclose(band.scale, hand_cp, **tol),
         np.allclose(band.upper, hand_upper, **tol),
         np.allclose(band.lower, hand_lower, **tol),
@@ -404,7 +394,7 @@ def test_criterion_8_hand_oracles():
     for b in range(2):
         table[(b, 0)] = [[outer_draws1[b], *nested_draws1[b]]]
         table[(b, 1)] = [[outer_draws2[b], *nested_draws2[b]]]
-    cfg = BootstrapConfig(replications=2, nested_replications=2, bins=2, seed=0)
+    cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
     alpha = 0.5
 
     pirs1 = pir_matrix(set1, grid)
@@ -439,8 +429,8 @@ def test_criterion_8_hand_oracles():
         hand_stats.append(
             max(abs(diff_mean[t] - xb[t]) / sb[t] for t in range(width))
         )
-    hand_edges, hand_cdf = hand_ecdf(hand_stats, cfg.bins)
-    hand_cu = hand_quantile(hand_edges, hand_cdf, alpha)
+    hand_sorted = hand_ecdf(hand_stats)
+    hand_cu = hand_quantile(hand_sorted, alpha)
     hand_upper = [d + hand_cu * s for d, s in zip(diff_mean, hand_sigma)]
     hand_lower = [d - hand_cu * s for d, s in zip(diff_mean, hand_sigma)]
     hand_residuals = [
@@ -457,8 +447,7 @@ def test_criterion_8_hand_oracles():
         np.allclose(result.draws.outer_diffs, hand_outer_diffs, **tol),
         np.allclose(result.draws.nested_stds, hand_nested_stds, **tol),
         np.allclose(result.draws.stats, hand_stats, **tol),
-        np.allclose(result.stat_ecdf.bin_edges, hand_edges, **tol),
-        np.array_equal(result.stat_ecdf.cdf, np.array(hand_cdf)),
+        np.allclose(result.stat_ecdf.pool, hand_sorted, **tol),
         np.isclose(result.band.scale, hand_cu, **tol),
         np.allclose(result.band.upper, hand_upper, **tol),
         np.allclose(result.band.lower, hand_lower, **tol),

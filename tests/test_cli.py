@@ -6,11 +6,13 @@ import pytest
 from frfstats import (
     BootstrapConfig,
     derive_grid,
+    ecdf,
     load_dataset,
     lowpass_mean_frf,
     pir_matrix,
     prediction_band,
 )
+from frfstats import cli
 from frfstats.cli import main
 
 
@@ -145,6 +147,64 @@ def test_minband_prints_and_exports(tmp_path, capsys):
     assert ecdf_table.shape == (41, 2)
     assert ecdf_table[0, 1] == 0.0
     assert ecdf_table[-1, 1] == 1.0
+
+
+def test_minband_numbers_do_not_depend_on_bins(tmp_path, capsys):
+    data = make_dataset(tmp_path, n=8, seed=21)
+    test = write_test_frf(tmp_path)
+    printed = []
+    for bins in ("40", "1000"):
+        assert main([
+            "minband", str(data), "--group", "synth", "--test", str(test),
+            "--B", "200", "--bins", bins, "--seed", "2", "--out", str(tmp_path / f"mb{bins}"),
+        ]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    header, table = read_columns(tmp_path / "mb40_ecdf.csv")
+    assert table.shape == (41, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["band", "--group", "g", "--out", "x.csv"],
+        ["compare", "--group1", "a", "--group2", "b", "--out", "x"],
+        ["density", "--group", "g", "--test", "t.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bins_is_a_minband_flag_only(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "data.csv", "--bins", "40"])
+    assert exc.value.code == 2
+
+
+def test_exported_ecdf_is_the_histogram_table(monkeypatch):
+    # Reference: the table of cumulative np.histogram counts on bins + 1
+    # even edges over the pool's range, which minband exported before the
+    # lookups became exact.  Integer pools put statistics on the edges.
+    written = {}
+    monkeypatch.setattr(
+        cli, "_write_columns",
+        lambda path, header, columns: written.update(header=header, columns=columns),
+    )
+    rng = np.random.default_rng(12)
+    pools = [
+        np.array([1.0, 2.0]),
+        rng.integers(0, 5, size=300).astype(float),
+        rng.standard_normal(500),
+        3.0 * rng.exponential(size=20000),
+    ]
+    for pool in pools:
+        for bins in (2, 4, 7, 40, 1000):
+            cli._write_ecdf("ecdf.csv", ecdf(pool), bins)
+            edges = np.linspace(pool.min(), pool.max(), bins + 1)
+            counts, _ = np.histogram(pool, bins=edges)
+            cdf = np.cumsum(counts) / pool.size
+            cdf[-1] = 1.0
+            assert written["header"] == ["c", "alpha"]
+            np.testing.assert_array_equal(written["columns"][0], edges)
+            np.testing.assert_array_equal(written["columns"][1], np.concatenate([[0.0], cdf]))
 
 
 def test_density_prints_four_statistics(tmp_path, capsys):

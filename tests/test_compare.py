@@ -239,7 +239,7 @@ def test_comparison_memory_is_one_replication_deep():
             *(getattr(result.draws, k) for k in result.draws.__dataclass_fields__),
             result.diff_mean, result.sigma, result.residuals,
             result.band.upper, result.band.lower,
-            result.stat_ecdf.bin_edges, result.stat_ecdf.cdf,
+            result.stat_ecdf.pool,
             result.residual_frf.values,
         )
     )

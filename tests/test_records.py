@@ -36,7 +36,7 @@ VALUE_RECORDS = {
         [[0.0, 1.0], [1.0, 2.0]],
         ["mean", "std"],
     ),
-    "StatEcdf": (StatEcdf, [[0.0, 1.0, 2.0], [0.5, 1.0]], ["bin_edges", "cdf"]),
+    "StatEcdf": (StatEcdf, [[0.0, 1.0, 2.0]], ["pool"]),
     "SyntheticSpec": (
         lambda m: SyntheticSpec(m, noise_std=0.1, n=3),
         [[1 + 1j, 2 - 1j]],

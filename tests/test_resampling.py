@@ -1,7 +1,11 @@
-"""Tests for bootstrap plumbing: streams, index draws, and the histogram CDF."""
+"""Tests for bootstrap plumbing: streams, index draws, and the pool's ECDF."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfstats.bands import bootstrap_deviation_stats
 from frfstats.compare import compare_unpaired
@@ -9,6 +13,7 @@ from frfstats.density import estimate_density
 from frfstats.grid import derive_grid
 from frfstats.pir import FRF, FRFSet
 from frfstats.resampling import (
+    STREAM_LAYOUT,
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
@@ -80,107 +85,95 @@ def test_index_frequencies_near_uniform():
 
 
 def test_ecdf_two_halves():
-    e = ecdf([1.0, 2.0, 3.0, 4.0], bins=2)
-    np.testing.assert_allclose(e.bin_edges, [1.0, 2.5, 4.0])
-    np.testing.assert_allclose(e.cdf, [0.5, 1.0])
-
-
-def test_ecdf_constant_pool_widened():
-    # Away from zero the widened range is a few ulp across, so the linspace
-    # edges repeat values; the ECDF must still accept them.
-    for value in (1.0, 3.0, 3.7, 1e300):
-        e = ecdf([value] * 3, bins=4)
-        assert e.bin_edges[0] < value < e.bin_edges[-1]
-        assert e.cdf[-1] == 1.0
-        jumps = np.diff(np.concatenate([[0.0], e.cdf]))
-        assert np.count_nonzero(jumps) == 1
-        assert jumps.max() == 1.0
+    e = ecdf([4.0, 2.0, 1.0, 3.0])
+    np.testing.assert_array_equal(e.pool, [1.0, 2.0, 3.0, 4.0])
+    assert alpha_at(e, 2.5) == 0.5
+    # 3.0 is the smallest statistic whose CDF, 0.75, exceeds 0.5.
+    assert c_at(e, 0.5) == 3.0
 
 
 def test_ecdf_rejects_bad_input():
     with pytest.raises(ValueError):
-        ecdf([], bins=10)
+        ecdf([])
     with pytest.raises(ValueError):
-        ecdf([1.0, np.nan], bins=10)
+        ecdf([1.0, np.nan])
 
 
 def test_ecdf_permutation_invariant():
     rng = np.random.default_rng(3)
     stats = rng.standard_normal(500)
-    e1 = ecdf(stats, bins=40)
-    e2 = ecdf(rng.permutation(stats), bins=40)
-    np.testing.assert_array_equal(e1.bin_edges, e2.bin_edges)
-    np.testing.assert_array_equal(e1.cdf, e2.cdf)
-
-
-def test_rank_oracle_on_even_grid():
-    # 2000 evenly spread values over 100 bins put exactly 20 in each bin,
-    # so the histogram CDF can differ from the exact rank fraction by at
-    # most one bin's worth of mass.
-    n, bins = 2000, 100
-    stats = (np.arange(n) + 0.5) / n
-    e = ecdf(stats, bins=bins)
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(stats[0], stats[-1], size=50):
-        rank = np.searchsorted(stats, x, side="right") / n
-        assert abs(alpha_at(e, x) - rank) <= 1.0 / bins + 1e-12
+    e1 = ecdf(stats)
+    e2 = ecdf(rng.permutation(stats).reshape(20, 25))
+    np.testing.assert_array_equal(e1.pool, e2.pool)
 
 
 def test_alpha_at_clamps():
-    e = ecdf([1.0, 2.0, 3.0, 4.0], bins=4)
+    e = ecdf([1.0, 2.0, 3.0, 4.0])
     assert alpha_at(e, 0.5) == 0.0
     assert alpha_at(e, 4.0) == 1.0
     assert alpha_at(e, 99.0) == 1.0
-    med = alpha_at(e, 2.5)
-    assert abs(med - 0.5) <= 0.25 + 1e-12
+    assert alpha_at(e, 2.5) == 0.5
+    with pytest.raises(ValueError):
+        alpha_at(e, np.inf)
 
 
 def test_c_at_endpoints_and_uniform_quantile():
-    n, bins = 2000, 100
+    n = 2000
     stats = (np.arange(n) + 0.5) / n
-    e = ecdf(stats, bins=bins)
-    assert c_at(e, 0.0) == e.bin_edges[0] == stats.min()
-    assert c_at(e, 1.0) == e.bin_edges[-1] == stats.max()
-    assert abs(c_at(e, 0.95) - 0.95) <= 2.0 / bins
+    e = ecdf(stats)
+    assert c_at(e, 0.0) == stats.min()
+    assert c_at(e, 1.0) == stats.max()
+    # Ranks 1..1900 have r / n <= 0.95, so the 1901st smallest is returned.
+    assert c_at(e, 0.95) == stats[1900]
     with pytest.raises(ValueError):
         c_at(e, 1.5)
     with pytest.raises(ValueError):
         c_at(e, -0.1)
 
 
-def test_alpha_c_mutual_consistency():
-    rng = np.random.default_rng(5)
-    stats = rng.uniform(0.0, 1.0, size=5000)
-    e = ecdf(stats, bins=50)
-    for c in rng.uniform(stats.min(), stats.max(), size=100):
-        back = c_at(e, alpha_at(e, c))
-        assert c - e.bin_width <= back <= c + e.bin_width
-
-
 def test_statecdf_validation():
-    with pytest.raises(ValueError):
-        StatEcdf(
-            bin_edges=np.array([1.0, 2.0]),
-            cdf=np.array([0.5, 1.0]),
-        )
-    with pytest.raises(ValueError):
-        StatEcdf(
-            bin_edges=np.array([1.0, 1.5, 2.0]),
-            cdf=np.array([0.5, 0.9]),
-        )
-    bad = {
-        "decreasing edges": ([2.0, 1.0, 0.0], [0.5, 1.0]),
-        "equal end edges": ([1.0, 1.0, 1.0], [0.5, 1.0]),
-        "nan edge": ([0.0, np.nan, 2.0], [0.5, 1.0]),
-        "infinite edge": ([0.0, 1.0, np.inf], [0.5, 1.0]),
-        "nan cdf": ([0.0, 1.0, 2.0], [np.nan, 1.0]),
-        "negative cdf": ([0.0, 1.0, 2.0], [-0.5, 1.0]),
-    }
-    for edges, cdf in bad.values():
+    for bad in ([], [np.nan], [0.0, np.inf], [[1.0, -np.inf]]):
         with pytest.raises(ValueError):
-            StatEcdf(bin_edges=np.array(edges), cdf=np.array(cdf))
-    # Repeated interior edges are accepted.
-    StatEcdf(bin_edges=np.array([0.0, 1.0, 1.0, 2.0]), cdf=np.array([0.0, 0.5, 1.0]))
+            StatEcdf(np.array(bad))
+    # The pool is held flattened and sorted, whatever order it came in.
+    e = StatEcdf(np.array([[2.0, 0.0], [1.0, 1.0]]))
+    np.testing.assert_array_equal(e.pool, [0.0, 1.0, 1.0, 2.0])
+
+
+def pools():
+    """Pools with ties, of one element, constant, and of arbitrary floats."""
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    tied = st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=40)
+    constant = st.builds(lambda v, n: [v] * n, finite, st.integers(1, 30))
+    return st.one_of(tied, constant, st.lists(finite, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pool=pools(), alphas=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_lookups_are_exact_order_statistics(pool, alphas):
+    m = len(pool)
+    e = ecdf(pool)
+    # Brute force: the CDF at c counts the pool at or below c, and the
+    # scale for alpha is the smallest pool value whose CDF exceeds alpha.
+    cdf = {v: sum(w <= v for w in pool) / m for v in pool}
+
+    def brute_c(alpha):
+        above = [v for v in pool if cdf[v] > alpha]
+        return min(above) if above else max(pool)
+
+    for v in pool:
+        for c in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)):
+            if np.isfinite(c):
+                assert alpha_at(e, c) == sum(w <= c for w in pool) / m
+    steps = [j / m for j in range(m + 1)]
+    nudged = [np.nextafter(a, b) for a in steps for b in (0.0, 1.0)]
+    for alpha in steps + nudged + alphas:
+        assert c_at(e, alpha) == brute_c(alpha)
+
+
+def test_readme_states_the_stream_layout():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"STREAM_LAYOUT = {STREAM_LAYOUT}" in readme
 
 
 def _seeded_runs(replications):
