@@ -143,22 +143,15 @@ class FrequencyGrid:
 
 
 def _common_denominator(freqs: np.ndarray) -> int:
-    """Smallest integer q <= MAX_DENOMINATOR with every freq*q near an integer."""
-    fracs = [Fraction(float(f)).limit_denominator(MAX_DENOMINATOR) for f in freqs]
-    if all(
-        f > 0 and abs(float(fr) - f) <= COMMENSURATE_RTOL * f
-        for f, fr in zip(freqs, fracs)
-    ):
-        q = math.lcm(*(fr.denominator for fr in fracs))
-        if q <= MAX_DENOMINATOR:
-            return q
-    # Exhaustive scan; only reached when the per-frequency rationals do not
-    # share a small denominator.  Each chunk of candidates is filtered one
-    # frequency at a time, so memory stays O(chunk) for any number of
-    # frequencies.
-    chunk = 1 << 16
-    for start in range(1, MAX_DENOMINATOR + 1, chunk):
-        q = np.arange(start, min(start + chunk, MAX_DENOMINATOR + 1), dtype=float)
+    """Smallest integer q <= MAX_DENOMINATOR with every freq*q near an integer.
+
+    One search over q = 1, 2, ... in chunks of 256 candidates doubling up to
+    65,536, each filtered one frequency at a time: a small q is found after
+    one short chunk, and memory stays O(chunk) for any number of frequencies.
+    """
+    start, size = 1, 1 << 8
+    while start <= MAX_DENOMINATOR:
+        q = np.arange(start, min(start + size, MAX_DENOMINATOR + 1), dtype=float)
         for f in freqs:
             scaled = q * f
             nearest = np.rint(scaled)
@@ -166,6 +159,7 @@ def _common_denominator(freqs: np.ndarray) -> int:
             q = q[ok & (nearest >= 1.0)]
         if q.size:
             return int(q[0])
+        start, size = start + size, min(2 * size, 1 << 16)
     raise NonCommensurableFrequencies(
         f"no common denominator <= {MAX_DENOMINATOR} reconciles the "
         "frequencies as rational multiples of a base frequency"

@@ -105,7 +105,12 @@ def _pirs(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
             f"{grid.m} frequencies"
         )
     cos, sin = _basis(grid.n_samples, grid.harmonics)
-    return values.real @ cos + values.imag @ sin
+    # Huge finite FRF values can overflow: refuse once, never pass inf on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pirs = values.real @ cos + values.imag @ sin
+    if not np.all(np.isfinite(pirs)):
+        raise ValueError("FRF values are too large: their PIR overflows")
+    return pirs
 
 
 def pir_from_frf(frf: FRF, grid: FrequencyGrid) -> PIR:

@@ -336,6 +336,31 @@ def test_bad_alpha_exits_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pir", "band", "minband", "density", "compare"])
+def test_overflowing_pir_exits_2(tmp_path, capsys, command):
+    # Finite values near the float limit whose PIRs overflow: refused with
+    # exit 2 and no output file, not inf in a CSV or a zero-spread exit 3.
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    neg = [[-1e308, -1e308], [-1e308, -1e308]]
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps({
+        "frequencies": [0.3, 0.5], "groups": {"a": [big, neg, big, neg], "b": [neg, big, neg, big]},
+    }))
+    test = write_test_frf(tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "pir": ["--group", "a", "--out", str(out)],
+        "band": ["--group", "a", "--B", "20", "--out", str(out)],
+        "minband": ["--group", "a", "--test", str(test), "--B", "20", "--out", str(out)],
+        "density": ["--group", "a", "--test", str(test), "--B", "20"],
+        "compare": ["--group1", "a", "--group2", "b", "--B", "20", "--Bs", "5", "--out", str(out)],
+    }[command]
+    code = main([command, str(data), *argv])
+    assert code == 2
+    assert "PIR overflows" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "test.json"]
+
+
 def test_degenerate_statistics_exit_3(tmp_path, capsys):
     flat = tmp_path / "flat.json"
     sample = [[1.0, 0.0], [0.0, 1.0]]

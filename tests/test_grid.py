@@ -14,7 +14,7 @@ from frfstats import (
     NyquistViolation,
     derive_grid,
 )
-from frfstats.grid import MAX_SAMPLES, FrequencyGrid, _common_denominator
+from frfstats.grid import COMMENSURATE_RTOL, MAX_SAMPLES, FrequencyGrid, _common_denominator
 
 from support import EXPERIMENT_FREQS
 
@@ -96,6 +96,13 @@ def test_scan_reconciles_what_the_lcm_path_misses():
     assert _common_denominator(np.array([24.55192406747081, 38.62941488516335])) == 1897
 
 
+def test_smallest_denominator_wins_over_per_frequency_rationals():
+    # The float's own best rational below 10^6 has denominator 999,716, but
+    # 1.0176 = 636 / 625 already fits within 1e-9 relative.
+    assert _common_denominator(np.array([1.0175999990325204])) == 625
+    assert FrequencyGrid([1.0175999990325204]).base_frequency == 1.0176
+
+
 def test_scan_memory_does_not_grow_with_frequency_count():
     freqs = np.sort(np.random.default_rng(3).uniform(0.1, 5.0, size=100))
     tracemalloc.start()
@@ -144,13 +151,22 @@ def test_grid_is_immutable():
 
 @st.composite
 def grid_inputs(draw):
-    """A frequency vector and a requested rate, most of them commensurable."""
-    if draw(st.booleans()):
-        q = draw(st.sampled_from([1, 3, 20, 1000, 1897, 10**6]) | st.integers(1, 10**6))
-        ks = draw(st.lists(st.integers(1, 500), min_size=1, max_size=12, unique=True))
-        freqs = (np.sort(ks) * draw(st.integers(1, 7)) / q).tolist()
-    else:
+    """A frequency vector and a requested rate, most of them commensurable.
+
+    One branch draws exact k / q vectors, one perturbs such a vector by up
+    to 2e-9 relative, around the tolerance, and one draws random floats.
+    """
+    kind = draw(st.sampled_from(["exact", "perturbed", "random"]))
+    if kind == "random":
         freqs = sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3, unique=True)))
+    else:
+        q = draw(st.sampled_from([1, 3, 20, 625, 1000, 1897, 10**6]) | st.integers(1, 10**6))
+        ks = draw(st.lists(st.integers(1, 500), min_size=1, max_size=12, unique=True))
+        freqs = np.sort(ks) * draw(st.integers(1, 7)) / q
+        if kind == "perturbed":
+            rel = draw(st.lists(st.floats(-2e-9, 2e-9), min_size=freqs.size, max_size=freqs.size))
+            freqs = freqs * (1.0 + np.array(rel))
+        freqs = freqs.tolist()
     rate = draw(st.none() | st.floats(1.5, 60.0).map(lambda x: x * freqs[-1]))
     return freqs, rate
 
@@ -165,8 +181,12 @@ def test_every_accepted_grid_is_consistent_by_construction(inputs):
     base = grid.base_frequency
     assert 1 <= grid.n_samples <= MAX_SAMPLES
     assert 2 * grid.harmonics[-1] < grid.n_samples
+    # The search rounds q * f before it compares, and k * base rounds here,
+    # so a frequency at the edge of the tolerance may pass by a few ulps:
+    # [1.000000001] fits q = 35 only because 35 * f rounds down.
+    freqs = grid.frequencies
     assert np.all(
-        np.abs(np.array(grid.harmonics) * base - grid.frequencies) <= 1e-9 * grid.frequencies
+        np.abs(np.array(grid.harmonics) * base - freqs) <= 1e-9 * freqs + 4 * np.spacing(freqs)
     )
     assert abs(grid.period * base - 1.0) <= 1e-9
     assert abs(grid.n_samples * base - grid.sample_rate) <= 1e-9 * grid.sample_rate
@@ -176,3 +196,11 @@ def test_every_accepted_grid_is_consistent_by_construction(inputs):
     assert np.array_equal(again.frequencies, grid.frequencies)
     for name in ("sample_rate", "base_frequency", "period", "n_samples", "harmonics"):
         assert getattr(again, name) == getattr(grid, name)
+    # The denominator is the smallest that fits: no smaller candidate up to
+    # 10^4 fits, by brute force over all of them at once.
+    q = _common_denominator(grid.frequencies)
+    scaled = np.arange(1, min(q, 10**4 + 1))[:, None] * grid.frequencies
+    if scaled.size:
+        nearest = np.rint(scaled)
+        fits = (np.abs(scaled - nearest) <= COMMENSURATE_RTOL * scaled) & (nearest >= 1)
+        assert not np.any(np.all(fits, axis=1))

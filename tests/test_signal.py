@@ -133,3 +133,15 @@ def test_stats_require_two_samples():
     grid = derive_grid([0.3, 0.5])
     with pytest.raises(ValueError):
         pir_stats(FRFSet(np.ones((1, 2), dtype=complex)), grid)
+
+
+def test_overflowing_pir_refused():
+    # Finite FRF values whose PIR sums past the float range are refused
+    # once, without a numpy RuntimeWarning; smaller ones still transform.
+    grid = derive_grid([0.3, 0.5])
+    huge = np.array([[1e308 + 1e308j, 1e308 + 1e308j], [-1e308 - 1e308j, -1e308 - 1e308j]])
+    with pytest.raises(ValueError, match="PIR overflows"):
+        pir_matrix(FRFSet(huge), grid)
+    with pytest.raises(ValueError, match="PIR overflows"):
+        pir_from_frf(FRF(huge[0]), grid)
+    assert np.all(np.isfinite(pir_matrix(FRFSet(huge * 1e-10), grid)))
