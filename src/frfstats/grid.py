@@ -23,6 +23,7 @@ MAX_DENOMINATOR = 10**6
 
 #: Relative tolerance for "frequency is an integer multiple of the base".
 COMMENSURATE_RTOL = 1e-9
+_RTOL_NUM, _RTOL_DEN = COMMENSURATE_RTOL.as_integer_ratio()
 
 #: Most time samples per period a grid may have.  The PIR basis holds
 #: 2 * M * n_samples floats and each bootstrap replication gathers
@@ -105,7 +106,7 @@ class FrequencyGrid:
             )
 
         q = _common_denominator(freqs)
-        scaled = [round(float(f) * q) for f in freqs]
+        scaled = [_nearest(a * q, b) for a, b in map(float.as_integer_ratio, freqs.tolist())]
         g = math.gcd(*scaled)
         base = Fraction(g, q)
         period = 1 / base
@@ -143,27 +144,41 @@ class FrequencyGrid:
 
 
 def _common_denominator(freqs: np.ndarray) -> int:
-    """Smallest integer q <= MAX_DENOMINATOR with every freq*q near an integer.
+    """Smallest integer q <= MAX_DENOMINATOR with every positive freq*q within
+    COMMENSURATE_RTOL of an integer, judged exactly.
 
-    One search over q = 1, 2, ... in chunks of 256 candidates doubling up to
-    65,536, each filtered one frequency at a time: a small q is found after
-    one short chunk, and memory stays O(chunk) for any number of frequencies.
-    """
+    Candidates come in chunks of 256 doubling up to 65,536 (memory O(chunk)),
+    filtered one frequency at a time in floats: with f = hi + lo split at 32
+    bits, q*hi and q*lo are exact for q < 2**20, so the residual carries one
+    rounding, far inside the filter's slack.  Survivors are checked exactly."""
+    ratios = [f.as_integer_ratio() for f in freqs.tolist()]
+    m, e = np.frexp(freqs)
+    heads = np.ldexp(np.floor(np.ldexp(m, 32)), e - 32)
     start, size = 1, 1 << 8
     while start <= MAX_DENOMINATOR:
         q = np.arange(start, min(start + size, MAX_DENOMINATOR + 1), dtype=float)
-        for f in freqs:
-            scaled = q * f
-            nearest = np.rint(scaled)
-            ok = np.abs(scaled - nearest) <= COMMENSURATE_RTOL * scaled
-            q = q[ok & (nearest >= 1.0)]
-        if q.size:
-            return int(q[0])
+        for f, hi in zip(freqs, heads):
+            p, t = q * hi, q * (f - hi)
+            d = p - np.rint(p + t) + t
+            q = q[np.abs(d) <= COMMENSURATE_RTOL * (1 + 1e-12) * f * q]
+        for c in q.astype(int).tolist():
+            if all(_fits(a * c, b) for a, b in ratios):
+                return c
         start, size = start + size, min(2 * size, 1 << 16)
     raise NonCommensurableFrequencies(
         f"no common denominator <= {MAX_DENOMINATOR} reconciles the "
         "frequencies as rational multiples of a base frequency"
     )
+
+
+def _nearest(num: int, den: int) -> int:
+    """The integer nearest num / den, exactly (a half rounds up)."""
+    return (2 * num + den) // (2 * den)
+
+
+def _fits(num: int, den: int) -> bool:
+    """Whether num / den is within COMMENSURATE_RTOL of its nearest integer."""
+    return abs(num - _nearest(num, den) * den) * _RTOL_DEN <= _RTOL_NUM * num
 
 
 def derive_grid(frequencies, sample_rate: float | None = None) -> FrequencyGrid:

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ def test_smallest_denominator_wins_over_per_frequency_rationals():
     assert FrequencyGrid([1.0175999990325204]).base_frequency == 1.0176
 
 
+def test_fit_is_judged_exactly():
+    # The float 1.000000001 is 1 + 1.00000008e-9: over 1e-9 relative for
+    # every q <= 10^6, though a float search accepts q = 35 because 35 * f
+    # rounds down onto the tolerance.
+    with pytest.raises(NonCommensurableFrequencies):
+        _common_denominator(np.array([1.000000001]))
+    # 66 * f is within 1e-9 relative of 1009, but the float product rounds
+    # just outside, so a float filter without slack skips q = 66 for 198.
+    assert _common_denominator(np.array([15.287878803166667])) == 66
+
+
 def test_scan_memory_does_not_grow_with_frequency_count():
     freqs = np.sort(np.random.default_rng(3).uniform(0.1, 5.0, size=100))
     tracemalloc.start()
@@ -181,13 +193,13 @@ def test_every_accepted_grid_is_consistent_by_construction(inputs):
     base = grid.base_frequency
     assert 1 <= grid.n_samples <= MAX_SAMPLES
     assert 2 * grid.harmonics[-1] < grid.n_samples
-    # The search rounds q * f before it compares, and k * base rounds here,
-    # so a frequency at the edge of the tolerance may pass by a few ulps:
-    # [1.000000001] fits q = 35 only because 35 * f rounds down.
-    freqs = grid.frequencies
-    assert np.all(
-        np.abs(np.array(grid.harmonics) * base - freqs) <= 1e-9 * freqs + 4 * np.spacing(freqs)
-    )
+    # Each frequency is k * base within 1e-9 relative, judged exactly on the
+    # rational base g / q that base_frequency is the float of.
+    q = _common_denominator(grid.frequencies)
+    exact_base = Fraction(round(base * q), q)
+    assert float(exact_base) == base
+    for f, k in zip(grid.frequencies.tolist(), grid.harmonics):
+        assert abs(k * exact_base - Fraction(f)) <= Fraction(1e-9) * Fraction(f)
     assert abs(grid.period * base - 1.0) <= 1e-9
     assert abs(grid.n_samples * base - grid.sample_rate) <= 1e-9 * grid.sample_rate
     # The stored fields derive the same grid again, which is what makes a
@@ -197,10 +209,11 @@ def test_every_accepted_grid_is_consistent_by_construction(inputs):
     for name in ("sample_rate", "base_frequency", "period", "n_samples", "harmonics"):
         assert getattr(again, name) == getattr(grid, name)
     # The denominator is the smallest that fits: no smaller candidate up to
-    # 10^4 fits, by brute force over all of them at once.
-    q = _common_denominator(grid.frequencies)
+    # 10^4 fits exactly.  A float pass over all of them at once, with a few
+    # ulps of slack, keeps every exact fit; what it keeps is judged exactly.
     scaled = np.arange(1, min(q, 10**4 + 1))[:, None] * grid.frequencies
-    if scaled.size:
-        nearest = np.rint(scaled)
-        fits = (np.abs(scaled - nearest) <= COMMENSURATE_RTOL * scaled) & (nearest >= 1)
-        assert not np.any(np.all(fits, axis=1))
+    near = np.abs(scaled - np.rint(scaled)) <= COMMENSURATE_RTOL * scaled + 4 * np.spacing(scaled)
+    rtol = Fraction(COMMENSURATE_RTOL)
+    for c in (np.flatnonzero(np.all(near, axis=1)) + 1).tolist():
+        fs = [Fraction(f) * c for f in grid.frequencies.tolist()]
+        assert not all(abs(s - round(s)) <= rtol * s for s in fs)
