@@ -82,16 +82,15 @@ class Band:
 
 @dataclass(frozen=True, eq=False)
 class ReplicateDraws:
-    """Everything the band bootstrap produced, one row per replication.
+    """The band bootstrap's B*N record, one row per replication.
 
-    Kept around so tests (and the curious) can audit each intermediate:
-    the resample indices, the replicate means/stds, and the per-sample
-    max-deviation statistics whose pool calibrates the band.
+    `indices` holds each replication's accepted resample and `stats` the
+    per-sample max-deviation statistics whose pool calibrates the band.
+    A replicate mean is recomputed from its resample:
+    ``pir_matrix(frf_set, grid)[draws.indices[b]].mean(axis=0)``.
     """
 
     indices: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
     stats: np.ndarray
 
     def __post_init__(self) -> None:
@@ -115,7 +114,8 @@ def bootstrap_deviation_stats(
     takes the replicate mean and std, and scores every original sample by
     ``max_t |x_i(t) - replicate_mean(t)| / replicate_std(t)``.
     Replications whose std hits zero anywhere are redrawn from their own
-    stream, at most `resampling.MAX_REDRAWS` times.
+    stream, at most `resampling.MAX_REDRAWS` times.  The record keeps the
+    B x N indices and statistics, no replicate mean or std.
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
@@ -123,15 +123,13 @@ def bootstrap_deviation_stats(
         streams = IndexStreams(cfg.seed)
     pirs = pir_matrix(frf_set, grid)
 
-    B, (n, T) = cfg.replications, pirs.shape
+    B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=np.int64)
-    means = np.empty((B, T))
-    stds = np.empty((B, T))
     stats = np.empty((B, n))
     for b, (idx, mean, std, _) in enumerate(_replicates(pirs, B, streams)):
-        indices[b], means[b], stds[b] = idx, mean, std
+        indices[b] = idx
         stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
-    return ReplicateDraws(indices=indices, means=means, stds=stds, stats=stats)
+    return ReplicateDraws(indices=indices, stats=stats)
 
 
 def _calibrated(

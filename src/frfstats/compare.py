@@ -20,7 +20,7 @@ import numpy as np
 from ._frozen import fix
 from .bands import Band
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, PIR, frf_from_pir, pir_matrix
+from .pir import FRF, FRFSet, PIR, _refuse_overflowing_stats, frf_from_pir, pir_matrix
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
@@ -41,7 +41,14 @@ SIGMA_KEY_OFFSET = 2
 
 @dataclass(frozen=True, eq=False)
 class DifferenceDraws:
-    """Intermediates of the comparison bootstrap, for audit and tests."""
+    """Intermediates of the comparison bootstrap, for audit and tests.
+
+    Besides the Bs sigma resamples and their (Bs, T) mean differences, it
+    keeps per outer replication the two groups' accepted resamples and two
+    B x T curves: `outer_diffs`, the replicate mean difference, and
+    `nested_stds`, its nested std, which the resamples alone cannot give
+    back.  `stats` holds the B max-deviation statistics.
+    """
 
     sigma_indices1: np.ndarray
     sigma_indices2: np.ndarray
@@ -155,6 +162,8 @@ def compare_unpaired(
     pirs2 = pir_matrix(set2, grid)
     n1, n2 = set1.n, set2.n
     bs = cfg.nested_replications
+    _refuse_overflowing_stats(pirs1, bs)
+    _refuse_overflowing_stats(pirs2, bs)
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 

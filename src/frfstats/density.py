@@ -119,21 +119,19 @@ def estimate_density(
     et = np.empty(B)
     for b, (_, mean, _, sq) in enumerate(_replicates(pirs, B, streams)):
         es[b] = np.sort(distance(sq))
-        et[b] = distance(np.square(x_test - mean))
+        # A huge test response's distance overflows to +inf: it ranks last.
+        with np.errstate(over="ignore"):
+            et[b] = distance(np.square(x_test - mean))
 
     # 1-based rank of the test distance among the sorted member
     # distances: first position strictly above it, N when none is.
     rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
     cdf_stats = rank / n
 
-    i1 = rank - ds
-    i2 = rank + ds
-    low = i1 < 1
-    i1 = np.where(low, 1, i1)
-    i2 = np.where(low, 1 + ds, i2)
-    high = i2 > n
-    i2 = np.where(high, n, i2)
-    i1 = np.where(high, n - ds, i1)
+    # The rank window's three cases: low, high and interior.
+    low, high = rank - ds < 1, rank + ds > n
+    i1 = np.where(low, 1, np.where(high, n - ds, rank - ds))
+    i2 = np.where(low, 1 + ds, np.where(high, n, rank + ds))
     rows = np.arange(B)
     width = es[rows, i2 - 1] - es[rows, i1 - 1]
     numer = float(ds) if numerator_mode == "code-compatible" else (i2 - i1)

@@ -137,9 +137,27 @@ def frf_from_pir(pir: PIR) -> FRF:
     return FRF(values=re + 1j * im)
 
 
+def _refuse_overflowing_stats(pirs: np.ndarray, nested: int = 0) -> None:
+    """Refuse a group whose PIRs are too large for finite statistics.
+
+    With P the largest |PIR| of every group in play, no deviation that a
+    statistic squares exceeds 8 * P: a row or mean of one group deviates
+    from another such mean by at most 2 * P, a two-group mean difference
+    from another by at most 4 * P, and a difference of two shifted nested
+    means (`compare._nested_means`) from another by at most 8 * P.  Each
+    sum of squares runs over at most K = max(N, T, nested) terms, so it
+    stays finite, with a factor of two to spare for rounding, while
+    128 * K * P**2 is at most the largest float.
+    """
+    terms = max(*pirs.shape, nested)
+    if np.max(np.abs(pirs)) > np.sqrt(np.finfo(float).max / (128 * terms)):
+        raise ValueError("FRF values are too large: statistics of their PIRs overflow")
+
+
 def pir_stats(frf_set: FRFSet, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise ``(mean, std)`` of the set's PIRs; the std uses N-1."""
     if frf_set.n < 2:
         raise ValueError("need at least two samples for PIR statistics")
     pirs = pir_matrix(frf_set, grid)
+    _refuse_overflowing_stats(pirs)
     return pirs.mean(axis=0), pirs.std(axis=0, ddof=1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._frozen import fix
 from .errors import DegenerateSpread
+from .pir import _refuse_overflowing_stats
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,16 @@ class BootstrapConfig:
     bins: int = 1000
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.nested_replications < 2:
             raise ValueError("nested_replications must be >= 2")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -141,8 +142,10 @@ def _replicates(pirs: np.ndarray, B: int, streams: IndexStreams):
     Replication b resamples the rows of `pirs` from stream (b,), redrawn
     under the `_draw_with_spread` rule, and yields ``(indices, mean, std,
     sq)``: the accepted resample indices, its mean and N-1 std over the
-    rows, and the rows' squared deviations from that mean.
+    rows, and the rows' squared deviations from that mean.  PIRs too large
+    for finite statistics are refused with a ValueError before any draw.
     """
+    _refuse_overflowing_stats(pirs)
     for b in range(B):
         (idx, mean, sq), std = _draw_with_spread(
             "a bootstrap replication kept zero spread",

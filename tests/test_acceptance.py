@@ -32,6 +32,8 @@ from frfstats import (
     prediction_band,
 )
 
+from frfstats.resampling import _replicates
+
 from support import EXPERIMENT_FREQS, FixedStreams
 
 
@@ -353,11 +355,13 @@ def test_criterion_8_hand_oracles():
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=FixedStreams(table))
+    replicates = list(_replicates(pirs, 2, FixedStreams(table)))
     pool_ecdf = ecdf(draws.pool)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=FixedStreams(table))
     band_checks = [
-        np.allclose(draws.means, hand_means, **tol),
-        np.allclose(draws.stds, hand_stds, **tol),
+        np.array_equal(draws.indices, band_draws),
+        np.allclose([mean for _, mean, _, _ in replicates], hand_means, **tol),
+        np.allclose([std for _, _, std, _ in replicates], hand_stds, **tol),
         np.allclose(draws.stats, hand_stats, **tol),
         np.allclose(pool_ecdf.pool, hand_sorted, **tol),
         np.isclose(band.scale, hand_cp, **tol),

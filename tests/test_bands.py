@@ -11,7 +11,13 @@ from frfstats.bands import (
     prediction_band,
 )
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix, pir_stats
-from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams, alpha_at
+from frfstats.resampling import (
+    MAX_REDRAWS,
+    BootstrapConfig,
+    IndexStreams,
+    _replicates,
+    alpha_at,
+)
 
 from support import EXPERIMENT_FREQS, FixedStreams
 
@@ -39,19 +45,23 @@ def test_band_geometry():
 def test_injected_indices_match_loop_arithmetic():
     grid = derive_grid([1.0])
     frfs = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
-    streams = FixedStreams({(0,): [[0, 1, 1]], (1,): [[2, 0, 2]]})
+    table = {(0,): [[0, 1, 1]], (1,): [[2, 0, 2]]}
     cfg = BootstrapConfig(replications=2, seed=0)
-    draws = bootstrap_deviation_stats(frfs, grid, cfg, streams)
+    draws = bootstrap_deviation_stats(frfs, grid, cfg, FixedStreams(table))
 
     np.testing.assert_array_equal(draws.indices, [[0, 1, 1], [2, 0, 2]])
     pirs = pir_matrix(frfs, grid)
-    for b, picks in enumerate([[0, 1, 1], [2, 0, 2]]):
+    # The record keeps no replicate curves; the loop that computes them does.
+    replicates = _replicates(pirs, 2, FixedStreams(table))
+    for b, (picks, (_, rep_mean, rep_std, _)) in enumerate(
+        zip([[0, 1, 1], [2, 0, 2]], replicates)
+    ):
         rows = [pirs[i] for i in picks]
         mean = sum(rows) / 3.0
         var = sum((r - mean) ** 2 for r in rows) / 2.0
         std = np.sqrt(var)
-        np.testing.assert_allclose(draws.means[b], mean, atol=1e-12)
-        np.testing.assert_allclose(draws.stds[b], std, atol=1e-12)
+        np.testing.assert_allclose(rep_mean, mean, atol=1e-12)
+        np.testing.assert_allclose(rep_std, std, atol=1e-12)
         for i in range(3):
             expected = max(abs(pirs[i] - mean) / std)
             assert draws.stats[b, i] == pytest.approx(expected, abs=1e-12)

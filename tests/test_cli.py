@@ -336,12 +336,11 @@ def test_bad_alpha_exits_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["pir", "band", "minband", "density", "compare"])
-def test_overflowing_pir_exits_2(tmp_path, capsys, command):
-    # Finite values near the float limit whose PIRs overflow: refused with
-    # exit 2 and no output file, not inf in a CSV or a zero-spread exit 3.
-    big = [[1e308, 1e308], [1e308, 1e308]]
-    neg = [[-1e308, -1e308], [-1e308, -1e308]]
+def run_on_huge_groups(tmp_path, command, value):
+    """Run `command` on two 4-member groups of +-`value`; return the exit
+    code and the names of the files in `tmp_path` afterwards."""
+    big = [[value, value], [value, value]]
+    neg = [[-value, -value], [-value, -value]]
     data = tmp_path / "huge.json"
     data.write_text(json.dumps({
         "frequencies": [0.3, 0.5], "groups": {"a": [big, neg, big, neg], "b": [neg, big, neg, big]},
@@ -356,9 +355,31 @@ def test_overflowing_pir_exits_2(tmp_path, capsys, command):
         "compare": ["--group1", "a", "--group2", "b", "--B", "20", "--Bs", "5", "--out", str(out)],
     }[command]
     code = main([command, str(data), *argv])
+    return code, sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["pir", "band", "minband", "density", "compare"])
+def test_overflowing_pir_exits_2(tmp_path, capsys, command):
+    # Finite values near the float limit whose PIRs overflow: refused with
+    # exit 2 and no output file, not inf in a CSV or a zero-spread exit 3.
+    code, written = run_on_huge_groups(tmp_path, command, 1e308)
     assert code == 2
     assert "PIR overflows" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "test.json"]
+    assert written == ["huge.json", "test.json"]
+
+
+@pytest.mark.parametrize("command", ["pir", "band", "minband", "density", "compare"])
+def test_overflowing_statistics_exit_2(tmp_path, capsys, command):
+    # Finite PIRs whose squared deviations overflow: `pir` still exports
+    # them, every statistic is refused with exit 2, no file and no numpy
+    # warning (the warnings filter turns one into an error).
+    code, written = run_on_huge_groups(tmp_path, command, 1e200)
+    if command == "pir":
+        assert (code, written) == (0, ["huge.json", "out", "test.json"])
+        return
+    assert code == 2
+    assert "statistics of their PIRs overflow" in capsys.readouterr().err
+    assert written == ["huge.json", "test.json"]
 
 
 def test_degenerate_statistics_exit_3(tmp_path, capsys):

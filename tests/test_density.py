@@ -106,6 +106,21 @@ def test_far_test_saturates_cdf():
     assert est.cdf_std == 0.0
 
 
+@pytest.mark.parametrize("metric", ["squared", "max"])
+def test_overflowing_test_distance_ranks_last(metric):
+    # The test's squared distance overflows to +inf without a numpy
+    # warning and ranks last, exactly like any test beyond every member.
+    frfs = forty_frfs()
+    cfg = BootstrapConfig(replications=60, seed=1)
+    far = FRF(frfs.values.mean(axis=0) + 50.0 + 50.0j)
+    huge = FRF(np.array([1e200 + 1e200j]))
+    est = estimate_density(huge, frfs, GRID, cfg, metric=metric)
+    assert np.all(est.cdf_stats == 1.0)
+    np.testing.assert_array_equal(
+        est.pdf_stats, estimate_density(far, frfs, GRID, cfg, metric=metric).pdf_stats
+    )
+
+
 def test_mean_test_ranks_low():
     frfs = forty_frfs()
     test = FRF(frfs.values.mean(axis=0))
@@ -168,7 +183,7 @@ def test_density_ranks_the_bands_redrawn_resample():
     est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
 
     np.testing.assert_array_equal(draws.indices[0], [0, 0, 1, 2, 3])
-    mean = draws.means[0]
+    mean = pirs[draws.indices[0]].mean(axis=0)
     es = sorted(float(np.sum((pirs[i] - mean) ** 2)) for i in draws.indices[0])
     et = float(np.sum((x_test - mean) ** 2))
     rank = min(sum(d <= et for d in es) + 1, 5)

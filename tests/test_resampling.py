@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frfstats.bands import bootstrap_deviation_stats
+from frfstats.bands import bootstrap_deviation_stats, minimal_prediction_band, prediction_band
 from frfstats.compare import compare_unpaired
 from frfstats.density import estimate_density
 from frfstats.grid import derive_grid
-from frfstats.pir import FRF, FRFSet
+from frfstats.pir import FRF, FRFSet, pir_stats
 from frfstats.resampling import (
     STREAM_LAYOUT,
     BootstrapConfig,
@@ -44,6 +44,8 @@ def test_config_defaults_and_validation():
         ("bins", 2.5),
         ("replications", True),
         ("seed", np.float64(3.0)),
+        ("replications", "5"),
+        ("replications", None),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             BootstrapConfig(**{name: value})
@@ -203,7 +205,7 @@ def test_short_run_is_prefix_of_long_run(short):
     assert any(not np.array_equal(r, d) for r, d in zip(draws.indices, first_draws))
 
     draws2, density2, comparison2 = _seeded_runs(short)
-    for name in ("indices", "means", "stds", "stats"):
+    for name in ("indices", "stats"):
         np.testing.assert_array_equal(getattr(draws2, name), getattr(draws, name)[:short])
     np.testing.assert_array_equal(density2.cdf_stats, density.cdf_stats[:short])
     np.testing.assert_array_equal(density2.pdf_stats, density.pdf_stats[:short])
@@ -223,8 +225,62 @@ def test_bootstrap_memory_is_one_replication_deep():
     allowance = 8 * frfs.n * grid.n_samples * 8
 
     draws, peak = traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
-    outputs = sum(getattr(draws, k).nbytes for k in ("indices", "means", "stds", "stats"))
+    outputs = draws.indices.nbytes + draws.stats.nbytes
     assert peak < outputs + allowance
 
     density, peak = traced_peak(lambda: estimate_density(test, frfs, grid, cfg))
     assert peak < density.cdf_stats.nbytes + density.pdf_stats.nbytes + allowance
+
+
+def test_band_record_keeps_no_replicate_curves():
+    # T = 440, N = 20, B = 1000: B replicate means and stds would take
+    # 7 MB; the record is the B x N indices and statistics alone.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    rng = np.random.default_rng(42)
+    frfs = FRFSet(rng.standard_normal((20, grid.m)) + 1j * rng.standard_normal((20, grid.m)))
+    cfg = BootstrapConfig(replications=1000, seed=43)
+
+    draws, peak = traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
+    assert sorted(vars(draws)) == ["indices", "stats"]
+    assert peak < draws.indices.nbytes + draws.stats.nbytes + 8 * frfs.n * grid.n_samples * 8
+
+
+def test_large_groups_give_finite_statistics():
+    # Scaling by a power of two is exact, so groups at 2**332 (about 1e100)
+    # give the unit-scale results scaled, finite and unrefused; at 1e200
+    # squared deviations would overflow and every statistic is refused.
+    grid = derive_grid([0.3, 0.5])
+    rng = np.random.default_rng(44)
+    values = rng.standard_normal((81, 2)) + 1j * rng.standard_normal((81, 2))
+    cfg = BootstrapConfig(replications=40, nested_replications=5, seed=45)
+
+    def calls(scale):
+        group, other = FRFSet(scale * values[:40]), FRFSet(scale * values[40:80])
+        test = FRF(scale * values[80])
+        return [
+            lambda: pir_stats(group, grid),
+            lambda: bootstrap_deviation_stats(group, grid, cfg),
+            lambda: prediction_band(group, grid, 0.9, cfg),
+            lambda: minimal_prediction_band(test, group, grid, cfg),
+            lambda: estimate_density(test, group, grid, cfg, metric="max"),
+            lambda: compare_unpaired(group, other, grid, 0.9, cfg),
+        ]
+
+    k = 2.0**332
+    (mean, std), draws, band, minimal, density, comparison = (f() for f in calls(1.0))
+    (big_mean, big_std), big_draws, big_band, big_minimal, big_density, big_comparison = (
+        f() for f in calls(k)
+    )
+    np.testing.assert_array_equal(big_mean, k * mean)
+    np.testing.assert_array_equal(big_std, k * std)
+    np.testing.assert_array_equal(big_draws.stats, draws.stats)
+    np.testing.assert_array_equal(big_band.upper, k * band.upper)
+    assert big_minimal.alpha == minimal.alpha
+    np.testing.assert_array_equal(big_density.cdf_stats, density.cdf_stats)
+    np.testing.assert_array_equal(big_density.pdf_stats, density.pdf_stats / k)
+    np.testing.assert_array_equal(big_comparison.band.lower, k * comparison.band.lower)
+    assert np.all(np.isfinite(big_comparison.band.lower))
+
+    for call in calls(1e200):
+        with pytest.raises(ValueError, match="statistics of their PIRs overflow"):
+            call()
