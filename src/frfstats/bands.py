@@ -18,6 +18,7 @@ level is read off the same statistic pool at that scale.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -102,6 +103,18 @@ class ReplicateDraws:
         return self.stats.ravel()
 
 
+# The last band bootstrap, ``set -> (grid, cfg, streams, draws)``: one
+# entry at most (one per concurrent call under threads, each right for its
+# key), dropped with its set (see `bootstrap_deviation_stats`).
+_LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _recorded(frf_set: FRFSet, grid, cfg, streams) -> ReplicateDraws | None:
+    """The last band bootstrap's draws if it ran on exactly these inputs."""
+    grid_, cfg_, streams_, draws = _LAST.get(frf_set, (None,) * 4)
+    return draws if grid_ is grid and cfg_ == cfg and streams_ is streams else None
+
+
 def bootstrap_deviation_stats(
     frf_set: FRFSet,
     grid: FrequencyGrid,
@@ -116,20 +129,32 @@ def bootstrap_deviation_stats(
     Replications whose std hits zero anywhere are redrawn from their own
     stream, at most `resampling.MAX_REDRAWS` times.  The record keeps the
     B x N indices and statistics, no replicate mean or std.
+
+    The last record is reused while its set lives: a call with the same
+    set and grid objects, an equal config and the same `streams` object
+    (None for ``IndexStreams(cfg.seed)``; a streams object must yield the
+    same draws per key on every call) returns it, and `estimate_density`
+    replays its indices.  Any other call drops it first, so one B x N
+    record at most is held (3.2 MB at N=200, B=1000).
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
-    if streams is None:
-        streams = IndexStreams(cfg.seed)
+    draws = _recorded(frf_set, grid, cfg, streams)
+    if draws is not None:
+        return draws
+    _LAST.clear()
     pirs = pir_matrix(frf_set, grid)
 
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=np.int64)
     stats = np.empty((B, n))
-    for b, (idx, mean, std, _) in enumerate(_replicates(pirs, B, streams)):
+    drawn = _replicates(pirs, B, IndexStreams(cfg.seed) if streams is None else streams)
+    for b, (idx, mean, std, _) in enumerate(drawn):
         indices[b] = idx
         stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
-    return ReplicateDraws(indices=indices, stats=stats)
+    draws = ReplicateDraws(indices=indices, stats=stats)
+    _LAST[frf_set] = (grid, cfg, streams, draws)
+    return draws
 
 
 def _calibrated(
@@ -155,7 +180,8 @@ def prediction_band(
     cfg: BootstrapConfig,
     streams: IndexStreams | None = None,
 ) -> Band:
-    """Band expected to contain a fresh draw with confidence `alpha`."""
+    """Band expected to contain a fresh draw with confidence `alpha`; calls on
+    one set, grid, config and `streams` share one pool (`bootstrap_deviation_stats`)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     mean, std, e = _calibrated(frf_set, grid, cfg, streams)
@@ -164,7 +190,9 @@ def prediction_band(
 
 def _containing_scale(mean: np.ndarray, std: np.ndarray, x: np.ndarray) -> float:
     """Smallest float at or above ``max|x - mean| / std`` whose band holds `x`."""
-    scale = float(np.max(np.abs(x - mean) / std))
+    # An overflowing deviation is left to the isfinite test below.
+    with np.errstate(over="ignore"):
+        scale = float(np.max(np.abs(x - mean) / std))
     for _ in range(MAX_SCALE_STEPS + 1):
         if np.isfinite(scale) and Band(mean, std, scale, alpha=0.0).contains(x):
             return scale

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import fix
+from .bands import _recorded
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
-from .resampling import BootstrapConfig, IndexStreams, _replicates
+from .resampling import BootstrapConfig, IndexStreams, _replicates, _resample_rows
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
@@ -96,6 +97,9 @@ def estimate_density(
     [N - Ds, N] and spans only Ds ranks.  "code-compatible" keeps Ds in
     the numerator for every window, "index-span" uses the actual span.
 
+    Where `bootstrap_deviation_stats` holds a record for the same inputs
+    (its reuse rule), its accepted resamples are replayed, not redrawn.
+
     Raises ZeroSpread when more than 20% of replications had a zero-width
     distance window, and DegenerateSpread when a replication kept zero
     spread through every redraw.
@@ -107,17 +111,21 @@ def estimate_density(
     distance = _METRICS.get(metric) if isinstance(metric, str) else None
     if distance is None:
         raise ValueError(f"{metric!r} is not a valid metric")
-    if streams is None:
-        streams = IndexStreams(cfg.seed)
     pirs = pir_matrix(frf_set, grid)
     x_test = pir_from_frf(test, grid).values
     n = pirs.shape[0]
     ds = max(1, n // 20)
 
     B = cfg.replications
+    draws = _recorded(frf_set, grid, cfg, streams)
+    if draws is None:
+        drawn = _replicates(pirs, B, IndexStreams(cfg.seed) if streams is None else streams)
+        replicates = ((mean, sq) for _, mean, _, sq in drawn)
+    else:
+        replicates = (_resample_rows(pirs, idx) for idx in draws.indices)
     es = np.empty((B, n))
     et = np.empty(B)
-    for b, (_, mean, _, sq) in enumerate(_replicates(pirs, B, streams)):
+    for b, (mean, sq) in enumerate(replicates):
         es[b] = np.sort(distance(sq))
         # A huge test response's distance overflows to +inf: it ranks last.
         with np.errstate(over="ignore"):

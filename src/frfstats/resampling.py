@@ -122,17 +122,19 @@ def _draw_with_spread(what: str, draw, *gens):
     raise DegenerateSpread(f"{what} after {MAX_REDRAWS} redraws")
 
 
-def _replicate(pirs: np.ndarray, gen):
-    """One resample: ``((indices, mean, squared deviations), std)``.
-
-    The mean is taken once; the deviations of the resampled rows from it
-    are squared in place and give the N-1 std.
-    """
-    idx = resample_indices(pirs.shape[0], gen)
+def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
+    """Mean of rows `idx` of `pirs` and their squared deviations from it."""
     sq = pirs[idx]
     mean = sq.mean(axis=0)
     sq -= mean
     sq *= sq
+    return mean, sq
+
+
+def _replicate(pirs: np.ndarray, gen):
+    """One resample: ``((indices, mean, squared deviations), N-1 std)``."""
+    idx = resample_indices(pirs.shape[0], gen)
+    mean, sq = _resample_rows(pirs, idx)
     return (idx, mean, sq), np.sqrt(sq.sum(axis=0) / (idx.size - 1))
 
 

@@ -1,9 +1,23 @@
 """Tests for prediction bands and the minimal band."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from frfstats import BandContainment, DegenerateSpread, derive_grid
+from frfstats import (
+    BandContainment,
+    DegenerateSpread,
+    FrequencyGrid,
+    SyntheticSpec,
+    ZeroSpread,
+    derive_grid,
+    estimate_density,
+    generate_synthetic,
+    lowpass_mean_frf,
+)
+from frfstats import bands
 from frfstats.bands import (
     Band,
     bootstrap_deviation_stats,
@@ -158,7 +172,7 @@ def test_minimal_band_overflowing_deviation_refused():
     frfs = small_set(seed=7)
     huge = FRF(np.array([1.7e308, 0.0]))
     cfg = BootstrapConfig(replications=10, seed=8)
-    with np.errstate(over="ignore"), pytest.raises(BandContainment):
+    with pytest.raises(BandContainment):
         minimal_prediction_band(huge, frfs, grid, cfg)
 
 
@@ -224,3 +238,152 @@ def test_fresh_draw_coverage_sane():
             hits += band.contains(x)
             trials += 1
     assert 0.80 <= hits / trials <= 1.0
+
+
+# Reuse of the last band bootstrap: a minimal band, a density and a band
+# on one set, grid, config and streams draw the B resamples once.
+
+
+class CountingStreams(IndexStreams):
+    """IndexStreams that counts the streams it builds."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.built = 0
+
+    def stream(self, *key):
+        self.built += 1
+        return super().stream(*key)
+
+
+def scored_group(rate, n, seed):
+    """A group on the experiment grid and a test response 1.5x a fresh draw."""
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    mean = lowpass_mean_frf(grid)
+    group = generate_synthetic(SyntheticSpec(mean, noise_std=0.1, n=n), seed=100 + seed)
+    draw = generate_synthetic(SyntheticSpec(mean, noise_std=0.1, n=1), seed=300 + seed)
+    return grid, group, FRF(1.5 * draw.values[0])
+
+
+def score_calls(test, group_for, grid, cfg, streams):
+    """Minimal band, the four densities and a band, each on ``group_for()``;
+    the arrays they return, a refused density standing as its message."""
+    minimal = minimal_prediction_band(test, group_for(), grid, cfg, streams)
+    out = [minimal.band.upper, minimal.band.lower, minimal.alpha, minimal.stat_ecdf.pool]
+    for metric in ("squared", "max"):
+        for mode in ("code-compatible", "index-span"):
+            try:
+                d = estimate_density(test, group_for(), grid, cfg, metric, mode, streams)
+                out += [d.cdf_stats, d.pdf_stats]
+            except ZeroSpread as err:
+                out.append(str(err))
+    band = prediction_band(group_for(), grid, 0.95, cfg, streams)
+    return out + [band.upper, band.lower, band.scale]
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+@pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
+def test_reused_bootstrap_matches_fresh_sets(rate, n, explicit):
+    # One set object scores with one band bootstrap; every call on a fresh
+    # copy of the set draws its own.  The numbers must not tell them apart.
+    for seed in range(10):
+        grid, group, test = scored_group(rate, n, seed)
+        cfg = BootstrapConfig(replications=100, seed=seed)
+        streams = IndexStreams(seed) if explicit else None
+        reused = score_calls(test, lambda: group, grid, cfg, streams)
+        draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+        assert bootstrap_deviation_stats(group, grid, cfg, streams) is draws
+        fresh = score_calls(test, lambda: FRFSet(group.values), grid, cfg, streams)
+        for a, b in zip(reused, fresh, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_any_key_change_rebuilds():
+    grid, group, test = scored_group(4.5, 20, 0)
+    cfg = BootstrapConfig(replications=30, seed=5)
+    streams = CountingStreams(5)
+    draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+    assert bootstrap_deviation_stats(group, grid, BootstrapConfig(replications=30, seed=5),
+                                     streams) is draws
+    variants = {
+        "set": (FRFSet(group.values), grid, cfg),
+        "grid": (group, FrequencyGrid(EXPERIMENT_FREQS, 4.5), cfg),
+        "seed": (group, grid, BootstrapConfig(replications=30, seed=6)),
+        "replications": (group, grid, BootstrapConfig(replications=31, seed=5)),
+    }
+    for name, (group_, grid_, cfg_) in variants.items():
+        bootstrap_deviation_stats(group, grid, cfg, streams)  # recorded again
+        for call in (
+            lambda: estimate_density(test, group_, grid_, cfg_, streams=streams),
+            lambda: bootstrap_deviation_stats(group_, grid_, cfg_, streams),
+        ):
+            before = streams.built
+            call()
+            assert streams.built - before == cfg_.replications, name
+    # Another streams object, or the default in place of an explicit one.
+    draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+    other = CountingStreams(5)
+    estimate_density(test, group, grid, cfg, streams=other)
+    assert other.built == cfg.replications
+    assert bootstrap_deviation_stats(group, grid, cfg) is not draws
+    rebuilt = bootstrap_deviation_stats(group, grid, cfg, streams)
+    assert rebuilt is not draws
+    np.testing.assert_array_equal(rebuilt.indices, draws.indices)
+
+
+def test_record_lives_with_its_set_alone():
+    grid, group, _ = scored_group(4.5, 20, 1)
+    cfg = BootstrapConfig(replications=20, seed=1)
+    set_ref = weakref.ref(group)
+    draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
+    assert list(bands._LAST) == [group]
+
+    # A call on another set drops the first set's record before drawing.
+    other = FRFSet(group.values)
+    bootstrap_deviation_stats(other, grid, cfg)
+    assert list(bands._LAST) == [other]
+    gc.collect()
+    assert draws_ref() is None
+
+    del other
+    gc.collect()
+    assert len(bands._LAST) == 0
+    draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
+    del group
+    gc.collect()
+    assert set_ref() is None and draws_ref() is None
+    assert len(bands._LAST) == 0
+
+
+def test_scoring_builds_b_streams_not_three_b():
+    grid, group, test = scored_group(22.0, 20, 2)
+    cfg = BootstrapConfig(replications=50, seed=2)
+    streams = CountingStreams(2)
+    minimal_prediction_band(test, group, grid, cfg, streams)
+    estimate_density(test, group, grid, cfg, streams=streams)
+    prediction_band(group, grid, 0.95, cfg, streams)
+    assert streams.built == cfg.replications
+
+
+def test_alpha_bisection_builds_one_pool(monkeypatch):
+    # Criterion 4's bisection: a minimal band, then 30 bands on one group.
+    calls = []
+
+    def counted(pirs, B, streams):
+        calls.append(B)
+        return _replicates(pirs, B, streams)
+
+    monkeypatch.setattr(bands, "_replicates", counted)
+    grid, train, test = scored_group(4.5, 20, 3)
+    cfg = BootstrapConfig(replications=1000, seed=7)
+    minimal = minimal_prediction_band(test, train, grid, cfg)
+    x_test = pir_from_frf(test, grid).values
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        mid = (lo + hi) / 2
+        if prediction_band(train, grid, mid, cfg).contains(x_test):
+            hi = mid
+        else:
+            lo = mid
+    assert calls == [1000]
+    assert abs(minimal.alpha - hi) <= 0.001

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,25 @@ def test_overflowing_statistics_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert "statistics of their PIRs overflow" in capsys.readouterr().err
     assert written == ["huge.json", "test.json"]
+
+
+def test_minband_overflowing_deviation_exits_2_without_warning(tmp_path):
+    # A finite test response whose standardized deviation overflows: the
+    # minimal band is refused with exit 2 and numpy prints no warning.
+    data = make_dataset(tmp_path, n=8, seed=21)
+    test = tmp_path / "huge_test.json"
+    test.write_text(json.dumps({"values": [[1.7e308, 0.0], [0.0, 0.0]]}))
+    argv = ["minband", str(data), "--group", "synth", "--test", str(test),
+            "--B", "20", "--out", str(tmp_path / "mb")]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from frfstats.cli import main; sys.exit(main())",
+         *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "no band scale" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_degenerate_statistics_exit_3(tmp_path, capsys):

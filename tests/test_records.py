@@ -155,6 +155,15 @@ def test_only_the_frozen_helper_sets_record_fields():
     assert offenders == []
 
 
+def test_only_bands_memoises():
+    # The band bootstrap's one record is the library's only memo; an
+    # unbounded cache elsewhere would hold results past their inputs.
+    package = Path(__file__).parents[1] / "src" / "frfstats"
+    memo = re.compile(r"weakref|lru_cache|functools\.cache|from functools import .*\bcache\b")
+    users = sorted(path.name for path in package.glob("*.py") if memo.search(path.read_text()))
+    assert users == ["bands.py"]
+
+
 def test_readme_quickstart_finds_a_difference():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]
