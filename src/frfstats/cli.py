@@ -6,8 +6,9 @@ runs the two-group test, and ``synth`` writes synthetic datasets.  All
 numeric output uses nine significant digits and repeated invocations with
 the same inputs and seed produce byte-identical output.
 
-Exit codes: 0 on success, 2 on validation or parse errors, 3 when the
-statistics degenerate (zero spread in resampled data).
+Exit codes: 0 on success, 2 on validation or parse errors or on a request
+too large to hold in memory, 3 when the statistics degenerate (zero spread
+in resampled data).
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateSpread, ZeroSpread) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (FrfStatsError, ValueError) as err:
+    except (FrfStatsError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except KeyError as err:

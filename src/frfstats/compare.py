@@ -41,22 +41,20 @@ SIGMA_KEY_OFFSET = 2
 
 @dataclass(frozen=True, eq=False)
 class DifferenceDraws:
-    """Intermediates of the comparison bootstrap, for audit and tests.
+    """What the comparison bootstrap drew, for audit and tests.
 
-    Besides the Bs sigma resamples and their (Bs, T) mean differences, it
-    keeps per outer replication the two groups' accepted resamples and two
-    B x T curves: `outer_diffs`, the replicate mean difference, and
-    `nested_stds`, its nested std, which the resamples alone cannot give
-    back.  `stats` holds the B max-deviation statistics.
+    The Bs sigma resamples and, per outer replication, the two groups'
+    accepted resamples, plus `stats`, the B max-deviation statistics.
+    Replication b's mean difference is recomputed from its resamples as
+    ``pir_matrix(set1, grid)[draws.outer_indices1[b]].mean(axis=0) -
+    pir_matrix(set2, grid)[draws.outer_indices2[b]].mean(axis=0)``; its
+    nested std is not kept.
     """
 
     sigma_indices1: np.ndarray
     sigma_indices2: np.ndarray
-    sigma_diffs: np.ndarray
     outer_indices1: np.ndarray
     outer_indices2: np.ndarray
-    outer_diffs: np.ndarray
-    nested_stds: np.ndarray
     stats: np.ndarray
 
     def __post_init__(self) -> None:
@@ -173,8 +171,9 @@ def compare_unpaired(
     # One resample's rows at a time, never a (Bs, n, T) gather.
     sigma_idx1 = streams.stream(SIGMA_KEY_OFFSET).integers(0, n1, size=(bs, n1))
     sigma_idx2 = streams.stream(SIGMA_KEY_OFFSET + 1).integers(0, n2, size=(bs, n2))
-    sigma_diffs = np.array([mean_diff(i, j) for i, j in zip(sigma_idx1, sigma_idx2)])
-    sigma = sigma_diffs.std(axis=0, ddof=1)
+    sigma = np.array(
+        [mean_diff(i, j) for i, j in zip(sigma_idx1, sigma_idx2)]
+    ).std(axis=0, ddof=1)
 
     def nested_draw(gen1, gen2):
         draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
@@ -184,27 +183,22 @@ def compare_unpaired(
 
     # Accepted draws are written row by row; keeping draw[0] itself would
     # keep each replication's whole (1 + Bs, n) block alive.
-    B, T = cfg.replications, grid.n_samples
+    B = cfg.replications
     outer_idx1 = np.empty((B, n1), dtype=np.int64)
     outer_idx2 = np.empty((B, n2), dtype=np.int64)
-    outer_diffs = np.empty((B, T))
-    nested_stds = np.empty((B, T))
     stats = np.empty(B)
     for b in range(B):
-        (outer_idx1[b], outer_idx2[b]), nested_stds[b] = _draw_with_spread(
+        (outer_idx1[b], outer_idx2[b]), nested_std = _draw_with_spread(
             "a comparison replication kept zero nested spread",
             nested_draw, streams.stream(b, 0), streams.stream(b, 1),
         )
-        outer_diffs[b] = mean_diff(outer_idx1[b], outer_idx2[b])
-        stats[b] = np.max(np.abs(diff_mean - outer_diffs[b]) / nested_stds[b])
+        xb = mean_diff(outer_idx1[b], outer_idx2[b])
+        stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(
         sigma_indices1=sigma_idx1,
         sigma_indices2=sigma_idx2,
-        sigma_diffs=sigma_diffs,
         outer_indices1=outer_idx1,
         outer_indices2=outer_idx2,
-        outer_diffs=outer_diffs,
-        nested_stds=nested_stds,
         stats=stats,
     )
 

@@ -330,6 +330,25 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert "big.json: grid would have 10000000 samples per period" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["band", "density", "compare"])
+def test_request_too_large_for_memory_exits_2(tmp_path, capsys, command):
+    # 10**15 resamples of 6 members need 42.6 PiB, beyond a 47-bit address
+    # space: the allocation is refused at the request and touches no memory.
+    data = make_dataset(tmp_path, name="a")
+    make_dataset(tmp_path, name="b", seed=5, out=data, append=True)
+    huge = "1000000000000000"
+    argv = {
+        "band": ["--group", "a", "--B", huge, "--out", str(tmp_path / "x.csv")],
+        "density": ["--group", "a", "--test", str(write_test_frf(tmp_path)), "--B", huge],
+        "compare": ["--group1", "a", "--group2", "b", "--Bs", huge,
+                    "--out", str(tmp_path / "cmp")],
+    }[command]
+    code = main([command, str(data), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_alpha_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path)
     code = main([

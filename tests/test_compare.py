@@ -34,7 +34,8 @@ def test_pool_sizes_match_config():
     cfg = BootstrapConfig(replications=23, nested_replications=7, seed=3)
     result = compare_unpaired(group(4), group(5, n=6), GRID, 0.9, cfg)
     assert result.draws.stats.shape == (23,)
-    assert result.draws.sigma_diffs.shape == (7, GRID.n_samples)
+    assert result.draws.sigma_indices1.shape == (7, 8)
+    assert result.draws.sigma_indices2.shape == (7, 6)
     assert result.draws.outer_indices1.shape == (23, 8)
     assert result.draws.outer_indices2.shape == (23, 6)
 
@@ -138,7 +139,6 @@ def test_injected_indices_match_loop_arithmetic():
 
     yb1, yb2 = p1[[2, 1, 0]], p2[[0, 0, 1]]
     xb = yb1.mean(axis=0) - yb2.mean(axis=0)
-    np.testing.assert_allclose(result.draws.outer_diffs[0], xb, atol=1e-12)
     ndiffs = [
         yb1[[1, 1, 2]].mean(axis=0) - yb2[[2, 0, 1]].mean(axis=0),
         yb1[[0, 2, 2]].mean(axis=0) - yb2[[1, 1, 0]].mean(axis=0),
@@ -146,7 +146,6 @@ def test_injected_indices_match_loop_arithmetic():
     mean_n = (ndiffs[0] + ndiffs[1]) / 2.0
     var_n = (ndiffs[0] - mean_n) ** 2 + (ndiffs[1] - mean_n) ** 2
     sb = np.sqrt(var_n)
-    np.testing.assert_allclose(result.draws.nested_stds[0], sb, atol=1e-12)
     stat = np.max(np.abs(xm - xb) / sb)
     assert result.draws.stats[0] == pytest.approx(stat, abs=1e-12)
 

@@ -235,17 +235,31 @@ def test_bootstrap_memory_is_one_replication_deep():
         assert peak < density.cdf_stats.nbytes + density.pdf_stats.nbytes + allowance
 
 
-def test_band_record_keeps_no_replicate_curves():
-    # T = 440, N = 20, B = 1000: B replicate means and stds would take
-    # 7 MB; the record is the B x N indices and statistics alone.
+@pytest.mark.parametrize("method", ["band", "comparison"])
+def test_band_record_keeps_no_replicate_curves(method):
+    # T = 440, N = 20, B = 1000: B replicate curves would take 3.5 MB each;
+    # the record is the B x N (and Bs x N) indices and statistics alone.
+    # The comparison may also hold its Bs sigma differences a while.
     grid = derive_grid(EXPERIMENT_FREQS)
     rng = np.random.default_rng(42)
-    frfs = FRFSet(rng.standard_normal((20, grid.m)) + 1j * rng.standard_normal((20, grid.m)))
-    cfg = BootstrapConfig(replications=1000, seed=43)
+    n, T, bs = 20, grid.n_samples, 50
 
-    draws, peak = traced_peak(lambda: bootstrap_deviation_stats(frfs, grid, cfg))
-    assert sorted(vars(draws)) == ["indices", "stats"]
-    assert peak < draws.indices.nbytes + draws.stats.nbytes + 8 * frfs.n * grid.n_samples * 8
+    def group():
+        return FRFSet(rng.standard_normal((n, grid.m)) + 1j * rng.standard_normal((n, grid.m)))
+
+    frfs, other = group(), group()
+    cfg = BootstrapConfig(replications=1000, nested_replications=bs, seed=43)
+    if method == "band":
+        call = lambda: bootstrap_deviation_stats(frfs, grid, cfg)
+        fields, allowance = ["indices", "stats"], 8 * n * T * 8
+    else:
+        call = lambda: compare_unpaired(frfs, other, grid, 0.9, cfg).draws
+        fields = ["outer_indices1", "outer_indices2", "sigma_indices1", "sigma_indices2", "stats"]
+        allowance = 8 * n * T * 8 + 4 * bs * T * 8
+
+    draws, peak = traced_peak(call)
+    assert sorted(vars(draws)) == fields
+    assert peak < sum(a.nbytes for a in vars(draws).values()) + allowance
 
 
 def test_large_groups_give_finite_statistics():
