@@ -45,7 +45,6 @@ from .resampling import (
     alpha_at,
     c_at,
     ecdf,
-    resample_indices,
 )
 from .synth import SyntheticSpec, generate_synthetic, lowpass_mean_frf
 
@@ -91,7 +90,6 @@ __all__ = [
     "pir_matrix",
     "pir_stats",
     "prediction_band",
-    "resample_indices",
     "residual_frf",
     "residuals",
     "save_dataset",

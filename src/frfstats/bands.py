@@ -27,12 +27,12 @@ import numpy as np
 from ._frozen import fix, hold
 from .errors import BandContainment, DegenerateSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, pir_from_frf, pir_matrix, pir_stats
+from .pir import FRF, FRFSet, _refuse_overflowing_stats, pir_from_frf, pir_matrix, pir_stats
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
-    _replicates,
+    _draw_with_spread,
     alpha_at,
     c_at,
     ecdf,
@@ -103,16 +103,65 @@ class ReplicateDraws:
         return self.stats.ravel()
 
 
-# The last band bootstrap, ``set -> (grid, cfg, streams, draws)``: one
+def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
+    """Mean of rows `idx` of `pirs` and their squared deviations from it."""
+    sq = pirs[idx]
+    mean = sq.mean(axis=0)
+    sq -= mean
+    sq *= sq
+    return mean, sq
+
+
+def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None):
+    """The band bootstrap's ``cfg.replications`` replications, one at a time.
+
+    Replication b resamples the rows of `pirs` from stream (b,) of `streams`
+    (None for ``IndexStreams(cfg.seed)``) under the `_draw_with_spread`
+    rule, and yields ``(indices, mean, std, sq)``: the accepted resample,
+    its mean and N-1 std over the rows, and the rows' squared deviations
+    from that mean.  PIRs too large for finite statistics are refused with
+    a ValueError before any draw.
+    """
+    _refuse_overflowing_stats(pirs)
+    streams = IndexStreams(cfg.seed) if streams is None else streams
+    n = pirs.shape[0]
+
+    def draw(gen):
+        idx = gen.integers(0, n, size=n)
+        mean, sq = _resample_rows(pirs, idx)
+        return (idx, mean, sq), np.sqrt(sq.sum(axis=0) / (n - 1))
+
+    for b in range(cfg.replications):
+        (idx, mean, sq), std = _draw_with_spread(
+            "a bootstrap replication kept zero spread", draw, streams.stream(b)
+        )
+        yield idx, mean, std, sq
+
+
+# The last band bootstrap, ``set -> (grid, B, seed, streams, draws)``: one
 # entry at most (one per concurrent call under threads, each right for its
 # key), dropped with its set (see `bootstrap_deviation_stats`).
 _LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _recorded(frf_set: FRFSet, grid, cfg, streams) -> ReplicateDraws | None:
-    """The last band bootstrap's draws if it ran on exactly these inputs."""
-    grid_, cfg_, streams_, draws = _LAST.get(frf_set, (None,) * 4)
-    return draws if grid_ is grid and cfg_ == cfg and streams_ is streams else None
+    """The last band bootstrap's draws if it read exactly these inputs."""
+    grid_, B, seed, streams_, draws = _LAST.get(frf_set, (None,) * 5)
+    same = (B, seed) == (cfg.replications, cfg.seed)
+    return draws if grid_ is grid and same and streams_ is streams else None
+
+
+def _resamples(frf_set: FRFSet, grid, cfg, streams):
+    """Each band replication's ``(mean, squared deviations)``, for the density.
+
+    Replays the recorded resamples when `_recorded` holds them for these
+    inputs, and otherwise draws them through `_replicates`, unrecorded.
+    """
+    pirs = pir_matrix(frf_set, grid)
+    draws = _recorded(frf_set, grid, cfg, streams)
+    if draws is not None:
+        return (_resample_rows(pirs, idx) for idx in draws.indices)
+    return ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
 
 
 def bootstrap_deviation_stats(
@@ -131,11 +180,12 @@ def bootstrap_deviation_stats(
     B x N indices and statistics, no replicate mean or std.
 
     The last record is reused while its set lives: a call with the same
-    set and grid objects, an equal config and the same `streams` object
-    (None for ``IndexStreams(cfg.seed)``; a streams object must yield the
-    same draws per key on every call) returns it, and `estimate_density`
-    replays its indices.  Any other call drops it first, so one B x N
-    record at most is held (3.2 MB at N=200, B=1000).
+    set, grid and `streams` objects (None for ``IndexStreams(cfg.seed)``;
+    a streams object must yield the same draws per key on every call) and
+    the same `cfg.replications` and `cfg.seed`, the fields the draws read,
+    returns it, and `estimate_density` replays its indices.  Any other
+    call drops it first, so one B x N record at most is held (3.2 MB at
+    N=200, B=1000).
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
@@ -148,12 +198,11 @@ def bootstrap_deviation_stats(
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=np.int64)
     stats = np.empty((B, n))
-    drawn = _replicates(pirs, B, IndexStreams(cfg.seed) if streams is None else streams)
-    for b, (idx, mean, std, _) in enumerate(drawn):
+    for b, (idx, mean, std, _) in enumerate(_replicates(pirs, cfg, streams)):
         indices[b] = idx
         stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
     draws = ReplicateDraws(indices=indices, stats=stats)
-    _LAST[frf_set] = (grid, cfg, streams, draws)
+    _LAST[frf_set] = (grid, B, cfg.seed, streams, draws)
     return draws
 
 

@@ -99,7 +99,7 @@ def _parse_float(cell: str, where: str) -> float:
 def _load_csv(path: Path) -> Dataset:
     metadata: dict[str, str] = {}
     table: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -179,7 +179,7 @@ def _json_pairs(value, where: str, m: int | None = None) -> np.ndarray:
 
 
 def _load_json(path: Path) -> Dataset:
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
         raise ParseError(f"{path.name}: need an object with frequencies and groups")
     if not isinstance(doc["frequencies"], list):
@@ -244,7 +244,7 @@ def _save_csv(dataset: Dataset, path: Path) -> None:
             for z in row:
                 cells += [repr(float(z.real)), repr(float(z.imag))]
             lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _save_json(dataset: Dataset, path: Path) -> None:
@@ -257,7 +257,7 @@ def _save_json(dataset: Dataset, path: Path) -> None:
         },
         "metadata": dataset.metadata,
     }
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -283,12 +283,12 @@ def load_frf(path) -> FRF:
 
 def _load_frf(path: Path) -> FRF:
     if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(doc, dict) or "values" not in doc:
             raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
         return FRF(_json_pairs(doc["values"], f"{path.name}: values"))
     values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import fix
-from .bands import _recorded
+from .bands import _resamples
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, pir_from_frf, pir_matrix
-from .resampling import BootstrapConfig, IndexStreams, _replicates, _resample_rows
+from .pir import FRF, FRFSet, pir_from_frf
+from .resampling import BootstrapConfig, IndexStreams
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
@@ -111,18 +111,11 @@ def estimate_density(
     distance = _METRICS.get(metric) if isinstance(metric, str) else None
     if distance is None:
         raise ValueError(f"{metric!r} is not a valid metric")
-    pirs = pir_matrix(frf_set, grid)
+    replicates = _resamples(frf_set, grid, cfg, streams)
     x_test = pir_from_frf(test, grid).values
-    n = pirs.shape[0]
+    n, B = frf_set.n, cfg.replications
     ds = max(1, n // 20)
 
-    B = cfg.replications
-    draws = _recorded(frf_set, grid, cfg, streams)
-    if draws is None:
-        drawn = _replicates(pirs, B, IndexStreams(cfg.seed) if streams is None else streams)
-        replicates = ((mean, sq) for _, mean, _, sq in drawn)
-    else:
-        replicates = (_resample_rows(pirs, idx) for idx in draws.indices)
     es = np.empty((B, n))
     et = np.empty(B)
     for b, (mean, sq) in enumerate(replicates):

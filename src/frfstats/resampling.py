@@ -1,11 +1,11 @@
-"""Seeded bootstrap plumbing.
+"""Seeded bootstrap plumbing shared by the band and the comparison.
 
-Index draws, per-replication random substreams, the redraw rule for
-degenerate replications, the replicate loop that the band and the density
-share, and the empirical CDF of a statistic pool, whose exact order
-statistics convert between band scaling constants and confidence levels.
-Every bootstrap loop runs serially, one replication at a time; results
-depend only on the seed.
+The bootstrap config, per-replication random substreams, the redraw rule
+for degenerate replications, and the empirical CDF of a statistic pool,
+whose exact order statistics convert between band scaling constants and
+confidence levels.  The band bootstrap's replicate loop, its record and
+its replay live in `frfstats.bands`.  Every bootstrap loop runs serially,
+one replication at a time; results depend only on the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from ._frozen import fix
 from .errors import DegenerateSpread
-from .pir import _refuse_overflowing_stats
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class BootstrapConfig:
         Root seed, non-negative; all substreams derive from it.
     bins : int
         Resolution of the CLI's exported ECDF table, which has bins + 1
-        rows; no result depends on it.
+        rows; no result and no reuse of the band bootstrap depend on it.
     """
 
     replications: int = 1000
@@ -61,7 +60,7 @@ class BootstrapConfig:
 #: Version of the stream key layout, the map from bootstrap draws to
 #: stream keys.  It changes whenever fixed-seed results of some operation
 #: change with it.  Layouts 3 and 4: the band and density draw replication
-#: b from stream (b,), through one loop (`_replicates`) that redraws a
+#: b from stream (b,), through one loop in `frfstats.bands` that redraws a
 #: degenerate resample for both; the comparison draws group g's sigma
 #: resamples from (SIGMA_KEY_OFFSET + g,) and its replication b, outer and
 #: nested rows in one block, from (b, g) (see `frfstats.compare`).
@@ -95,13 +94,6 @@ class IndexStreams:
         return np.random.default_rng(seq)
 
 
-def resample_indices(n: int, stream) -> np.ndarray:
-    """Draw n indices uniformly over 0..n-1 with replacement."""
-    if n < 1:
-        raise ValueError("need n >= 1 to resample")
-    return stream.integers(0, n, size=n)
-
-
 #: Redraws per replication before zero spread is given up on.
 MAX_REDRAWS = 10
 
@@ -120,40 +112,6 @@ def _draw_with_spread(what: str, draw, *gens):
         if (spread > 0.0).all():
             return result, spread
     raise DegenerateSpread(f"{what} after {MAX_REDRAWS} redraws")
-
-
-def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
-    """Mean of rows `idx` of `pirs` and their squared deviations from it."""
-    sq = pirs[idx]
-    mean = sq.mean(axis=0)
-    sq -= mean
-    sq *= sq
-    return mean, sq
-
-
-def _replicate(pirs: np.ndarray, gen):
-    """One resample: ``((indices, mean, squared deviations), N-1 std)``."""
-    idx = resample_indices(pirs.shape[0], gen)
-    mean, sq = _resample_rows(pirs, idx)
-    return (idx, mean, sq), np.sqrt(sq.sum(axis=0) / (idx.size - 1))
-
-
-def _replicates(pirs: np.ndarray, B: int, streams: IndexStreams):
-    """The band and density bootstrap, one replication at a time.
-
-    Replication b resamples the rows of `pirs` from stream (b,), redrawn
-    under the `_draw_with_spread` rule, and yields ``(indices, mean, std,
-    sq)``: the accepted resample indices, its mean and N-1 std over the
-    rows, and the rows' squared deviations from that mean.  PIRs too large
-    for finite statistics are refused with a ValueError before any draw.
-    """
-    _refuse_overflowing_stats(pirs)
-    for b in range(B):
-        (idx, mean, sq), std = _draw_with_spread(
-            "a bootstrap replication kept zero spread",
-            _replicate, pirs, streams.stream(b),
-        )
-        yield idx, mean, std, sq
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from frfstats import (
     prediction_band,
 )
 
-from frfstats.resampling import _replicates
+from frfstats.bands import _replicates
 
 from support import EXPERIMENT_FREQS, FixedStreams
 
@@ -355,7 +355,7 @@ def test_criterion_8_hand_oracles():
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=FixedStreams(table))
-    replicates = list(_replicates(pirs, 2, FixedStreams(table)))
+    replicates = list(_replicates(pirs, cfg, FixedStreams(table)))
     pool_ecdf = ecdf(draws.pool)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=FixedStreams(table))
     band_checks = [

@@ -1,5 +1,6 @@
 """Tests for prediction bands and the minimal band."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -20,6 +21,7 @@ from frfstats import (
 from frfstats import bands
 from frfstats.bands import (
     Band,
+    _replicates,
     bootstrap_deviation_stats,
     minimal_prediction_band,
     prediction_band,
@@ -29,7 +31,6 @@ from frfstats.resampling import (
     MAX_REDRAWS,
     BootstrapConfig,
     IndexStreams,
-    _replicates,
     alpha_at,
 )
 
@@ -66,7 +67,7 @@ def test_injected_indices_match_loop_arithmetic():
     np.testing.assert_array_equal(draws.indices, [[0, 1, 1], [2, 0, 2]])
     pirs = pir_matrix(frfs, grid)
     # The record keeps no replicate curves; the loop that computes them does.
-    replicates = _replicates(pirs, 2, FixedStreams(table))
+    replicates = _replicates(pirs, cfg, FixedStreams(table))
     for b, (picks, (_, rep_mean, rep_std, _)) in enumerate(
         zip([[0, 1, 1], [2, 0, 2]], replicates)
     ):
@@ -331,6 +332,23 @@ def test_any_key_change_rebuilds():
     np.testing.assert_array_equal(rebuilt.indices, draws.indices)
 
 
+@pytest.mark.parametrize("change", [{"bins": 500}, {"nested_replications": 7}],
+                         ids=["bins", "nested_replications"])
+def test_fields_no_draw_reads_reuse_the_record(change):
+    # Band calls whose configs differ only in a field the draws never read
+    # share one pool: B streams are built, not B per call.
+    grid, group, test = scored_group(4.5, 20, 0)
+    cfg = BootstrapConfig(replications=30, seed=5)
+    other = dataclasses.replace(cfg, **change)
+    streams = CountingStreams(5)
+    draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+    prediction_band(group, grid, 0.9, other, streams)
+    minimal_prediction_band(test, group, grid, other, streams)
+    estimate_density(test, group, grid, other, streams=streams)
+    assert bootstrap_deviation_stats(group, grid, other, streams) is draws
+    assert streams.built == cfg.replications
+
+
 def test_record_lives_with_its_set_alone():
     grid, group, _ = scored_group(4.5, 20, 1)
     cfg = BootstrapConfig(replications=20, seed=1)
@@ -369,9 +387,9 @@ def test_alpha_bisection_builds_one_pool(monkeypatch):
     # Criterion 4's bisection: a minimal band, then 30 bands on one group.
     calls = []
 
-    def counted(pirs, B, streams):
-        calls.append(B)
-        return _replicates(pirs, B, streams)
+    def counted(pirs, cfg, streams):
+        calls.append(cfg.replications)
+        return _replicates(pirs, cfg, streams)
 
     monkeypatch.setattr(bands, "_replicates", counted)
     grid, train, test = scored_group(4.5, 20, 3)

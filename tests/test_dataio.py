@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 
@@ -208,6 +209,24 @@ def test_loaders_return_valid_object_or_parse_error(tmp_path, loader, fmt, data)
     except ParseError:
         return
     assert isinstance(result, Dataset if loader is load_dataset else FRF)
+
+
+@pytest.mark.parametrize("loader, fmt", list(VALID_FILES), ids=lambda v: getattr(v, "__name__", v))
+def test_loaders_read_past_a_utf8_bom(tmp_path, loader, fmt):
+    # Spreadsheet exports often start with a UTF-8 byte order mark.
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_bytes(VALID_FILES[loader, fmt])
+    marked.write_bytes(codecs.BOM_UTF8 + VALID_FILES[loader, fmt])
+    expected, loaded = loader(plain), loader(marked)
+    if loader is load_frf:
+        np.testing.assert_array_equal(loaded.values, expected.values)
+        return
+    np.testing.assert_array_equal(loaded.grid.frequencies, expected.grid.frequencies)
+    assert loaded.grid.sample_rate == expected.grid.sample_rate
+    assert loaded.metadata == expected.metadata
+    assert list(loaded.groups) == list(expected.groups)
+    for name, group in expected.groups.items():
+        np.testing.assert_array_equal(loaded.groups[name].values, group.values)
 
 
 def test_unknown_suffix_needs_format(tmp_path):

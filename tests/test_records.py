@@ -164,6 +164,16 @@ def test_only_bands_memoises():
     assert users == ["bands.py"]
 
 
+def test_only_bands_names_the_band_bootstrap():
+    # The band bootstrap's loop, record and replay have one home; other
+    # modules reach them through `bootstrap_deviation_stats` and the
+    # density's replay call.
+    package = Path(__file__).parents[1] / "src" / "frfstats"
+    internal = re.compile(r"\b(_LAST|_recorded|_replicates|_resample_rows)\b")
+    users = sorted(path.name for path in package.glob("*.py") if internal.search(path.read_text()))
+    assert users == ["bands.py"]
+
+
 def test_readme_quickstart_finds_a_difference():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]

@@ -20,7 +20,6 @@ from frfstats.resampling import (
     alpha_at,
     c_at,
     ecdf,
-    resample_indices,
 )
 
 from support import EXPERIMENT_FREQS, traced_peak
@@ -57,30 +56,30 @@ def test_config_defaults_and_validation():
 
 def test_resample_single_index():
     streams = IndexStreams(0)
-    assert list(resample_indices(1, streams.stream(0))) == [0]
+    assert list(streams.stream(0).integers(0, 1, size=1)) == [0]
 
 
 def test_streams_are_deterministic_and_distinct():
     a = IndexStreams(42)
     b = IndexStreams(42)
     same = [
-        resample_indices(100, s.stream(3, 1)) for s in (a, b)
+        s.stream(3, 1).integers(0, 100, size=100) for s in (a, b)
     ]
     np.testing.assert_array_equal(same[0], same[1])
 
     draws = {}
     for key in [(0,), (1,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1)]:
-        draws[key] = tuple(resample_indices(50, a.stream(*key)))
+        draws[key] = tuple(a.stream(*key).integers(0, 50, size=50))
     assert len(set(draws.values())) == len(draws)
 
-    other_seed = resample_indices(100, IndexStreams(43).stream(3, 1))
+    other_seed = IndexStreams(43).stream(3, 1).integers(0, 100, size=100)
     assert not np.array_equal(same[0], other_seed)
 
 
 def test_index_frequencies_near_uniform():
     # Binomial(1000, 1/1000) has mean 1 and std just under 1, so every
     # count should sit within 1 +/- 5 for this fixed seed.
-    draw = resample_indices(1000, IndexStreams(7).stream(0))
+    draw = IndexStreams(7).stream(0).integers(0, 1000, size=1000)
     counts = np.bincount(draw, minlength=1000)
     assert counts.min() >= 0
     assert counts.max() <= 6
@@ -200,7 +199,7 @@ def _seeded_runs(replications):
 def test_short_run_is_prefix_of_long_run(short):
     draws, density, comparison = _seeded_runs(130)
     first_draws = [
-        resample_indices(4, IndexStreams(31).stream(b)) for b in range(130)
+        IndexStreams(31).stream(b).integers(0, 4, size=4) for b in range(130)
     ]
     assert any(not np.array_equal(r, d) for r, d in zip(draws.indices, first_draws))
 
