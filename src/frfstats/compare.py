@@ -30,13 +30,16 @@ from .resampling import (
     ecdf,
 )
 
-# Stream key layout (resampling.STREAM_LAYOUT 2 to 4): group g in {0, 1} draws
-# its Bs sigma resamples from stream (SIGMA_KEY_OFFSET + g,) in one call,
-# and outer replication b from stream (b, g) in one call of 1 + Bs rows:
-# row 0 is the outer resample, rows 1..Bs are nested positions into it.  A
-# redraw is the next call on the same stream.  The group is always the last
-# key element, so swapping the groups is swapping the key tails.
-SIGMA_KEY_OFFSET = 2
+# Stream key layout (resampling.STREAM_LAYOUT 5): group g in {0, 1} draws
+# everything from one stream, (GROUP_KEY_OFFSET + g,).  Its first call is
+# the (Bs, n_g) block of sigma resamples; each outer replication then
+# takes the next call, a (1 + Bs, n_g) block whose row 0 is the outer
+# resample and rows 1..Bs are nested positions into it.  A redraw is the
+# next call on the same stream, so a replication's block follows every
+# block drawn before it, redraws included; the loop is serial.  The group
+# is always the last key element, so swapping the groups is swapping the
+# key tails.
+GROUP_KEY_OFFSET = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,20 +115,24 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=r, grid=grid))
 
 
-def _nested_means(pirs: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """Means of the nested resamples ``pirs[draw[0]][draw[1:]]``, shifted.
+def _nested_deviations(pirs: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Nested means of ``pirs[draw[0]][draw[1:]]``, centred over the Bs rows.
 
     Row j weighs each original row by how often ``draw[0][draw[1 + j]]``
-    picks it, so no (Bs, n, T) gather is built.  Every mean is shifted by
-    the replicate member ``pirs[draw[0][0]]``: at a time point where all
-    replicate members agree the result is then exactly zero, and a zero
-    nested spread is detected exactly, not up to rounding.
+    picks it, so no (Bs, n, T) gather is built, and the weights are
+    centred over the rows, so the means come out centred without a
+    (Bs, T) pass.  The weights multiply the rows shifted by the replicate
+    member ``pirs[draw[0][0]]``: a member outside the resample has weight
+    exactly zero in every row, so at a time point where all replicate
+    members agree the result is exactly zero, and a zero nested spread is
+    detected exactly, not up to rounding.
     """
     n = pirs.shape[0]
     nested = draw[0][draw[1:]]
     rows = nested + n * np.arange(nested.shape[0])[:, None]
-    counts = np.bincount(rows.ravel(), minlength=nested.size).reshape(nested.shape)
-    return counts @ (pirs - pirs[draw[0][0]]) / n
+    w = np.bincount(rows.ravel(), minlength=nested.size).reshape(nested.shape) / n
+    w -= w.mean(axis=0)
+    return w @ (pirs - pirs[draw[0][0]])
 
 
 def compare_unpaired(
@@ -146,8 +153,13 @@ def compare_unpaired(
     is diff_mean +/- C_u * sigma with sigma estimated from Bs resamples
     of the original groups.
 
-    Replications whose nested std hits zero anywhere are redrawn from
-    their own streams, at most `resampling.MAX_REDRAWS` times, then
+    The nested std is the N-1 std over the Bs nested mean differences:
+    each group's nested means come out centred from their resample
+    weights (`_nested_deviations`), so the std is the root of the summed
+    squares of the centred differences over Bs - 1, with no centring pass
+    of its own.
+    Replications whose nested std hits zero anywhere are redrawn from the
+    groups' streams, at most `resampling.MAX_REDRAWS` times, then
     DegenerateSpread.
     """
     if not 0.0 <= alpha <= 1.0:
@@ -169,8 +181,10 @@ def compare_unpaired(
         return pirs1[idx1].mean(axis=0) - pirs2[idx2].mean(axis=0)
 
     # One resample's rows at a time, never a (Bs, n, T) gather.
-    sigma_idx1 = streams.stream(SIGMA_KEY_OFFSET).integers(0, n1, size=(bs, n1))
-    sigma_idx2 = streams.stream(SIGMA_KEY_OFFSET + 1).integers(0, n2, size=(bs, n2))
+    gen1 = streams.stream(GROUP_KEY_OFFSET)
+    gen2 = streams.stream(GROUP_KEY_OFFSET + 1)
+    sigma_idx1 = gen1.integers(0, n1, size=(bs, n1))
+    sigma_idx2 = gen2.integers(0, n2, size=(bs, n2))
     sigma = np.array(
         [mean_diff(i, j) for i, j in zip(sigma_idx1, sigma_idx2)]
     ).std(axis=0, ddof=1)
@@ -178,8 +192,10 @@ def compare_unpaired(
     def nested_draw(gen1, gen2):
         draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
         draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
-        ndiffs = _nested_means(pirs1, draw1) - _nested_means(pirs2, draw2)
-        return (draw1[0], draw2[0]), ndiffs.std(axis=0, ddof=1)
+        dev = _nested_deviations(pirs1, draw1)
+        dev -= _nested_deviations(pirs2, draw2)
+        dev *= dev
+        return (draw1[0], draw2[0]), np.sqrt(dev.sum(axis=0) / (bs - 1))
 
     # Accepted draws are written row by row; keeping draw[0] itself would
     # keep each replication's whole (1 + Bs, n) block alive.
@@ -190,7 +206,7 @@ def compare_unpaired(
     for b in range(B):
         (outer_idx1[b], outer_idx2[b]), nested_std = _draw_with_spread(
             "a comparison replication kept zero nested spread",
-            nested_draw, streams.stream(b, 0), streams.stream(b, 1),
+            nested_draw, gen1, gen2,
         )
         xb = mean_diff(outer_idx1[b], outer_idx2[b])
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)

@@ -270,23 +270,26 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_frf(path) -> FRF:
-    """Read a single test FRF.
+    """Read a single test FRF from a CSV or JSON file (format inferred by suffix).
 
     JSON files hold ``{"values": [[re, im], ...]}``; CSV files hold one
     ``re,im`` pair per line (blank lines and # comments ignored).  Any
     malformed content raises `ParseError` naming the file.
     """
     path = Path(path)
+    load = _load_frf_csv if _is_csv(path) else _load_frf_json
     with _reading(path):
-        return _load_frf(path)
+        return load(path)
 
 
-def _load_frf(path: Path) -> FRF:
-    if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-        if not isinstance(doc, dict) or "values" not in doc:
-            raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
-        return FRF(_json_pairs(doc["values"], f"{path.name}: values"))
+def _load_frf_json(path: Path) -> FRF:
+    doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    if not isinstance(doc, dict) or "values" not in doc:
+        raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
+    return FRF(_json_pairs(doc["values"], f"{path.name}: values"))
+
+
+def _load_frf_csv(path: Path) -> FRF:
     values = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()

@@ -59,29 +59,35 @@ class BootstrapConfig:
 
 #: Version of the stream key layout, the map from bootstrap draws to
 #: stream keys.  It changes whenever fixed-seed results of some operation
-#: change with it.  Layouts 3 and 4: the band and density draw replication
+#: change with it.  Layouts 3 to 5: the band and density draw replication
 #: b from stream (b,), through one loop in `frfstats.bands` that redraws a
-#: degenerate resample for both; the comparison draws group g's sigma
-#: resamples from (SIGMA_KEY_OFFSET + g,) and its replication b, outer and
-#: nested rows in one block, from (b, g) (see `frfstats.compare`).
+#: degenerate resample for both.  Layout 5: the comparison draws
+#: everything for group g from one stream, (GROUP_KEY_OFFSET + g,): first
+#: the sigma resamples, then replication b's outer and nested rows as one
+#: block per call (see `frfstats.compare`); layouts 2 to 4 drew
+#: replication b from its own streams (b, g), so layout 5 changes the
+#: comparison's outer draws, statistics and C_u, and nothing else.
 #: Layout 3 differs from layout 2 only where the density's first draw of a
 #: replication had zero spread: the density used that draw, it now uses
 #: the redrawn one.  Layout 4 differs from layout 3 only in the ECDF
 #: lookups: the band scale, the minimal band's alpha and the comparison's
 #: C_u are exact order statistics of the pool, where layout 3 read them
 #: off a histogram.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 
 class IndexStreams:
     """Deterministic family of random streams keyed by small integer tuples.
 
     ``stream(b)`` is the stream of band or density replication b, and
-    ``stream(b, g)`` that of comparison replication b for group g; the
-    full key table is under `STREAM_LAYOUT`.  Streams with different keys
-    are statistically independent and each key always yields the same
-    sequence for a given root seed, so results do not depend on the order
-    in which replications run.
+    ``stream(2 + g)`` the one stream of comparison group g; the full key
+    table is under `STREAM_LAYOUT`.  Streams with different keys are
+    statistically independent and each key always yields the same
+    sequence for a given root seed.  A band or density replication's draws
+    therefore do not depend on the order in which replications run.  A
+    comparison replication's draws follow those of every replication
+    before it, redraws included, on its group's stream; the engine runs
+    serially, so they too depend only on the seed.
     """
 
     def __init__(self, seed: int):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 
+from frfstats.resampling import IndexStreams
+
 # The frequency vector used throughout the posture-control experiments.
 EXPERIMENT_FREQS = [0.05, 0.15, 0.3, 0.4, 0.55, 0.7, 0.9, 1.1, 1.35, 1.75, 2.2]
 
@@ -37,6 +39,18 @@ class _FixedStream:
         if np.any(draw < low) or np.any(draw >= high):
             raise AssertionError("canned draw out of range")
         return draw
+
+
+class CountingStreams(IndexStreams):
+    """IndexStreams that counts the streams it builds."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.built = 0
+
+    def stream(self, *key):
+        self.built += 1
+        return super().stream(*key)
 
 
 class MirroredStreams:

@@ -394,10 +394,11 @@ def test_criterion_8_hand_oracles():
     outer_draws2 = [[1, 2, 2], [0, 0, 2]]
     nested_draws1 = [[[0, 1, 1], [1, 1, 2]], [[1, 0, 2], [0, 0, 1]]]
     nested_draws2 = [[[2, 0, 0], [0, 2, 1]], [[2, 2, 1], [1, 2, 0]]]
-    table = {(2,): [sigma_draws1], (3,): [sigma_draws2]}
-    for b in range(2):
-        table[(b, 0)] = [[outer_draws1[b], *nested_draws1[b]]]
-        table[(b, 1)] = [[outer_draws2[b], *nested_draws2[b]]]
+    # One stream per group: the sigma block, then one block per replication.
+    table = {
+        (2,): [sigma_draws1, *([o, *d] for o, d in zip(outer_draws1, nested_draws1))],
+        (3,): [sigma_draws2, *([o, *d] for o, d in zip(outer_draws2, nested_draws2))],
+    }
     cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
     alpha = 0.5
 

@@ -34,7 +34,7 @@ from frfstats.resampling import (
     alpha_at,
 )
 
-from support import EXPERIMENT_FREQS, FixedStreams
+from support import EXPERIMENT_FREQS, CountingStreams, FixedStreams
 
 
 def small_set(seed=1, n=8, m=2, spread=0.5):
@@ -243,18 +243,6 @@ def test_fresh_draw_coverage_sane():
 
 # Reuse of the last band bootstrap: a minimal band, a density and a band
 # on one set, grid, config and streams draw the B resamples once.
-
-
-class CountingStreams(IndexStreams):
-    """IndexStreams that counts the streams it builds."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.built = 0
-
-    def stream(self, *key):
-        self.built += 1
-        return super().stream(*key)
 
 
 def scored_group(rate, n, seed):

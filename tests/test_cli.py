@@ -315,6 +315,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "test.json: values" in capsys.readouterr().err
 
 
+def test_test_file_with_unknown_suffix_exits_2(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    test = tmp_path / "held.txt"
+    test.write_text('{"values": [[1, 0], [0, 1]]}')
+    code = main(["minband", str(data), "--group", "synth", "--test", str(test),
+                 "--B", "20", "--out", str(tmp_path / "mb")])
+    assert code == 2
+    assert "cannot infer format from 'held.txt'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("mb*"))
+
+
 def test_oversized_grid_exits_2(tmp_path, capsys):
     code = main(["synth", "--freqs", "0.0001", "1.0", "--rate", "1000", "--n", "3",
                  "--out", str(tmp_path / "big.csv")])

@@ -9,7 +9,13 @@ from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
 from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams
 
-from support import EXPERIMENT_FREQS, FixedStreams, MirroredStreams, traced_peak
+from support import (
+    EXPERIMENT_FREQS,
+    CountingStreams,
+    FixedStreams,
+    MirroredStreams,
+    traced_peak,
+)
 
 GRID = derive_grid([0.3, 0.5])
 
@@ -114,13 +120,12 @@ def test_injected_indices_match_loop_arithmetic():
     grid = derive_grid([1.0])
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
-    # Sigma draws: one (Bs, n) block per group.  Replication 0: one
-    # (1 + Bs, n) block per group, the outer resample then nested positions.
+    # One stream per group: first its (Bs, n) sigma block, then
+    # replication 0's (1 + Bs, n) block, the outer resample then nested
+    # positions.
     table = {
-        (2,): [[[0, 1, 1], [1, 0, 2]]],
-        (3,): [[[2, 2, 0], [0, 1, 2]]],
-        (0, 0): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
-        (0, 1): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+        (2,): [[[0, 1, 1], [1, 0, 2]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        (3,): [[[2, 2, 0], [0, 1, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=FixedStreams(table))
@@ -157,18 +162,19 @@ def test_degenerate_replication_is_redrawn():
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
     sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 2, 0], [0, 1, 2]]]}
     valid = {
-        (0, 0): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
-        (0, 1): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+        (2,): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        (3,): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     # An outer resample of one repeated member has zero nested spread in
     # both groups, so the replication must take each stream's next block.
     degenerate = {
-        (0, 0): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]],
-        (0, 1): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]],
+        (2,): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]],
+        (3,): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]],
     }
 
     def streams(blocks):
-        return FixedStreams({**sigma, **blocks})
+        # Each group stream serves its sigma block, then the replication's.
+        return FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
 
     direct = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams(valid))
     for redraws in (1, MAX_REDRAWS):
@@ -186,6 +192,33 @@ def test_degenerate_replication_is_redrawn():
     )
     with pytest.raises(DegenerateSpread, match=message):
         compare_unpaired(a, b, grid, 0.5, cfg, streams=exhausted)
+
+
+@pytest.mark.parametrize("replications", [1, 50])
+def test_one_stream_per_group_serves_every_draw(replications):
+    a, b = group(17), group(18, n=6, center=0.3)
+    bs = 7
+    cfg = BootstrapConfig(replications=replications, nested_replications=bs, seed=19)
+    streams = CountingStreams(cfg.seed)
+    result = compare_unpaired(a, b, GRID, 0.95, cfg, streams=streams)
+    assert streams.built == 2
+
+    # Each group's sigma block is the first call on its stream, as in
+    # layout 4, and replication 0's block is the next one.
+    p1, p2 = pir_matrix(a, GRID), pir_matrix(b, GRID)
+    sigma_idx, outer0 = [], []
+    for g, n in enumerate((a.n, b.n)):
+        gen = IndexStreams(cfg.seed).stream(2 + g)
+        sigma_idx.append(gen.integers(0, n, size=(bs, n)))
+        outer0.append(gen.integers(0, n, size=(1 + bs, n))[0])
+    np.testing.assert_array_equal(result.draws.sigma_indices1, sigma_idx[0])
+    np.testing.assert_array_equal(result.draws.sigma_indices2, sigma_idx[1])
+    sigma = np.array(
+        [p1[i].mean(axis=0) - p2[j].mean(axis=0) for i, j in zip(*sigma_idx)]
+    ).std(axis=0, ddof=1)
+    np.testing.assert_array_equal(result.sigma, sigma)
+    np.testing.assert_array_equal(result.draws.outer_indices1[0], outer0[0])
+    np.testing.assert_array_equal(result.draws.outer_indices2[0], outer0[1])
 
 
 def test_degenerate_groups_raise():

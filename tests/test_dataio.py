@@ -230,8 +230,14 @@ def test_loaders_read_past_a_utf8_bom(tmp_path, loader, fmt):
 
 
 def test_unknown_suffix_needs_format(tmp_path):
-    with pytest.raises(ValueError, match="infer"):
-        load_dataset(tmp_path / "data.txt")
+    # JSON in a .txt file and CSV in a .dat file: neither is read by content.
+    files = {"held.txt": '{"values": [[1.0, -2.0], [0.5, 0.0]]}', "held.dat": "1.0,-2.0\n"}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_text(content)
+        for loader in (load_dataset, load_frf):
+            with pytest.raises(ValueError, match=f"cannot infer format from '{name}'"):
+                loader(path)
 
 
 def test_dataset_rejects_width_mismatch():
