@@ -30,7 +30,7 @@ from .resampling import (
     ecdf,
 )
 
-# Stream key layout (resampling.STREAM_LAYOUT 5): group g in {0, 1} draws
+# Stream key layout (resampling.STREAM_LAYOUT 6): group g in {0, 1} draws
 # everything from one stream, (GROUP_KEY_OFFSET + g,).  Its first call is
 # the (Bs, n_g) block of sigma resamples; each outer replication then
 # takes the next call, a (1 + Bs, n_g) block whose row 0 is the outer
@@ -48,10 +48,10 @@ class DifferenceDraws:
 
     The Bs sigma resamples and, per outer replication, the two groups'
     accepted resamples, plus `stats`, the B max-deviation statistics.
-    Replication b's mean difference is recomputed from its resamples as
-    ``pir_matrix(set1, grid)[draws.outer_indices1[b]].mean(axis=0) -
-    pir_matrix(set2, grid)[draws.outer_indices2[b]].mean(axis=0)``; its
-    nested std is not kept.
+    Replication b's mean difference is recomputed, up to rounding, from
+    its resamples as ``pir_matrix(set1, grid)[draws.outer_indices1[b]]
+    .mean(axis=0) - pir_matrix(set2, grid)[draws.outer_indices2[b]]
+    .mean(axis=0)``; its nested std is not kept.
     """
 
     sigma_indices1: np.ndarray
@@ -115,24 +115,24 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=r, grid=grid))
 
 
-def _nested_deviations(pirs: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """Nested means of ``pirs[draw[0]][draw[1:]]``, centred over the Bs rows.
+def _resample_means(pirs: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outer mean and centred nested means of one (1 + Bs, n) block.
 
-    Row j weighs each original row by how often ``draw[0][draw[1 + j]]``
-    picks it, so no (Bs, n, T) gather is built, and the weights are
-    centred over the rows, so the means come out centred without a
-    (Bs, T) pass.  The weights multiply the rows shifted by the replicate
-    member ``pirs[draw[0][0]]``: a member outside the resample has weight
-    exactly zero in every row, so at a time point where all replicate
-    members agree the result is exactly zero, and a zero nested spread is
-    detected exactly, not up to rounding.
+    Row 0 of the weights counts the outer resample ``draw[0]``'s picks of
+    each original row, row 1 + j those of ``draw[0][draw[1 + j]]``, each
+    over n, so no (Bs, n, T) gather is built.  The nested weights are
+    centred over their rows, so the nested means come out centred without
+    a (Bs, T) pass, and they multiply the rows shifted by the member
+    ``pirs[draw[0][0]]``: a member outside the resample weighs exactly
+    zero in every row, so where all its members agree the nested means
+    are exactly zero, not zero up to rounding.
     """
     n = pirs.shape[0]
-    nested = draw[0][draw[1:]]
-    rows = nested + n * np.arange(nested.shape[0])[:, None]
-    w = np.bincount(rows.ravel(), minlength=nested.size).reshape(nested.shape) / n
-    w -= w.mean(axis=0)
-    return w @ (pirs - pirs[draw[0][0]])
+    picks = np.vstack([draw[0], draw[0][draw[1:]]])
+    rows = picks + n * np.arange(picks.shape[0])[:, None]
+    w = np.bincount(rows.ravel(), minlength=picks.size).reshape(picks.shape) / n
+    w[1:] -= w[1:].mean(axis=0)
+    return w[0] @ pirs, w[1:] @ (pirs - pirs[draw[0][0]])
 
 
 def compare_unpaired(
@@ -150,14 +150,12 @@ def compare_unpaired(
     standardized by a pointwise std taken over Bs nested resamples drawn
     within the replicate sets, and the max over time is the replication's
     statistic.  C_u is the alpha-quantile of the B statistics; the band
-    is diff_mean +/- C_u * sigma with sigma estimated from Bs resamples
-    of the original groups.
+    is diff_mean +/- C_u * sigma, sigma being the same nested std taken
+    over Bs resamples of the original groups (the identity resample).
 
-    The nested std is the N-1 std over the Bs nested mean differences:
-    each group's nested means come out centred from their resample
-    weights (`_nested_deviations`), so the std is the root of the summed
-    squares of the centred differences over Bs - 1, with no centring pass
-    of its own.
+    Every resample mean comes from `_resample_means`, so the nested std
+    is the root of the summed squares of the centred nested mean
+    differences over Bs - 1, with no centring pass of its own.
     Replications whose nested std hits zero anywhere are redrawn from the
     groups' streams, at most `resampling.MAX_REDRAWS` times, then
     DegenerateSpread.
@@ -177,25 +175,24 @@ def compare_unpaired(
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 
-    def mean_diff(idx1, idx2):
-        return pirs1[idx1].mean(axis=0) - pirs2[idx2].mean(axis=0)
+    def spread(draw1, draw2):
+        mean1, dev = _resample_means(pirs1, draw1)
+        mean2, dev2 = _resample_means(pirs2, draw2)
+        dev -= dev2
+        dev *= dev
+        return mean1 - mean2, np.sqrt(dev.sum(axis=0) / (bs - 1))
 
-    # One resample's rows at a time, never a (Bs, n, T) gather.
     gen1 = streams.stream(GROUP_KEY_OFFSET)
     gen2 = streams.stream(GROUP_KEY_OFFSET + 1)
-    sigma_idx1 = gen1.integers(0, n1, size=(bs, n1))
-    sigma_idx2 = gen2.integers(0, n2, size=(bs, n2))
-    sigma = np.array(
-        [mean_diff(i, j) for i, j in zip(sigma_idx1, sigma_idx2)]
-    ).std(axis=0, ddof=1)
+    sigma1 = np.vstack([np.arange(n1), gen1.integers(0, n1, size=(bs, n1))])
+    sigma2 = np.vstack([np.arange(n2), gen2.integers(0, n2, size=(bs, n2))])
+    _, sigma = spread(sigma1, sigma2)
 
     def nested_draw(gen1, gen2):
         draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
         draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
-        dev = _nested_deviations(pirs1, draw1)
-        dev -= _nested_deviations(pirs2, draw2)
-        dev *= dev
-        return (draw1[0], draw2[0]), np.sqrt(dev.sum(axis=0) / (bs - 1))
+        xb, nested_std = spread(draw1, draw2)
+        return (draw1[0], draw2[0], xb), nested_std
 
     # Accepted draws are written row by row; keeping draw[0] itself would
     # keep each replication's whole (1 + Bs, n) block alive.
@@ -204,15 +201,14 @@ def compare_unpaired(
     outer_idx2 = np.empty((B, n2), dtype=np.int64)
     stats = np.empty(B)
     for b in range(B):
-        (outer_idx1[b], outer_idx2[b]), nested_std = _draw_with_spread(
+        (outer_idx1[b], outer_idx2[b], xb), nested_std = _draw_with_spread(
             "a comparison replication kept zero nested spread",
             nested_draw, gen1, gen2,
         )
-        xb = mean_diff(outer_idx1[b], outer_idx2[b])
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(
-        sigma_indices1=sigma_idx1,
-        sigma_indices2=sigma_idx2,
+        sigma_indices1=sigma1[1:],
+        sigma_indices2=sigma2[1:],
         outer_indices1=outer_idx1,
         outer_indices2=outer_idx2,
         stats=stats,

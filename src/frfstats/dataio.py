@@ -7,7 +7,7 @@ CSV (one table, text)::
 
     # condition=eyes-closed          <- optional metadata lines
     freq_hz,re_0,im_0,re_1,im_1
-    22.0,0.05,,0.15,                 <- sample rate, frequencies in re cells
+    22.0,0.05,,0.15,                 <- sample rate, frequencies, blank im cells
     control,1.0,0.5,0.3,-0.2         <- group name, then re/im pairs
     control,0.9,0.6,0.2,-0.1
 
@@ -122,13 +122,11 @@ def _load_csv(path: Path) -> Dataset:
             f"{path.name} line {freq_line}: frequency row has {len(freq_row)} "
             f"cells, expected {len(header)}"
         )
-    rate = None
-    if freq_row[0]:
-        rate = _parse_float(freq_row[0], f"{path.name} line {freq_line}")
-    freqs = [
-        _parse_float(freq_row[1 + 2 * k], f"{path.name} line {freq_line}")
-        for k in range(m)
-    ]
+    where = f"{path.name} line {freq_line}"
+    if any(freq_row[2::2]):
+        raise ParseError(f"{where}: frequency row im cells must be blank")
+    rate = _parse_float(freq_row[0], where) if freq_row[0] else None
+    freqs = [_parse_float(cell, where) for cell in freq_row[1::2]]
 
     grouped: dict[str, list[np.ndarray]] = {}
     for lineno, row in samples:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -90,7 +91,10 @@ class FrequencyGrid:
     harmonics: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        freqs = hold(self, "frequencies")
+        try:
+            freqs = hold(self, "frequencies")
+        except OverflowError:
+            raise GridError("frequencies must be finite and positive") from None
         if freqs.ndim != 1 or freqs.size == 0:
             raise GridError("frequencies must be a non-empty 1-D vector")
         if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
@@ -98,10 +102,13 @@ class FrequencyGrid:
         if np.any(np.diff(freqs) <= 0):
             raise GridError("frequencies must be strictly increasing")
         f_max = float(freqs[-1])
-        requested = 10.0 * f_max if self.sample_rate is None else float(self.sample_rate)
+        try:
+            requested = 10.0 * f_max if self.sample_rate is None else float(self.sample_rate)
+        except OverflowError:
+            requested = math.inf
         if not math.isfinite(requested) or requested <= 2.0 * f_max:
             raise NyquistViolation(
-                f"sample rate {requested} Hz must strictly exceed "
+                f"sample rate {requested} Hz must be finite and strictly exceed "
                 f"{2.0 * f_max} Hz (twice the highest frequency)"
             )
 
@@ -115,8 +122,9 @@ class FrequencyGrid:
         if n_samples < 1:
             raise GridError("grid needs at least one time sample")
         if n_samples > MAX_SAMPLES:
+            count = n_samples if n_samples < 10**15 else f"{Decimal(n_samples):.3e}"
             raise GridError(
-                f"grid would have {n_samples} samples per period, more than "
+                f"grid would have {count} samples per period, more than "
                 f"MAX_SAMPLES = {MAX_SAMPLES}; lower the sample rate or check "
                 "the frequencies"
             )

@@ -144,12 +144,12 @@ def _refuse_overflowing_stats(pirs: np.ndarray, nested: int = 0) -> None:
     statistic squares exceeds 8 * P: a row or mean of one group deviates
     from another such mean by at most 2 * P, a two-group mean difference
     from another by at most 4 * P, and a difference of two groups'
-    centred, shifted nested means (`compare._nested_deviations`, each
-    bounded by 4 * P because its weights sum to at most 2 in absolute
-    value) by at most 8 * P.  Each sum of squares runs over at most
-    K = max(N, T, nested) terms, so it stays finite, with a factor of two
-    to spare for rounding, while 128 * K * P**2 is at most the largest
-    float.
+    centred, shifted nested means (`compare._resample_means`: each is at
+    most 4 * P as its weights sum to at most 2 in absolute value, and its
+    outer mean at most P, as the row-0 weights sum to 1) by at most 8 * P.
+    Each sum of squares runs over at most K = max(N, T, nested) terms, so
+    it stays finite, with a factor of two to spare for rounding, while
+    128 * K * P**2 is at most the largest float.
     """
     terms = max(*pirs.shape, nested)
     if np.max(np.abs(pirs)) > np.sqrt(np.finfo(float).max / (128 * terms)):

@@ -1,11 +1,12 @@
 """Seeded bootstrap plumbing shared by the band and the comparison.
 
-The bootstrap config, per-replication random substreams, the redraw rule
-for degenerate replications, and the empirical CDF of a statistic pool,
-whose exact order statistics convert between band scaling constants and
-confidence levels.  The band bootstrap's replicate loop, its record and
-its replay live in `frfstats.bands`.  Every bootstrap loop runs serially,
-one replication at a time; results depend only on the seed.
+The bootstrap config, the keyed random streams (one per band or density
+replication, one per comparison group), the redraw rule for degenerate
+replications, and the empirical CDF of a statistic pool, whose exact
+order statistics convert between band scaling constants and confidence
+levels.  The band bootstrap's replicate loop, its record and its replay
+live in `frfstats.bands`.  Every bootstrap loop runs serially, one
+replication at a time; results depend only on the seed.
 """
 
 from __future__ import annotations
@@ -58,22 +59,19 @@ class BootstrapConfig:
 
 
 #: Version of the stream key layout, the map from bootstrap draws to
-#: stream keys.  It changes whenever fixed-seed results of some operation
-#: change with it.  Layouts 3 to 5: the band and density draw replication
-#: b from stream (b,), through one loop in `frfstats.bands` that redraws a
-#: degenerate resample for both.  Layout 5: the comparison draws
-#: everything for group g from one stream, (GROUP_KEY_OFFSET + g,): first
-#: the sigma resamples, then replication b's outer and nested rows as one
-#: block per call (see `frfstats.compare`); layouts 2 to 4 drew
-#: replication b from its own streams (b, g), so layout 5 changes the
-#: comparison's outer draws, statistics and C_u, and nothing else.
-#: Layout 3 differs from layout 2 only where the density's first draw of a
-#: replication had zero spread: the density used that draw, it now uses
-#: the redrawn one.  Layout 4 differs from layout 3 only in the ECDF
-#: lookups: the band scale, the minimal band's alpha and the comparison's
-#: C_u are exact order statistics of the pool, where layout 3 read them
-#: off a histogram.
-STREAM_LAYOUT = 5
+#: stream keys, bumped whenever fixed-seed results of some operation
+#: change.  Band and density replication b draws from stream (b,), through
+#: one loop in `frfstats.bands` that redraws a degenerate resample for
+#: both.  Comparison group g draws everything from one stream,
+#: (GROUP_KEY_OFFSET + g,): the sigma resamples, then one block of outer
+#: and nested rows per replication (see `frfstats.compare`).  What each
+#: layout changed, detailed in the README: 3 redraws a degenerate density
+#: replication; 4 reads the band scale, the minimal band's alpha and C_u
+#: as exact order statistics of the pool, not off a histogram; 5 draws the
+#: comparison from one stream per group, not from streams (b, g); 6 takes
+#: the comparison's sigma and mean differences from the nested std's
+#: resample weights, so sigma, its statistics and C_u move by rounding.
+STREAM_LAYOUT = 6
 
 
 class IndexStreams:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frfstats import DegenerateSpread, GridMismatch, derive_grid
+from frfstats import compare
 from frfstats.bands import Band
 from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
@@ -213,12 +214,57 @@ def test_one_stream_per_group_serves_every_draw(replications):
         outer0.append(gen.integers(0, n, size=(1 + bs, n))[0])
     np.testing.assert_array_equal(result.draws.sigma_indices1, sigma_idx[0])
     np.testing.assert_array_equal(result.draws.sigma_indices2, sigma_idx[1])
+    # The gathered std of the sigma resamples, equal up to rounding to the
+    # nested spread of the identity resample that the comparison computes.
     sigma = np.array(
         [p1[i].mean(axis=0) - p2[j].mean(axis=0) for i, j in zip(*sigma_idx)]
     ).std(axis=0, ddof=1)
-    np.testing.assert_array_equal(result.sigma, sigma)
+    np.testing.assert_allclose(result.sigma, sigma, rtol=1e-12)
     np.testing.assert_array_equal(result.draws.outer_indices1[0], outer0[0])
     np.testing.assert_array_equal(result.draws.outer_indices2[0], outer0[1])
+
+
+def test_every_resample_mean_comes_from_one_helper(monkeypatch):
+    # sigma is the nested spread of the identity resample, and every drawn
+    # block, the redrawn one included, is weighed once by the same helper.
+    calls = []
+    helper = compare._resample_means
+
+    def recorded(pirs, draw):
+        calls.append((pirs, np.array(draw)))
+        return helper(pirs, draw)
+
+    monkeypatch.setattr(compare, "_resample_means", recorded)
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
+    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 2, 0], [0, 1, 2]]]}
+    # Replication 0's first blocks have zero nested spread and are redrawn.
+    blocks = {
+        (2,): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
+               [[0, 2, 1], [2, 2, 0], [1, 0, 0]]],
+        (3,): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]],
+               [[1, 2, 0], [0, 0, 2], [2, 1, 1]]],
+    }
+    streams = FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
+    result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
+    np.testing.assert_array_equal(result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1]])
+    np.testing.assert_array_equal(result.draws.outer_indices2, [[0, 0, 1], [1, 2, 0]])
+
+    # Group 1 and group 2 alternate: the sigma blocks, then each drawn block.
+    assert len(calls) == 2 * (1 + 3)
+    drawn = (result.draws.sigma_indices1, result.draws.sigma_indices2)
+    for g, (key, frfs) in enumerate(((2, a), (3, b))):
+        mine = calls[g::2]
+        for pirs, _ in mine:
+            np.testing.assert_array_equal(pirs, pir_matrix(frfs, grid))
+        first = mine[0][1]
+        np.testing.assert_array_equal(first[0], np.arange(frfs.n))
+        np.testing.assert_array_equal(first[1:], drawn[g])
+        np.testing.assert_array_equal(first[1:], sigma[(key,)][0])
+        for (_, draw), block in zip(mine[1:], blocks[(key,)], strict=True):
+            np.testing.assert_array_equal(draw, block)
 
 
 def test_degenerate_groups_raise():

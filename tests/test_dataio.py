@@ -109,6 +109,15 @@ def test_csv_bad_cell_names_line(tmp_path):
         load_dataset(path)
 
 
+def test_csv_frequency_row_im_cells_must_be_blank(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("freq_hz,re_0,im_0\n10,1,junk\ng,2.0,1.0\n")
+    with pytest.raises(ParseError, match="data.csv line 2: frequency row im cells must be blank"):
+        load_dataset(path)
+    path.write_text("freq_hz,re_0,im_0\n10,1, \ng,2.0,1.0\n")
+    assert load_dataset(path).grid.sample_rate == 10.0
+
+
 def test_csv_short_row_names_line(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("freq_hz,re_0,im_0,re_1,im_1\n,0.3,,0.5,\ng,1.0,2.0\n")

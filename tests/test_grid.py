@@ -155,6 +155,23 @@ def test_oversized_grids_rejected():
         FrequencyGrid([1.0], MAX_SAMPLES + 1)
 
 
+def test_refusals_are_grid_errors_with_readable_numbers():
+    # Too large for a float: refused, not an OverflowError.
+    with pytest.raises(GridError, match="sample rate inf Hz must be finite"):
+        derive_grid([1.0], 10**400)
+    with pytest.raises(GridError, match="frequencies must be finite"):
+        derive_grid([10**400])
+    # A count past 15 digits is printed to four significant digits, even
+    # one too large for a float.
+    with pytest.raises(GridError, match=r"have 1\.000e\+300 samples per period") as err:
+        derive_grid([1.0, 2.0], 1e300)
+    assert len(str(err.value)) < 130
+    with pytest.raises(GridError, match=r"have 1\.000e\+314 samples per period"):
+        derive_grid([1e-6], 1e308)
+    with pytest.raises(GridError, match="have 999999999999999 samples per period"):
+        derive_grid([1.0], 999_999_999_999_999)
+
+
 def test_grid_is_immutable():
     grid = derive_grid([1.0])
     with pytest.raises(Exception):
