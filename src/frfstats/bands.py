@@ -106,7 +106,9 @@ class ReplicateDraws:
 def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
     """Mean of rows `idx` of `pirs` and their squared deviations from it."""
     sq = pirs[idx]
-    mean = sq.mean(axis=0)
+    # The two ufunc calls of ``sq.mean(axis=0)``, without its wrapper.
+    mean = sq.sum(axis=0)
+    mean /= len(idx)
     sq -= mean
     sq *= sq
     return mean, sq

@@ -36,8 +36,10 @@ def _fmt(x: float) -> str:
 
 def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
+    # Row by row as Python floats, in `_fmt`'s format: no numpy scalar per
+    # cell, and never the whole table as Python floats at once.
+    for row in np.column_stack(columns):
+        lines.append(",".join([f"{x:.9g}" for x in row.tolist()]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

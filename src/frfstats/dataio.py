@@ -11,8 +11,9 @@ CSV (one table, text)::
     control,1.0,0.5,0.3,-0.2         <- group name, then re/im pairs
     control,0.9,0.6,0.2,-0.1
 
-An empty sample-rate cell means "use the default of ten times the
-highest frequency".
+The header must name the cells exactly so: ``re_k,im_k`` for component
+k = 0..m-1.  An empty sample-rate cell means "use the default of ten
+times the highest frequency".
 
 JSON::
 
@@ -21,7 +22,7 @@ JSON::
      "metadata": {...}}
 
 Numbers are written with full repr precision so a save/load roundtrip
-reproduces the dataset bit for bit.
+reproduces the dataset bit for bit, the sign of a zero included.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def _parse_float(cell: str, where: str) -> float:
         raise ParseError(f"{where}: {cell!r} is not a number") from None
 
 
+def _parse_floats(cells: list[str], where: str) -> list[float]:
+    """The unstripped `cells` as floats, read as if each were stripped first.
+
+    `float` skips surrounding whitespace itself, so one call per cell
+    reads the common row.  A row it refuses is stripped and read again
+    cell by cell: that reads a cell `float` alone does not strip (one
+    wrapped in the \\x1f separator, say) and reports a bad one as
+    `_parse_float` does.
+    """
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_parse_float(cell.strip(), where) for cell in cells]
+
+
+def _complex(floats: list[float]) -> np.ndarray:
+    """Complex vector from re/im pairs laid out flat, signed zeros kept."""
+    return np.array(floats, dtype=float).view(complex)
+
+
 def _load_csv(path: Path) -> Dataset:
     metadata: dict[str, str] = {}
     table: list[tuple[int, list[str]]] = []
@@ -109,14 +130,24 @@ def _load_csv(path: Path) -> Dataset:
                 raise ParseError(f"{path.name} line {lineno}: metadata needs key=value")
             metadata[key.strip()] = value.strip()
             continue
-        table.append((lineno, [cell.strip() for cell in raw.split(",")]))
+        # Only the header, the frequency row and group names are stripped
+        # here; `_parse_floats` reads the number cells as they stand.
+        table.append((lineno, raw.split(",")))
 
     if len(table) < 3:
         raise ParseError(f"{path.name}: need a header, a frequency row, and samples")
-    (_, header), (freq_line, freq_row), *samples = table
+    (header_line, header), (freq_line, freq_row), *samples = table
+    header = [cell.strip() for cell in header]
+    freq_row = [cell.strip() for cell in freq_row]
     if header[0] != "freq_hz" or len(header) < 3 or len(header) % 2 == 0:
         raise ParseError(f"{path.name}: header must be freq_hz,re_0,im_0,...")
     m = (len(header) - 1) // 2
+    names = ["freq_hz"] + [f"{part}_{k}" for k in range(m) for part in ("re", "im")]
+    for got, want in zip(header, names):
+        if got != want:
+            raise ParseError(
+                f"{path.name} line {header_line}: header cell {got!r} should be {want!r}"
+            )
     if len(freq_row) != len(header):
         raise ParseError(
             f"{path.name} line {freq_line}: frequency row has {len(freq_row)} "
@@ -135,17 +166,10 @@ def _load_csv(path: Path) -> Dataset:
             raise ParseError(
                 f"{where}: sample row has {len(row)} cells, expected {len(header)}"
             )
-        name = row[0]
+        name = row[0].strip()
         if not name:
             raise ParseError(f"{where}: sample row has an empty group name")
-        values = np.array(
-            [
-                _parse_float(row[1 + 2 * k], where)
-                + 1j * _parse_float(row[2 + 2 * k], where)
-                for k in range(m)
-            ]
-        )
-        grouped.setdefault(name, []).append(values)
+        grouped.setdefault(name, []).append(_complex(_parse_floats(row[1:], where)))
 
     grid = derive_grid(freqs, rate)
     groups = {name: FRFSet(np.stack(rows)) for name, rows in grouped.items()}
@@ -237,11 +261,9 @@ def _save_csv(dataset: Dataset, path: Path) -> None:
         freq_cells += [repr(float(f)), ""]
     lines.append(",".join(freq_cells))
     for name, frf_set in dataset.groups.items():
-        for row in frf_set.values:
-            cells = [name]
-            for z in row:
-                cells += [repr(float(z.real)), repr(float(z.imag))]
-            lines.append(",".join(cells))
+        # Each row's re/im parts, laid out flat, as Python floats.
+        for row in frf_set.values.view(float):
+            lines.append(",".join([name, *map(repr, row.tolist())]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -293,13 +315,12 @@ def _load_frf_csv(path: Path) -> FRF:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != 2:
             raise ParseError(
                 f"{path.name} line {lineno}: expected re,im but got {len(cells)} cells"
             )
-        where = f"{path.name} line {lineno}"
-        values.append(_parse_float(cells[0], where) + 1j * _parse_float(cells[1], where))
+        values += _parse_floats(cells, f"{path.name} line {lineno}")
     if not values:
         raise ParseError(f"{path.name}: no FRF values found")
-    return FRF(np.array(values))
+    return FRF(_complex(values))

@@ -34,8 +34,8 @@ NUMERATOR_MODES = ("code-compatible", "index-span")
 # point sqrt(x * x) == |x| exactly while x * x neither underflows nor
 # overflows, so "max" needs no second pass over the unsquared rows.
 _METRICS = {
-    "squared": lambda sq: np.sum(sq, axis=-1),
-    "max": lambda sq: np.sqrt(np.max(sq, axis=-1)),
+    "squared": lambda sq: sq.sum(axis=-1),
+    "max": lambda sq: np.sqrt(sq.max(axis=-1)),
 }
 
 
@@ -118,11 +118,14 @@ def estimate_density(
 
     es = np.empty((B, n))
     et = np.empty(B)
-    for b, (mean, sq) in enumerate(replicates):
-        es[b] = np.sort(distance(sq))
-        # A huge test response's distance overflows to +inf: it ranks last.
-        with np.errstate(over="ignore"):
+    # A huge test response's distance overflows to +inf: it ranks last.
+    # Only the test distance can overflow here, because the replications
+    # refuse PIRs too large for finite member statistics up front.
+    with np.errstate(over="ignore"):
+        for b, (mean, sq) in enumerate(replicates):
+            es[b] = distance(sq)
             et[b] = distance(np.square(x_test - mean))
+    es.sort(axis=1)
 
     # 1-based rank of the test distance among the sorted member
     # distances: first position strictly above it, N when none is.

@@ -336,6 +336,16 @@ def test_frequency_row_with_im_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_misnamed_header_cell_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("freq_hz,foo,bar\n10,1,\ng,2.0,1.0\ng,1.0,0.5\ng,0.5,2.0\n")
+    out = tmp_path / "band.csv"
+    code = main(["band", str(data), "--group", "g", "--B", "20", "--out", str(out)])
+    assert code == 2
+    assert "data.csv line 1: header cell 'foo' should be 're_0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_grid_exits_2(tmp_path, capsys):
     code = main(["synth", "--freqs", "0.0001", "1.0", "--rate", "1000", "--n", "3",
                  "--out", str(tmp_path / "big.csv")])

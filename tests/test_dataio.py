@@ -20,6 +20,7 @@ from frfstats import (
     lowpass_mean_frf,
     save_dataset,
 )
+from frfstats import cli
 
 from support import EXPERIMENT_FREQS
 
@@ -116,6 +117,138 @@ def test_csv_frequency_row_im_cells_must_be_blank(tmp_path):
         load_dataset(path)
     path.write_text("freq_hz,re_0,im_0\n10,1, \ng,2.0,1.0\n")
     assert load_dataset(path).grid.sample_rate == 10.0
+
+
+@pytest.mark.parametrize(
+    "header, cell, want",
+    [
+        ("freq_hz,foo,bar", "foo", "re_0"),
+        ("freq_hz,im_0,re_0", "im_0", "re_0"),
+        ("freq_hz,RE_0,im_0", "RE_0", "re_0"),
+        ("freq_hz,re_0,im_0,re_0,im_0", "re_0", "re_1"),
+        ("freq_hz,re_0,im_0,re_1,im_2", "im_2", "im_1"),
+    ],
+)
+def test_csv_header_names_every_cell(tmp_path, header, cell, want):
+    m = header.count(",") // 2
+    path = tmp_path / "data.csv"
+    path.write_text(f"# site=lab\n{header}\n{',1.0,' * m}\ng{',1.0' * 2 * m}\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"data.csv line 2: header cell {cell!r} should be {want!r}"
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("data.csv", "freq_hz,re_0,im_0,re_1,im_1\n,0.3,,0.5,\ng,1.0,2.0,3.0, oops \n",
+         "data.csv line 3: 'oops' is not a number"),
+        ("data.csv", "freq_hz,re_0,im_0,re_1,im_1\n,0.3,,0.5,\ng,1.0, \t,x,1\n",
+         "data.csv line 3: '' is not a number"),
+        ("data.csv", "# k=v\nfreq_hz,re_0,im_0,re_1,im_1\n,0.3,,0.5,\ng,1,2,3,4\ng,1.0,2.0\n",
+         "data.csv line 5: sample row has 3 cells, expected 5"),
+        ("test.csv", "1.0,2.0\n 3.0 , y\n", "test.csv line 2: 'y' is not a number"),
+        ("test.csv", "1.0,  \n", "test.csv line 1: '' is not a number"),
+        ("test.csv", "1.0,2.0,3.0\n", "test.csv line 1: expected re,im but got 3 cells"),
+    ],
+    ids=["bad-cell", "blank-cell", "short-row", "frf-bad-cell", "frf-blank-cell", "frf-long-row"],
+)
+def test_csv_cell_errors_keep_their_text(tmp_path, name, content, message):
+    # Rows are read with one float call per cell and re-read stripped only
+    # on failure; the reported cell is the stripped one, as it always was.
+    path = tmp_path / name
+    path.write_text(content)
+    load = load_dataset if name.startswith("data") else load_frf
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == message
+
+
+def test_csv_number_cells_read_as_if_stripped(tmp_path):
+    # float() skips surrounding whitespace but not the \x1f separator,
+    # which str.strip() drops: such a row takes the stripped re-read.
+    data, test = tmp_path / "data.csv", tmp_path / "test.csv"
+    data.write_text("freq_hz,re_0,im_0\n,1.0,\ng,\x1f2.5\x1f, 0.5 \n g ,\t-1e-3 ,7\n")
+    test.write_text(" 1.5 ,\x1f-2\n")
+    np.testing.assert_array_equal(load_dataset(data).groups["g"].values[:, 0],
+                                  [2.5 + 0.5j, -1e-3 + 7j])
+    np.testing.assert_array_equal(load_frf(test).values, [1.5 - 2j])
+
+
+def signs(values):
+    """The signs of every real and imaginary part, zeros included."""
+    return np.signbit(np.stack([values.real, values.imag]))
+
+
+def test_csv_keeps_signed_zeros(tmp_path):
+    grid = derive_grid([0.3, 0.5])
+    values = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                       [complex(-0.0, -0.0), complex(-1.0, -0.0)]])
+    dataset = Dataset(grid=grid, groups={"g": FRFSet(values)})
+    save_dataset(dataset, tmp_path / "data.csv")
+    loaded = load_dataset(tmp_path / "data.csv").groups["g"].values
+    np.testing.assert_array_equal(signs(loaded), signs(values))
+    test = tmp_path / "test.csv"
+    test.write_text("-0.0,0.0\n0.0,-0.0\n-0.0,-0.0\n")
+    np.testing.assert_array_equal(signs(load_frf(test).values),
+                                  [[True, False, True], [False, True, True]])
+
+
+def per_cell_csv(dataset):
+    """The CSV text `save_dataset` writes, built one numpy scalar at a time."""
+    lines = [f"# {key}={value}" for key, value in dataset.metadata.items()]
+    lines.append("freq_hz," + ",".join(f"re_{k},im_{k}" for k in range(dataset.grid.m)))
+    cells = [repr(float(dataset.grid.sample_rate))]
+    for f in dataset.grid.frequencies:
+        cells += [repr(float(f)), ""]
+    lines.append(",".join(cells))
+    for name, frf_set in dataset.groups.items():
+        for row in frf_set.values:
+            cells = [name]
+            for z in row:
+                cells += [repr(float(z.real)), repr(float(z.imag))]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_columns(header, columns):
+    """The table `cli._write_columns` writes, built one numpy scalar at a time."""
+    rows = [",".join(f"{float(x):.9g}" for x in row) for row in zip(*columns)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16, -1e16,
+               1e-5, 1e300, -1e300, 0.1, 1 / 3, 123456789.5, 1e21]
+cell_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_row_writers_match_per_cell_writers(tmp_path, data):
+    m = data.draw(st.integers(1, 3))
+    grid = derive_grid([0.3, 0.5, 0.7][:m])
+    groups = {}
+    for name in data.draw(st.sampled_from([["g"], ["control", "patient"]])):
+        n = data.draw(st.integers(1, 3))
+        parts = data.draw(st.lists(cell_floats, min_size=2 * n * m, max_size=2 * n * m))
+        pairs = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+        groups[name] = FRFSet(np.array(pairs).reshape(n, m))
+    dataset = Dataset(grid=grid, groups=groups, metadata={"site": "lab-3"})
+    path = tmp_path / "prop.csv"
+    save_dataset(dataset, path)
+    assert path.read_text() == per_cell_csv(dataset)
+    loaded = load_dataset(path)
+    for name, frf_set in groups.items():
+        assert loaded.groups[name].values.tobytes() == frf_set.values.tobytes()
+
+    rows = data.draw(st.integers(1, 4))
+    columns = [np.array(data.draw(st.lists(cell_floats, min_size=rows, max_size=rows)))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_columns(str(path), header, columns)
+    assert path.read_text() == per_cell_columns(header, columns)
 
 
 def test_csv_short_row_names_line(tmp_path):

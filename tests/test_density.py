@@ -9,7 +9,7 @@ from frfstats.density import estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
-from support import FixedStreams
+from support import EXPERIMENT_FREQS, FixedStreams
 
 GRID = derive_grid([1.0])
 
@@ -227,3 +227,51 @@ def test_validation():
         estimate_density(test, frfs, GRID, cfg, numerator_mode="other")
     with pytest.raises(ValueError):
         estimate_density(test, FRFSet(frfs.values[:2]), GRID, cfg)
+
+
+def per_row_density(test, frf_set, grid, picks, metric, numerator_mode):
+    """``(cdf_stats, pdf_stats)`` as the per-replication loop computed them:
+    each replication's mean by ``.mean(axis=0)`` and its distances sorted
+    as they are made."""
+    distance = {"squared": lambda sq: np.sum(sq, axis=-1),
+                "max": lambda sq: np.sqrt(np.max(sq, axis=-1))}[metric]
+    pirs, x_test = pir_matrix(frf_set, grid), pir_from_frf(test, grid).values
+    B, n = len(picks), frf_set.n
+    ds = max(1, n // 20)
+    es, et = np.empty((B, n)), np.empty(B)
+    for b, idx in enumerate(picks):
+        mean = pirs[idx].mean(axis=0)
+        es[b] = np.sort(distance(np.square(pirs[idx] - mean)))
+        et[b] = distance(np.square(x_test - mean))
+    rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
+    low, high = rank - ds < 1, rank + ds > n
+    i1 = np.where(low, 1, np.where(high, n - ds, rank - ds))
+    i2 = np.where(low, 1 + ds, np.where(high, n, rank + ds))
+    width = es[np.arange(B), i2 - 1] - es[np.arange(B), i1 - 1]
+    numer = float(ds) if numerator_mode == "code-compatible" else (i2 - i1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rank / n, np.where(width > 0.0, numer / (n * width), np.nan)
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["drawn", "replayed"])
+@pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
+@pytest.mark.parametrize("metric", ["squared", "max"])
+def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replayed):
+    grid = derive_grid(EXPERIMENT_FREQS)
+    rng = np.random.default_rng(23)
+    frfs = FRFSet(rng.standard_normal((40, grid.m)) + 1j * rng.standard_normal((40, grid.m)))
+    test = FRF(frfs.values.mean(axis=0) + 0.2 - 0.1j)
+    cfg = BootstrapConfig(replications=25, seed=0)
+    picks = rng.integers(0, 40, size=(25, 40))
+    # Replication 3's first draw repeats one row, has zero spread and is
+    # redrawn: its accepted resample is the second canned draw.
+    table = {(b,): [idx] for b, idx in enumerate(picks)}
+    table[(3,)] = [np.full(40, 7), picks[3]]
+    streams = FixedStreams(table)
+    if replayed:
+        bootstrap_deviation_stats(frfs, grid, cfg, streams)
+    est = estimate_density(test, frfs, grid, cfg, metric=metric,
+                           numerator_mode=numerator_mode, streams=streams)
+    cdf, pdf = per_row_density(test, frfs, grid, picks, metric, numerator_mode)
+    assert est.cdf_stats.tobytes() == cdf.tobytes()
+    assert est.pdf_stats.tobytes() == pdf.tobytes()
