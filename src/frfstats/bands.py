@@ -14,6 +14,13 @@ just reach?", is answered by minimal_prediction_band: the scale is fixed
 by the test sample's own deviation from the set mean (raised by a few ulp
 where rounding would leave the test outside the band) and the confidence
 level is read off the same statistic pool at that scale.
+
+One band bootstrap of a set serves every band, minimal band and density
+call that reads the same inputs: its pool (`_Pool`) holds the set's PIR
+matrix, mean and std, the record of the draws, the sorted statistic pool
+and each replication's sorted squared member distances.  The density ranks
+a test's squared distance against those distances without gathering the
+resamples again (`_ranked`); the "max" metric replays them.
 """
 
 from __future__ import annotations
@@ -85,9 +92,10 @@ class Band:
 class ReplicateDraws:
     """The band bootstrap's B*N record, one row per replication.
 
-    `indices` holds each replication's accepted resample and `stats` the
-    per-sample max-deviation statistics whose pool calibrates the band.
-    A replicate mean is recomputed from its resample:
+    `indices` holds each replication's accepted resample, in the narrowest
+    unsigned integer type that holds N-1, and `stats` the per-sample
+    max-deviation statistics whose pool calibrates the band.  A replicate
+    mean is recomputed from its resample:
     ``pir_matrix(frf_set, grid)[draws.indices[b]].mean(axis=0)``.
     """
 
@@ -101,6 +109,18 @@ class ReplicateDraws:
     def pool(self) -> np.ndarray:
         """The B*N statistics, flattened in replication-major order."""
         return self.stats.ravel()
+
+
+# Distance of a row from the replicate mean, as a function of its squared
+# deviations over the time points: "squared" is the discrete sum of squared
+# differences (no time-step factor, so rescale when comparing across sample
+# rates) and "max" the maximum absolute difference.  In binary floating
+# point sqrt(x * x) == |x| exactly while x * x neither underflows nor
+# overflows, so "max" needs no second pass over the unsquared rows.
+_METRICS = {
+    "squared": lambda sq: sq.sum(axis=-1),
+    "max": lambda sq: np.sqrt(sq.max(axis=-1)),
+}
 
 
 def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
@@ -140,30 +160,45 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
         yield idx, mean, std, sq
 
 
-# The last band bootstrap, ``set -> (grid, B, seed, streams, draws)``: one
-# entry at most (one per concurrent call under threads, each right for its
-# key), dropped with its set (see `bootstrap_deviation_stats`).
+@dataclass(frozen=True, eq=False)
+class _Pool:
+    """One band bootstrap of a set, with everything its readers reuse.
+
+    Its key is what the draws read: `grid` and `streams` by identity,
+    `replications` and `seed` by value.  `pirs` is the set's PIR matrix and
+    `mean` and `std` its pointwise statistics, as `pir_stats` computes
+    them.  `draws` is the record, `stat_ecdf` its sorted statistic pool,
+    and row b of `distances` replication b's squared member distances to
+    its mean, sorted.
+    """
+
+    grid: FrequencyGrid
+    replications: int
+    seed: int
+    streams: IndexStreams | None
+    pirs: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    draws: ReplicateDraws
+    stat_ecdf: StatEcdf
+    distances: np.ndarray
+
+    def __post_init__(self) -> None:
+        fix(self, **vars(self))
+
+
+# The last band bootstrap's pool, ``set -> _Pool``: one entry at most (one
+# per concurrent call under threads, each right for its key), dropped with
+# its set (see `bootstrap_deviation_stats`).
 _LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _recorded(frf_set: FRFSet, grid, cfg, streams) -> ReplicateDraws | None:
-    """The last band bootstrap's draws if it read exactly these inputs."""
-    grid_, B, seed, streams_, draws = _LAST.get(frf_set, (None,) * 5)
-    same = (B, seed) == (cfg.replications, cfg.seed)
-    return draws if grid_ is grid and same and streams_ is streams else None
-
-
-def _resamples(frf_set: FRFSet, grid, cfg, streams):
-    """Each band replication's ``(mean, squared deviations)``, for the density.
-
-    Replays the recorded resamples when `_recorded` holds them for these
-    inputs, and otherwise draws them through `_replicates`, unrecorded.
-    """
-    pirs = pir_matrix(frf_set, grid)
-    draws = _recorded(frf_set, grid, cfg, streams)
-    if draws is not None:
-        return (_resample_rows(pirs, idx) for idx in draws.indices)
-    return ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
+def _pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool | None:
+    """The set's pool if its band bootstrap read exactly these inputs."""
+    pool = _LAST.get(frf_set)
+    if pool is None or pool.grid is not grid or pool.streams is not streams:
+        return None
+    return pool if (pool.replications, pool.seed) == (cfg.replications, cfg.seed) else None
 
 
 def bootstrap_deviation_stats(
@@ -181,47 +216,142 @@ def bootstrap_deviation_stats(
     stream, at most `resampling.MAX_REDRAWS` times.  The record keeps the
     B x N indices and statistics, no replicate mean or std.
 
-    The last record is reused while its set lives: a call with the same
+    The last bootstrap is kept while its set lives: a call with the same
     set, grid and `streams` objects (None for ``IndexStreams(cfg.seed)``;
     a streams object must yield the same draws per key on every call) and
     the same `cfg.replications` and `cfg.seed`, the fields the draws read,
-    returns it, and `estimate_density` replays its indices.  Any other
-    call drops it first, so one B x N record at most is held (3.2 MB at
-    N=200, B=1000).
+    returns its record, and the bands and `estimate_density` read its pool.
+    Any other call drops it first, so one pool at most is held: at N=200,
+    B=1000 its B x N statistics, sorted statistics and squared member
+    distances take 1.6 MB each and its indices 0.2 MB.
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
-    draws = _recorded(frf_set, grid, cfg, streams)
-    if draws is not None:
-        return draws
+    pool = _pool(frf_set, grid, cfg, streams)
+    if pool is not None:
+        return pool.draws
     _LAST.clear()
     pirs = pir_matrix(frf_set, grid)
 
     B, n = cfg.replications, frf_set.n
-    indices = np.empty((B, n), dtype=np.int64)
+    indices = np.empty((B, n), dtype=np.min_scalar_type(n - 1))
     stats = np.empty((B, n))
-    for b, (idx, mean, std, _) in enumerate(_replicates(pirs, cfg, streams)):
+    distances = np.empty((B, n))
+    for b, (idx, mean, std, sq) in enumerate(_replicates(pirs, cfg, streams)):
         indices[b] = idx
         stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
+        distances[b] = _METRICS["squared"](sq)
+    distances.sort(axis=1)
     draws = ReplicateDraws(indices=indices, stats=stats)
-    _LAST[frf_set] = (grid, B, cfg.seed, streams, draws)
+    _LAST[frf_set] = _Pool(
+        grid=grid, replications=B, seed=cfg.seed, streams=streams, pirs=pirs,
+        mean=pirs.mean(axis=0), std=pirs.std(axis=0, ddof=1), draws=draws,
+        stat_ecdf=ecdf(draws.pool), distances=distances,
+    )
     return draws
 
 
-def _calibrated(
-    frf_set: FRFSet,
-    grid: FrequencyGrid,
-    cfg: BootstrapConfig,
-    streams: IndexStreams | None,
-):
-    """The set's PIR mean and std, checked for spread, and its pool's ECDF."""
-    mean, std = pir_stats(frf_set, grid)
+def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
+    """The pool for these inputs, drawn on a miss; its set must have spread.
+
+    On a miss the set is refused through `pir_stats` and the spread check
+    before any draw.
+    """
+    pool = _pool(frf_set, grid, cfg, streams)
+    std = pir_stats(frf_set, grid)[1] if pool is None else pool.std
     if np.any(std == 0.0):
         raise DegenerateSpread(
             "the sample set has zero spread at some time point"
         )
-    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-    return mean, std, ecdf(draws.pool)
+    while pool is None:  # a concurrent call on the set may drop the new pool
+        bootstrap_deviation_stats(frf_set, grid, cfg, streams)
+        pool = _pool(frf_set, grid, cfg, streams)
+    return pool
+
+
+def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
+    """Each band replication's sorted member distances, and the test's place.
+
+    Returns ``(es, below)``: row b of `es` holds the `metric` distances of
+    replication b's resampled rows to its mean, sorted, and ``below[b]``
+    counts those at or below the test PIR's distance to that mean.  A
+    squared-metric call on a pool reads them off the pool
+    (`_squared_below`); any other call replays the pool's resamples, or on
+    a miss draws them through `_replicates`, unrecorded.
+    """
+    pool = _pool(frf_set, grid, cfg, streams)
+    pirs = pir_matrix(frf_set, grid) if pool is None else pool.pirs
+    x = pir_from_frf(test, grid).values
+    if pool is not None and metric == "squared":
+        return pool.distances, _squared_below(pool, x)
+    if pool is None:
+        replicates = ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
+    else:
+        replicates = (_resample_rows(pirs, idx) for idx in pool.draws.indices)
+
+    distance = _METRICS[metric]
+    es = np.empty((cfg.replications, frf_set.n))
+    et = np.empty(cfg.replications)
+    # A huge test response's distance overflows to +inf: it ranks last.
+    # Only the test distance can overflow here, because the replications
+    # refuse PIRs too large for finite member statistics up front.
+    with np.errstate(over="ignore"):
+        for b, (mean, sq) in enumerate(replicates):
+            es[b] = distance(sq)
+            et[b] = distance(np.square(x - mean))
+    es.sort(axis=1)
+    return es, np.count_nonzero(es <= et[:, None], axis=1)
+
+
+# `_squared_below` counts, for each replication b, the member distances at
+# or below the loop's test distance et = fl(sum_t (x_t - m^_t)^2), where m^
+# is the rounded mean of the resampled rows y_1..y_n.  It forms no mean.
+# For any centre mu, with d = x - mu, p_j = y_j - mu, m their exact mean,
+# c the resample's counts over the set's rows P_i, g_i = (P_i - mu) . d,
+# r_i = |P_i - mu|^2 and Q = sum_j |y_j - m|^2, in real arithmetic
+#     |x - m|^2 = |d|^2 + (c . (r - 2 g) - Q) / n,
+# because sum_j |p_j|^2 = c . r = Q + n |m - mu|^2 (parallel axes).  The
+# sum of the recorded distances stands in for Q.
+#
+# Rounding bound (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2002, §3.1: a sum or dot product of k terms errs by at most
+# g_k = k u / (1 - k u) times the sum of the terms' magnitudes, u = 2^-53).
+# Let R = max_i |P_i - mu|, so |m - mu| <= R and Q <= n R^2, L = |d| + R,
+# and A_t = max_i |P_it|.  The rounded mean is m^ = m + delta with
+# |delta| <= g_n |A|.  The recorded distances sum to Q + n |delta|^2 within
+# g_{n+T+2} of themselves, so the product form lies within
+# g_{n+T+8} 2 L^2 + 2 |delta|^2 of |x - m|^2, and the loop's et within
+# g_{T+2} (L + |delta|)^2 + 2 L |delta| + |delta|^2.  Both together lie
+# within 3 g_{n+T+8} (L + |A|)^2 of each other.  The margin takes twice
+# that and more, 8 (n + T + 8) u (L + |A|)^2, which also covers rounding
+# in L and |A|, plus (n + T + 8)^2 subnormal spacings for underflow.  No
+# recorded distance inside the margin means the count is the loop's; a
+# replication with one inside, or a non-finite product distance, gets
+# the loop's et from its recorded resample.
+def _squared_below(pool: _Pool, x: np.ndarray) -> np.ndarray:
+    """Per replication, the squared member distances at or below the test's."""
+    pirs, es, idx = pool.pirs, pool.distances, pool.draws.indices
+    n, t = pirs.shape
+    pc = pirs - pool.mean
+    a = np.abs(pirs).max(axis=0)
+    # A huge test overflows here to a non-finite distance or margin.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - pool.mean
+        dd = d @ d
+        r = np.square(pc).sum(axis=1)
+        approx = dd + ((r - 2.0 * (pc @ d))[idx].sum(axis=1) - es.sum(axis=1)) / n
+        root = np.sqrt(dd) + np.sqrt(r.max()) + np.sqrt(a @ a)
+        margin = (4 * (n + t + 8) * np.finfo(float).eps * root**2
+                  + (n + t + 8) ** 2 * np.finfo(float).smallest_subnormal)
+        lo, hi = approx - margin, approx + margin
+    below = np.count_nonzero(es < lo[:, None], axis=1)
+    unsure = (np.count_nonzero(es <= hi[:, None], axis=1) > below) | ~np.isfinite(hi)
+    for b in np.flatnonzero(unsure):
+        mean, _ = _resample_rows(pirs, idx[b])
+        with np.errstate(over="ignore"):
+            et = _METRICS["squared"](np.square(x - mean))
+        below[b] = np.count_nonzero(es[b] <= et)
+    return below
 
 
 def prediction_band(
@@ -235,8 +365,8 @@ def prediction_band(
     one set, grid, config and `streams` share one pool (`bootstrap_deviation_stats`)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    mean, std, e = _calibrated(frf_set, grid, cfg, streams)
-    return Band(mean=mean, std=std, scale=c_at(e, alpha), alpha=alpha)
+    pool = _band_pool(frf_set, grid, cfg, streams)
+    return Band(mean=pool.mean, std=pool.std, scale=c_at(pool.stat_ecdf, alpha), alpha=alpha)
 
 
 def _containing_scale(mean: np.ndarray, std: np.ndarray, x: np.ndarray) -> float:
@@ -285,7 +415,8 @@ def minimal_prediction_band(
     returned alpha is the fraction of the bootstrap pool at or below that
     returned scale, 1 when the test lies beyond every pooled statistic.
     """
-    mean, std, e = _calibrated(frf_set, grid, cfg, streams)
-    scale = _containing_scale(mean, std, pir_from_frf(test, grid).values)
-    band = Band(mean=mean, std=std, scale=scale, alpha=alpha_at(e, scale))
-    return MinimalBand(band=band, stat_ecdf=e)
+    pool = _band_pool(frf_set, grid, cfg, streams)
+    scale = _containing_scale(pool.mean, pool.std, pir_from_frf(test, grid).values)
+    band = Band(mean=pool.mean, std=pool.std, scale=scale,
+                alpha=alpha_at(pool.stat_ecdf, scale))
+    return MinimalBand(band=band, stat_ecdf=pool.stat_ecdf)

@@ -258,8 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` reads: built on its first call, about 1 ms, and kept.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except (DegenerateSpread, ZeroSpread) as err:

@@ -15,28 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import fix
-from .bands import _resamples
+from .bands import _METRICS, _ranked
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, pir_from_frf
+from .pir import FRF, FRFSet
 from .resampling import BootstrapConfig, IndexStreams
 
 #: Fraction of replications allowed to have a zero-width PDF window.
 MAX_SKIPPED_FRACTION = 0.2
 
 NUMERATOR_MODES = ("code-compatible", "index-span")
-
-
-# Distance of a row from the replicate mean, as a function of its squared
-# deviations over the time points: "squared" is the discrete sum of squared
-# differences (no time-step factor, so rescale when comparing across sample
-# rates) and "max" the maximum absolute difference.  In binary floating
-# point sqrt(x * x) == |x| exactly while x * x neither underflows nor
-# overflows, so "max" needs no second pass over the unsquared rows.
-_METRICS = {
-    "squared": lambda sq: sq.sum(axis=-1),
-    "max": lambda sq: np.sqrt(sq.max(axis=-1)),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +85,13 @@ def estimate_density(
     [N - Ds, N] and spans only Ds ranks.  "code-compatible" keeps Ds in
     the numerator for every window, "index-span" uses the actual span.
 
-    Where `bootstrap_deviation_stats` holds a record for the same inputs
-    (its reuse rule), its accepted resamples are replayed, not redrawn.
+    Where `bootstrap_deviation_stats` holds a pool for the same inputs
+    (its reuse rule), its accepted resamples are read, not redrawn.  The
+    squared metric then ranks the test from the pool's member distances
+    and one product of the set's centred PIRs with the test, and forms a
+    replicate mean only where rounding could move the test's rank; the
+    "max" metric replays the resamples.  Every number is bit-identical to
+    a fresh draw's.
 
     Raises ZeroSpread when more than 20% of replications had a zero-width
     distance window, and DegenerateSpread when a replication kept zero
@@ -108,28 +101,15 @@ def estimate_density(
         raise ValueError("need at least three samples to estimate a density")
     if numerator_mode not in NUMERATOR_MODES:
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")
-    distance = _METRICS.get(metric) if isinstance(metric, str) else None
-    if distance is None:
+    if not isinstance(metric, str) or metric not in _METRICS:
         raise ValueError(f"{metric!r} is not a valid metric")
-    replicates = _resamples(frf_set, grid, cfg, streams)
-    x_test = pir_from_frf(test, grid).values
+    es, below = _ranked(test, frf_set, grid, cfg, metric, streams)
     n, B = frf_set.n, cfg.replications
     ds = max(1, n // 20)
 
-    es = np.empty((B, n))
-    et = np.empty(B)
-    # A huge test response's distance overflows to +inf: it ranks last.
-    # Only the test distance can overflow here, because the replications
-    # refuse PIRs too large for finite member statistics up front.
-    with np.errstate(over="ignore"):
-        for b, (mean, sq) in enumerate(replicates):
-            es[b] = distance(sq)
-            et[b] = distance(np.square(x_test - mean))
-    es.sort(axis=1)
-
     # 1-based rank of the test distance among the sorted member
     # distances: first position strictly above it, N when none is.
-    rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
+    rank = np.minimum(below + 1, n)
     cdf_stats = rank / n
 
     # The rank window's three cases: low, high and interior.

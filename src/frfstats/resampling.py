@@ -4,8 +4,8 @@ The bootstrap config, the keyed random streams (one per band or density
 replication, one per comparison group), the redraw rule for degenerate
 replications, and the empirical CDF of a statistic pool, whose exact
 order statistics convert between band scaling constants and confidence
-levels.  The band bootstrap's replicate loop, its record and its replay
-live in `frfstats.bands`.  Every bootstrap loop runs serially, one
+levels.  The band bootstrap's replicate loop, its record and the pool
+that the bands and the density read live in `frfstats.bands`.  Every bootstrap loop runs serially, one
 replication at a time; results depend only on the seed.
 """
 

@@ -213,6 +213,17 @@ def test_degenerate_replication_is_redrawn():
         bootstrap_deviation_stats(frfs, grid, cfg, exhausted)
 
 
+@pytest.mark.parametrize("n, dtype", [(3, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_record_indices_take_the_narrowest_unsigned_type(n, dtype):
+    grid = derive_grid([0.3, 0.5])
+    frfs = small_set(n=n)
+    cfg = BootstrapConfig(replications=4, seed=0)
+    draws = bootstrap_deviation_stats(frfs, grid, cfg)
+    assert draws.indices.dtype == dtype
+    drawn = [idx for idx, _, _, _ in _replicates(pir_matrix(frfs, grid), cfg, None)]
+    np.testing.assert_array_equal(draws.indices, drawn)
+
+
 def test_too_few_samples_rejected():
     grid = derive_grid([0.3, 0.5])
     frfs = FRFSet(np.ones((2, 2)) + 1j * np.eye(2))
@@ -343,21 +354,23 @@ def test_record_lives_with_its_set_alone():
     set_ref = weakref.ref(group)
     draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
     assert list(bands._LAST) == [group]
+    pool_ref = weakref.ref(bands._LAST[group])
 
-    # A call on another set drops the first set's record before drawing.
+    # A call on another set drops the first set's pool before drawing.
     other = FRFSet(group.values)
     bootstrap_deviation_stats(other, grid, cfg)
     assert list(bands._LAST) == [other]
     gc.collect()
-    assert draws_ref() is None
+    assert draws_ref() is None and pool_ref() is None
 
     del other
     gc.collect()
     assert len(bands._LAST) == 0
     draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
+    pool_ref = weakref.ref(bands._LAST[group])
     del group
     gc.collect()
-    assert set_ref() is None and draws_ref() is None
+    assert set_ref() is None and draws_ref() is None and pool_ref() is None
     assert len(bands._LAST) == 0
 
 

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from frfstats import DegenerateSpread, ZeroSpread, derive_grid
-from frfstats.bands import bootstrap_deviation_stats
-from frfstats.density import estimate_density
+from frfstats import (
+    DegenerateSpread,
+    SyntheticSpec,
+    ZeroSpread,
+    derive_grid,
+    generate_synthetic,
+    lowpass_mean_frf,
+)
+from frfstats import bands
+from frfstats.bands import _resample_rows, bootstrap_deviation_stats
+from frfstats.density import NUMERATOR_MODES, estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
@@ -41,6 +49,17 @@ def brute_force(pirs, picks, x_test, ds, numerator=None, distance=squared_distan
     width = es[i2 - 1] - es[i1 - 1]
     numer = ds if numerator is None else (i2 - i1)
     return idx / n, numer / (n * width)
+
+
+class CountingRows:
+    """Stand-in for `bands._resample_rows` that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, pirs, idx):
+        self.calls += 1
+        return _resample_rows(pirs, idx)
 
 
 INJECTED = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
@@ -119,6 +138,23 @@ def test_overflowing_test_distance_ranks_last(metric):
     np.testing.assert_array_equal(
         est.pdf_stats, estimate_density(far, frfs, GRID, cfg, metric=metric).pdf_stats
     )
+
+
+def test_pooled_overflowing_test_distance_ranks_last(monkeypatch):
+    # On a pool the squared product distance overflows too; every
+    # replication then takes the loop's distance, +inf, and ranks last.
+    frfs = forty_frfs()
+    cfg = BootstrapConfig(replications=60, seed=1)
+    far = FRF(frfs.values.mean(axis=0) + 50.0 + 50.0j)
+    huge = FRF(np.array([1e200 + 1e200j]))
+    drawn = estimate_density(far, FRFSet(frfs.values), GRID, cfg)
+    bootstrap_deviation_stats(frfs, GRID, cfg)
+    rows = CountingRows()
+    monkeypatch.setattr(bands, "_resample_rows", rows)
+    est = estimate_density(huge, frfs, GRID, cfg)
+    assert rows.calls == cfg.replications
+    assert np.all(est.cdf_stats == 1.0)
+    np.testing.assert_array_equal(est.pdf_stats, drawn.pdf_stats)
 
 
 def test_mean_test_ranks_low():
@@ -253,25 +289,111 @@ def per_row_density(test, frf_set, grid, picks, metric, numerator_mode):
         return rank / n, np.where(width > 0.0, numer / (n * width), np.nan)
 
 
-@pytest.mark.parametrize("replayed", [False, True], ids=["drawn", "replayed"])
-@pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
-@pytest.mark.parametrize("metric", ["squared", "max"])
-def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replayed):
+def canned_density_case(test_at):
+    """A 40-member set with 25 canned resamples, one of them redrawn, and a
+    test: the set mean shifted, or set member 7."""
     grid = derive_grid(EXPERIMENT_FREQS)
     rng = np.random.default_rng(23)
     frfs = FRFSet(rng.standard_normal((40, grid.m)) + 1j * rng.standard_normal((40, grid.m)))
-    test = FRF(frfs.values.mean(axis=0) + 0.2 - 0.1j)
-    cfg = BootstrapConfig(replications=25, seed=0)
+    test = frfs.sample(7) if test_at == "member" else FRF(frfs.values.mean(axis=0) + 0.2 - 0.1j)
     picks = rng.integers(0, 40, size=(25, 40))
     # Replication 3's first draw repeats one row, has zero spread and is
     # redrawn: its accepted resample is the second canned draw.
     table = {(b,): [idx] for b, idx in enumerate(picks)}
     table[(3,)] = [np.full(40, 7), picks[3]]
-    streams = FixedStreams(table)
+    return grid, frfs, test, picks, FixedStreams(table)
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["drawn", "replayed"])
+@pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
+@pytest.mark.parametrize("metric", ["squared", "max"])
+def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replayed, monkeypatch):
+    grid, frfs, test, picks, streams = canned_density_case("offset")
+    cfg = BootstrapConfig(replications=25, seed=0)
     if replayed:
         bootstrap_deviation_stats(frfs, grid, cfg, streams)
+    rows = CountingRows()
+    monkeypatch.setattr(bands, "_resample_rows", rows)
     est = estimate_density(test, frfs, grid, cfg, metric=metric,
                            numerator_mode=numerator_mode, streams=streams)
     cdf, pdf = per_row_density(test, frfs, grid, picks, metric, numerator_mode)
     assert est.cdf_stats.tobytes() == cdf.tobytes()
     assert est.pdf_stats.tobytes() == pdf.tobytes()
+    if replayed:
+        # On the pool the squared metric forms no replicate mean at all.
+        assert rows.calls == (0 if metric == "squared" else 25)
+
+
+@pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
+def test_pooled_member_ties_are_recomputed_bit_for_bit(numerator_mode, monkeypatch):
+    # A set member's distance ties exactly with its own member distance in
+    # every replication that resamples it; only those recompute the test's
+    # distance the loop's way.
+    grid, frfs, test, picks, streams = canned_density_case("member")
+    cfg = BootstrapConfig(replications=25, seed=0)
+    bootstrap_deviation_stats(frfs, grid, cfg, streams)
+    rows = CountingRows()
+    monkeypatch.setattr(bands, "_resample_rows", rows)
+    est = estimate_density(test, frfs, grid, cfg, numerator_mode=numerator_mode,
+                           streams=streams)
+    cdf, pdf = per_row_density(test, frfs, grid, picks, "squared", numerator_mode)
+    assert est.cdf_stats.tobytes() == cdf.tobytes()
+    assert est.pdf_stats.tobytes() == pdf.tobytes()
+    assert rows.calls == sum(7 in idx for idx in picks) > 0
+
+
+@pytest.mark.parametrize("metric, replays", [("squared", 0), ("max", 50)])
+def test_pooled_density_replays_only_the_max_metric(metric, replays, monkeypatch):
+    # On a pool, a held-out test's squared distance is ranked without one
+    # replicate mean; the "max" metric has no such identity and replays.
+    grid = derive_grid(EXPERIMENT_FREQS, 22.0)
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal((21, grid.m)) + 1j * rng.standard_normal((21, grid.m))
+    frfs, test = FRFSet(values[:20]), FRF(values[20])
+    cfg = BootstrapConfig(replications=50, seed=3)
+    bootstrap_deviation_stats(frfs, grid, cfg)
+    rows = CountingRows()
+    monkeypatch.setattr(bands, "_resample_rows", rows)
+    estimate_density(test, frfs, grid, cfg, metric=metric)
+    assert rows.calls == replays
+
+
+def scored_tests(group, grid, seed):
+    """A held-out draw, the set mean, a set member and 1.5x the draw."""
+    mean = lowpass_mean_frf(grid)
+    rng = np.random.default_rng([seed, 7])
+    held = mean + 0.1 * (rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m))
+    return [FRF(held), FRF(group.values.mean(axis=0)), group.sample(3), FRF(1.5 * held)]
+
+
+def density_outcome(test, group, grid, cfg, numerator_mode):
+    """The density's statistics as bytes, or its refusal as type and message."""
+    try:
+        est = estimate_density(test, group, grid, cfg, numerator_mode=numerator_mode)
+    except (ZeroSpread, DegenerateSpread) as err:
+        return type(err).__name__, str(err)
+    return est.cdf_stats.tobytes(), est.pdf_stats.tobytes()
+
+
+@pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
+def test_pooled_squared_density_matches_a_fresh_draw(rate, n):
+    # Seeds 0-9 on the bench grids: a density on the pool (no replicate
+    # means) and one on a copy of the set (the replicate loop) agree bit
+    # for bit, refusals included.
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    refused = 0
+    for seed in range(10):
+        group = generate_synthetic(
+            SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=10 * seed
+        )
+        cfg = BootstrapConfig(replications=100, seed=seed)
+        bootstrap_deviation_stats(group, grid, cfg)
+        for test in scored_tests(group, grid, seed):
+            for mode in NUMERATOR_MODES:
+                pooled = density_outcome(test, group, grid, cfg, mode)
+                fresh = density_outcome(test, FRFSet(group.values), grid, cfg, mode)
+                assert pooled == fresh, (seed, mode)
+                refused += pooled[0] == "ZeroSpread"
+    # At N=20 (Ds = 1) one duplicate beside the rank empties the window, so
+    # some of these densities refuse; at N=200 (Ds = 10) none does.
+    assert (refused > 0) == (n == 20)

@@ -165,11 +165,11 @@ def test_only_bands_memoises():
 
 
 def test_only_bands_names_the_band_bootstrap():
-    # The band bootstrap's loop, record and replay have one home; other
+    # The band bootstrap's loop, record and pool have one home; other
     # modules reach them through `bootstrap_deviation_stats` and the
-    # density's replay call.
+    # density's ranking call.
     package = Path(__file__).parents[1] / "src" / "frfstats"
-    internal = re.compile(r"\b(_LAST|_recorded|_replicates|_resample_rows)\b")
+    internal = re.compile(r"\b(_LAST|_recorded|_replicates|_resample_rows|_Pool|_pool)\b")
     users = sorted(path.name for path in package.glob("*.py") if internal.search(path.read_text()))
     assert users == ["bands.py"]
 
