@@ -34,12 +34,13 @@ import numpy as np
 from ._frozen import fix, hold
 from .errors import BandContainment, DegenerateSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, _refuse_overflowing_stats, pir_from_frf, pir_matrix, pir_stats
+from .pir import FRF, FRFSet, _refuse_overflowing_stats, pir_from_frf, pir_matrix
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
     StatEcdf,
     _draw_with_spread,
+    _index_type,
     alpha_at,
     c_at,
     ecdf,
@@ -141,10 +142,9 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
     (None for ``IndexStreams(cfg.seed)``) under the `_draw_with_spread`
     rule, and yields ``(indices, mean, std, sq)``: the accepted resample,
     its mean and N-1 std over the rows, and the rows' squared deviations
-    from that mean.  PIRs too large for finite statistics are refused with
-    a ValueError before any draw.
+    from that mean.  Callers refuse PIRs too large for finite statistics
+    first (`_refuse_overflowing_stats`).
     """
-    _refuse_overflowing_stats(pirs)
     streams = IndexStreams(cfg.seed) if streams is None else streams
     n = pirs.shape[0]
 
@@ -187,9 +187,9 @@ class _Pool:
         fix(self, **vars(self))
 
 
-# The last band bootstrap's pool, ``set -> _Pool``: one entry at most (one
-# per concurrent call under threads, each right for its key), dropped with
-# its set (see `bootstrap_deviation_stats`).
+# The last band bootstrap's pool, ``set -> _Pool``, dropped with its set;
+# each miss clears it first.  `_band_pool` returns the pool it built, so a
+# concurrent call that replaces the entry costs a rebuild, not a result.
 _LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -213,8 +213,9 @@ def bootstrap_deviation_stats(
     takes the replicate mean and std, and scores every original sample by
     ``max_t |x_i(t) - replicate_mean(t)| / replicate_std(t)``.
     Replications whose std hits zero anywhere are redrawn from their own
-    stream, at most `resampling.MAX_REDRAWS` times.  The record keeps the
-    B x N indices and statistics, no replicate mean or std.
+    stream, at most `resampling.MAX_REDRAWS` times, and a set with zero
+    spread at some time point is refused first (DegenerateSpread).  The
+    record keeps the B x N indices and statistics, no replicate mean or std.
 
     The last bootstrap is kept while its set lives: a call with the same
     set, grid and `streams` objects (None for ``IndexStreams(cfg.seed)``;
@@ -225,47 +226,42 @@ def bootstrap_deviation_stats(
     B=1000 its B x N statistics, sorted statistics and squared member
     distances take 1.6 MB each and its indices 0.2 MB.
     """
-    if frf_set.n < 3:
-        raise ValueError("need at least three samples to bootstrap a band")
-    pool = _pool(frf_set, grid, cfg, streams)
-    if pool is not None:
-        return pool.draws
-    _LAST.clear()
-    pirs = pir_matrix(frf_set, grid)
-
-    B, n = cfg.replications, frf_set.n
-    indices = np.empty((B, n), dtype=np.min_scalar_type(n - 1))
-    stats = np.empty((B, n))
-    distances = np.empty((B, n))
-    for b, (idx, mean, std, sq) in enumerate(_replicates(pirs, cfg, streams)):
-        indices[b] = idx
-        stats[b] = (np.abs(pirs - mean) / std).max(axis=1)
-        distances[b] = _METRICS["squared"](sq)
-    distances.sort(axis=1)
-    draws = ReplicateDraws(indices=indices, stats=stats)
-    _LAST[frf_set] = _Pool(
-        grid=grid, replications=B, seed=cfg.seed, streams=streams, pirs=pirs,
-        mean=pirs.mean(axis=0), std=pirs.std(axis=0, ddof=1), draws=draws,
-        stat_ecdf=ecdf(draws.pool), distances=distances,
-    )
-    return draws
+    return _band_pool(frf_set, grid, cfg, streams).draws
 
 
 def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
-    """The pool for these inputs, drawn on a miss; its set must have spread.
+    """The pool for these inputs, drawn and kept on a miss.
 
-    On a miss the set is refused through `pir_stats` and the spread check
-    before any draw.
+    A miss refuses fewer than three samples, PIRs too large for finite
+    statistics and zero spread at some time point before any draw.
     """
     pool = _pool(frf_set, grid, cfg, streams)
-    std = pir_stats(frf_set, grid)[1] if pool is None else pool.std
+    if pool is not None:
+        return pool
+    _LAST.clear()
+    if frf_set.n < 3:
+        raise ValueError("need at least three samples to bootstrap a band")
+    pirs = pir_matrix(frf_set, grid)
+    _refuse_overflowing_stats(pirs)
+    mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
     if np.any(std == 0.0):
-        raise DegenerateSpread(
-            "the sample set has zero spread at some time point"
-        )
-    while pool is None:  # a concurrent call on the set may drop the new pool
-        bootstrap_deviation_stats(frf_set, grid, cfg, streams)
-        pool = _pool(frf_set, grid, cfg, streams)
+        raise DegenerateSpread("the sample set has zero spread at some time point")
+
+    B, n = cfg.replications, frf_set.n
+    indices = np.empty((B, n), dtype=_index_type(n))
+    stats = np.empty((B, n))
+    distances = np.empty((B, n))
+    for b, (idx, rep_mean, rep_std, sq) in enumerate(_replicates(pirs, cfg, streams)):
+        indices[b] = idx
+        stats[b] = (np.abs(pirs - rep_mean) / rep_std).max(axis=1)
+        distances[b] = _METRICS["squared"](sq)
+    distances.sort(axis=1)
+    draws = ReplicateDraws(indices=indices, stats=stats)
+    pool = _Pool(
+        grid=grid, replications=B, seed=cfg.seed, streams=streams, pirs=pirs,
+        mean=mean, std=std, draws=draws, stat_ecdf=ecdf(draws.pool), distances=distances,
+    )
+    _LAST[frf_set] = pool
     return pool
 
 
@@ -285,6 +281,7 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     if pool is not None and metric == "squared":
         return pool.distances, _squared_below(pool, x)
     if pool is None:
+        _refuse_overflowing_stats(pirs)
         replicates = ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
     else:
         replicates = (_resample_rows(pirs, idx) for idx in pool.draws.indices)

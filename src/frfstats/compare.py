@@ -26,6 +26,7 @@ from .resampling import (
     IndexStreams,
     StatEcdf,
     _draw_with_spread,
+    _index_type,
     c_at,
     ecdf,
 )
@@ -47,7 +48,9 @@ class DifferenceDraws:
     """What the comparison bootstrap drew, for audit and tests.
 
     The Bs sigma resamples and, per outer replication, the two groups'
-    accepted resamples, plus `stats`, the B max-deviation statistics.
+    accepted resamples, each index in the narrowest unsigned integer type
+    that holds its group's N-1, plus `stats`, the B max-deviation
+    statistics.
     Replication b's mean difference is recomputed, up to rounding, from
     its resamples as ``pir_matrix(set1, grid)[draws.outer_indices1[b]]
     .mean(axis=0) - pir_matrix(set2, grid)[draws.outer_indices2[b]]
@@ -197,8 +200,8 @@ def compare_unpaired(
     # Accepted draws are written row by row; keeping draw[0] itself would
     # keep each replication's whole (1 + Bs, n) block alive.
     B = cfg.replications
-    outer_idx1 = np.empty((B, n1), dtype=np.int64)
-    outer_idx2 = np.empty((B, n2), dtype=np.int64)
+    outer_idx1 = np.empty((B, n1), dtype=_index_type(n1))
+    outer_idx2 = np.empty((B, n2), dtype=_index_type(n2))
     stats = np.empty(B)
     for b in range(B):
         (outer_idx1[b], outer_idx2[b], xb), nested_std = _draw_with_spread(
@@ -207,8 +210,8 @@ def compare_unpaired(
         )
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(
-        sigma_indices1=sigma1[1:],
-        sigma_indices2=sigma2[1:],
+        sigma_indices1=sigma1[1:].astype(_index_type(n1)),
+        sigma_indices2=sigma2[1:].astype(_index_type(n2)),
         outer_indices1=outer_idx1,
         outer_indices2=outer_idx2,
         stats=stats,

@@ -48,9 +48,9 @@ class DensityEstimate:
 
     def __post_init__(self) -> None:
         cdf, pdf = self.cdf_stats, self.pdf_stats
-        kept = pdf[~np.isnan(pdf)]
-        fix(self, cdf_stats=cdf, pdf_stats=pdf, cdf_mean=float(cdf.mean()),
-            cdf_std=_spread(cdf), pdf_mean=float(kept.mean()), pdf_std=_spread(kept))
+        (cdf_mean, cdf_std), (pdf_mean, pdf_std) = _summary(cdf), _summary(pdf[~np.isnan(pdf)])
+        fix(self, cdf_stats=cdf, pdf_stats=pdf, cdf_mean=cdf_mean, cdf_std=cdf_std,
+            pdf_mean=pdf_mean, pdf_std=pdf_std)
 
     @property
     def skipped(self) -> int:
@@ -58,8 +58,18 @@ class DensityEstimate:
         return int(np.count_nonzero(np.isnan(self.pdf_stats)))
 
 
-def _spread(values: np.ndarray) -> float:
-    return float(values.std(ddof=1)) if values.size > 1 else 0.0
+def _summary(values: np.ndarray) -> tuple[float, float]:
+    """Mean and N-1 std of `values` (std 0 for one value).
+
+    Both are taken on the values scaled by 2**-k, 2**k just above the
+    largest magnitude, and scaled back.  That scaling is exact, and keeps
+    the squared deviations of PDF statistics near 1e300 (a set at about
+    1e-150) from overflowing.
+    """
+    k = int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
+    scaled = np.ldexp(values, -k)
+    std = np.ldexp(scaled.std(ddof=1), k) if values.size > 1 else 0.0
+    return float(np.ldexp(scaled.mean(), k)), float(std)
 
 
 def estimate_density(

@@ -98,6 +98,11 @@ class IndexStreams:
         return np.random.default_rng(seq)
 
 
+def _index_type(n: int) -> np.dtype:
+    """The narrowest unsigned integer type of a record's indices into N rows."""
+    return np.min_scalar_type(n - 1)
+
+
 #: Redraws per replication before zero spread is given up on.
 MAX_REDRAWS = 10
 

@@ -13,12 +13,13 @@ from frfstats import (
     FrequencyGrid,
     SyntheticSpec,
     ZeroSpread,
+    compare_unpaired,
     derive_grid,
     estimate_density,
     generate_synthetic,
     lowpass_mean_frf,
 )
-from frfstats import bands
+from frfstats import bands, pir
 from frfstats.bands import (
     Band,
     _replicates,
@@ -195,8 +196,14 @@ def test_degenerate_set_rejected():
     grid = derive_grid([0.3, 0.5])
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     frfs = FRFSet(np.tile(row, (4, 1)))
+    cfg = BootstrapConfig(replications=10, seed=0)
     with pytest.raises(DegenerateSpread):
-        prediction_band(frfs, grid, 0.9, BootstrapConfig(replications=10, seed=0))
+        prediction_band(frfs, grid, 0.9, cfg)
+    # The record's own reader refuses the set too, before any stream.
+    streams = CountingStreams(0)
+    with pytest.raises(DegenerateSpread, match="^the sample set has zero spread"):
+        bootstrap_deviation_stats(frfs, grid, cfg, streams)
+    assert streams.built == 0
 
 
 def test_degenerate_replication_is_redrawn():
@@ -217,11 +224,35 @@ def test_degenerate_replication_is_redrawn():
 def test_record_indices_take_the_narrowest_unsigned_type(n, dtype):
     grid = derive_grid([0.3, 0.5])
     frfs = small_set(n=n)
-    cfg = BootstrapConfig(replications=4, seed=0)
+    cfg = BootstrapConfig(replications=4, nested_replications=3, seed=0)
     draws = bootstrap_deviation_stats(frfs, grid, cfg)
     assert draws.indices.dtype == dtype
     drawn = [idx for idx, _, _, _ in _replicates(pir_matrix(frfs, grid), cfg, None)]
     np.testing.assert_array_equal(draws.indices, drawn)
+    # The comparison's record follows the same rule, group by group.
+    other = small_set(seed=2, n=5)
+    compared = compare_unpaired(frfs, other, grid, 0.9, cfg).draws
+    assert compared.outer_indices1.dtype == compared.sigma_indices1.dtype == dtype
+    assert compared.outer_indices2.dtype == compared.sigma_indices2.dtype == np.uint8
+
+
+def test_band_miss_transforms_the_set_once(monkeypatch):
+    calls = []
+
+    def counted(frf_set, grid):
+        calls.append(frf_set)
+        return pir_matrix(frf_set, grid)
+
+    # Counted in both modules, so a transform inside `pir_stats` counts too.
+    monkeypatch.setattr(bands, "pir_matrix", counted)
+    monkeypatch.setattr(pir, "pir_matrix", counted)
+    grid, group, test = scored_group(4.5, 20, 4)
+    cfg = BootstrapConfig(replications=20, seed=4)
+    prediction_band(group, grid, 0.9, cfg)
+    assert calls == [group]
+    fresh = FRFSet(group.values)
+    minimal_prediction_band(test, fresh, grid, cfg)
+    assert calls == [group, fresh]
 
 
 def test_too_few_samples_rejected():

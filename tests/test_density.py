@@ -1,5 +1,7 @@
 """Tests for the distance CDF/PDF bootstrap."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,25 @@ def test_scaling_preserves_ranks_and_rescales_pdf():
     )
     np.testing.assert_array_equal(base.cdf_stats, scaled.cdf_stats)
     np.testing.assert_allclose(scaled.pdf_stats, base.pdf_stats / 4.0, rtol=1e-13)
+
+
+def test_tiny_scale_summaries_stay_finite():
+    # PDF statistics of a set at about 1e-150 lie near 1e298, so their
+    # squared deviations overflow unless the summaries scale them first.
+    grid = derive_grid([0.3, 0.5])
+    rng = np.random.default_rng(46)
+    values = rng.standard_normal((41, 2)) + 1j * rng.standard_normal((41, 2))
+    cfg = BootstrapConfig(replications=200, seed=47)
+    unit = estimate_density(FRF(values[40]), FRFSet(values[:40]), grid, cfg)
+    kept = unit.pdf_stats[~np.isnan(unit.pdf_stats)]
+    plain = [unit.cdf_stats.mean(), unit.cdf_stats.std(ddof=1), kept.mean(), kept.std(ddof=1)]
+    assert [unit.cdf_mean, unit.cdf_std, unit.pdf_mean, unit.pdf_std] == plain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = estimate_density(FRF(1e-150 * values[40]), FRFSet(1e-150 * values[:40]), grid, cfg)
+    np.testing.assert_array_equal(tiny.cdf_stats, unit.cdf_stats)
+    assert np.isfinite(tiny.pdf_std)
+    assert tiny.pdf_std == pytest.approx(unit.pdf_std * 1e300, rel=1e-12)
 
 
 def test_max_metric():
