@@ -142,8 +142,7 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
     (None for ``IndexStreams(cfg.seed)``) under the `_draw_with_spread`
     rule, and yields ``(indices, mean, std, sq)``: the accepted resample,
     its mean and N-1 std over the rows, and the rows' squared deviations
-    from that mean.  Callers refuse PIRs too large for finite statistics
-    first (`_refuse_overflowing_stats`).
+    from that mean.  Callers check the set first (`_checked_stats`).
     """
     streams = IndexStreams(cfg.seed) if streams is None else streams
     n = pirs.shape[0]
@@ -229,6 +228,20 @@ def bootstrap_deviation_stats(
     return _band_pool(frf_set, grid, cfg, streams).draws
 
 
+def _checked_stats(frf_set: FRFSet, grid):
+    """The set's PIR matrix, mean and std, checked before any draw.
+
+    Refuses PIRs too large for finite statistics and zero spread at some
+    time point, where every replication would keep zero spread.
+    """
+    pirs = pir_matrix(frf_set, grid)
+    _refuse_overflowing_stats(pirs)
+    mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
+    if np.any(std == 0.0):
+        raise DegenerateSpread("the sample set has zero spread at some time point")
+    return pirs, mean, std
+
+
 def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     """The pool for these inputs, drawn and kept on a miss.
 
@@ -241,11 +254,7 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     _LAST.clear()
     if frf_set.n < 3:
         raise ValueError("need at least three samples to bootstrap a band")
-    pirs = pir_matrix(frf_set, grid)
-    _refuse_overflowing_stats(pirs)
-    mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
-    if np.any(std == 0.0):
-        raise DegenerateSpread("the sample set has zero spread at some time point")
+    pirs, mean, std = _checked_stats(frf_set, grid)
 
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
@@ -273,15 +282,15 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     counts those at or below the test PIR's distance to that mean.  A
     squared-metric call on a pool reads them off the pool
     (`_squared_below`); any other call replays the pool's resamples, or on
-    a miss draws them through `_replicates`, unrecorded.
+    a miss checks the set as the bands do (`_checked_stats`) and draws
+    them through `_replicates`, unrecorded.
     """
     pool = _pool(frf_set, grid, cfg, streams)
-    pirs = pir_matrix(frf_set, grid) if pool is None else pool.pirs
+    pirs = _checked_stats(frf_set, grid)[0] if pool is None else pool.pirs
     x = pir_from_frf(test, grid).values
     if pool is not None and metric == "squared":
         return pool.distances, _squared_below(pool, x)
     if pool is None:
-        _refuse_overflowing_stats(pirs)
         replicates = ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
     else:
         replicates = (_resample_rows(pirs, idx) for idx in pool.draws.indices)
@@ -290,8 +299,8 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     es = np.empty((cfg.replications, frf_set.n))
     et = np.empty(cfg.replications)
     # A huge test response's distance overflows to +inf: it ranks last.
-    # Only the test distance can overflow here, because the replications
-    # refuse PIRs too large for finite member statistics up front.
+    # Only the test distance can overflow here, because PIRs too large for
+    # finite member statistics are refused up front.
     with np.errstate(over="ignore"):
         for b, (mean, sq) in enumerate(replicates):
             es[b] = distance(sq)

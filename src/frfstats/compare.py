@@ -33,14 +33,30 @@ from .resampling import (
 
 # Stream key layout (resampling.STREAM_LAYOUT 6): group g in {0, 1} draws
 # everything from one stream, (GROUP_KEY_OFFSET + g,).  Its first call is
-# the (Bs, n_g) block of sigma resamples; each outer replication then
-# takes the next call, a (1 + Bs, n_g) block whose row 0 is the outer
-# resample and rows 1..Bs are nested positions into it.  A redraw is the
-# next call on the same stream, so a replication's block follows every
-# block drawn before it, redraws included; the loop is serial.  The group
-# is always the last key element, so swapping the groups is swapping the
-# key tails.
+# the (Bs, n_g) block of sigma resamples; the outer replications then take
+# the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the
+# outer resample and rows 1..Bs nested positions into it.  A redraw takes
+# the next block, so a replication's block follows every block drawn
+# before it, redraws included; the loop is serial.  The blocks are drawn
+# several per call (`_batch_blocks`), which yields the same integers as one
+# call per block.  The group is always the last key element, so swapping
+# the groups is swapping the key tails.
 GROUP_KEY_OFFSET = 2
+
+#: Bytes of one group's batch: the int64 indices of its blocks plus their
+#: float64 weights.  Weighing a batch briefly takes two more arrays the
+#: size of its indices.
+_BATCH_BYTES = 256 * 1024
+
+
+def _batch_blocks(n: int, bs: int) -> int:
+    """Most (1 + Bs, n) blocks that one call draws for a group of n.
+
+    As many as fit, 16 bytes an index with its weight, in `_BATCH_BYTES`,
+    and at least one.  A call also never draws more than the replications
+    still to accept, so every block drawn is read.
+    """
+    return max(1, _BATCH_BYTES // ((1 + bs) * n * 16))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,24 +134,47 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=r, grid=grid))
 
 
-def _resample_means(pirs: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outer mean and centred nested means of one (1 + Bs, n) block.
+def _resample_weights(blocks: np.ndarray) -> np.ndarray:
+    """Count weights of a stack of (1 + Bs, n) blocks, one per block.
 
-    Row 0 of the weights counts the outer resample ``draw[0]``'s picks of
-    each original row, row 1 + j those of ``draw[0][draw[1 + j]]``, each
-    over n, so no (Bs, n, T) gather is built.  The nested weights are
-    centred over their rows, so the nested means come out centred without
-    a (Bs, T) pass, and they multiply the rows shifted by the member
-    ``pirs[draw[0][0]]``: a member outside the resample weighs exactly
-    zero in every row, so where all its members agree the nested means
-    are exactly zero, not zero up to rounding.
+    In block j, row 0 of the weights counts the outer resample
+    ``blocks[j, 0]``'s picks of each original row, and row 1 + i those of
+    ``blocks[j, 0][blocks[j, 1 + i]]``, each over n, so no (Bs, n, T)
+    gather is built.  The nested rows are centred over the Bs rows, so
+    the nested means come out centred without a (Bs, T) pass.  Each
+    block's weights are bit-identical to those of a stack of that block
+    alone.
     """
-    n = pirs.shape[0]
-    picks = np.vstack([draw[0], draw[0][draw[1:]]])
-    rows = picks + n * np.arange(picks.shape[0])[:, None]
-    w = np.bincount(rows.ravel(), minlength=picks.size).reshape(picks.shape) / n
-    w[1:] -= w[1:].mean(axis=0)
-    return w[0] @ pirs, w[1:] @ (pirs - pirs[draw[0][0]])
+    k, rows, n = blocks.shape
+    first = blocks[:, 0].copy()
+    picks = np.take(first, blocks + np.arange(0, first.size, n).reshape(k, 1, 1))
+    picks[:, 0] = first
+    picks += np.arange(0, picks.size, n).reshape(k, rows, 1)
+    counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(blocks.shape)
+    del picks  # freed before the weights are made
+    w = counts / n
+    # The two ufunc calls of ``.mean(axis=1, keepdims=True)``, without its
+    # wrapper.
+    w[:, 1:] -= w[:, 1:].sum(axis=1, keepdims=True) / (rows - 1)
+    return w
+
+
+def _resample_means(
+    pirs: np.ndarray, outer: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outer mean and centred nested means of one block's weights `w`.
+
+    The nested weights multiply the rows shifted by the outer resample's
+    first member ``pirs[outer[0]]``: a member outside the resample weighs
+    exactly zero in every row, so where all its members agree the nested
+    means are exactly zero, not zero up to rounding.
+    """
+    return w[0] @ pirs, w[1:] @ (pirs - pirs[outer[0]])
+
+
+def _weighed(blocks: np.ndarray):
+    """Each block's outer resample and weights, keeping no block."""
+    return zip(blocks[:, 0].copy(), _resample_weights(blocks))
 
 
 def compare_unpaired(
@@ -178,9 +217,9 @@ def compare_unpaired(
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 
-    def spread(draw1, draw2):
-        mean1, dev = _resample_means(pirs1, draw1)
-        mean2, dev2 = _resample_means(pirs2, draw2)
+    def spread(outer1, w1, outer2, w2):
+        mean1, dev = _resample_means(pirs1, outer1, w1)
+        mean2, dev2 = _resample_means(pirs2, outer2, w2)
         dev -= dev2
         dev *= dev
         return mean1 - mean2, np.sqrt(dev.sum(axis=0) / (bs - 1))
@@ -189,24 +228,34 @@ def compare_unpaired(
     gen2 = streams.stream(GROUP_KEY_OFFSET + 1)
     sigma1 = np.vstack([np.arange(n1), gen1.integers(0, n1, size=(bs, n1))])
     sigma2 = np.vstack([np.arange(n2), gen2.integers(0, n2, size=(bs, n2))])
-    _, sigma = spread(sigma1, sigma2)
+    _, sigma = spread(sigma1[0], _resample_weights(sigma1[None])[0],
+                      sigma2[0], _resample_weights(sigma2[None])[0])
 
-    def nested_draw(gen1, gen2):
-        draw1 = gen1.integers(0, n1, size=(1 + bs, n1))
-        draw2 = gen2.integers(0, n2, size=(1 + bs, n2))
-        xb, nested_std = spread(draw1, draw2)
-        return (draw1[0], draw2[0], xb), nested_std
-
-    # Accepted draws are written row by row; keeping draw[0] itself would
-    # keep each replication's whole (1 + Bs, n) block alive.
     B = cfg.replications
+
+    def blocks(gen, n):
+        # The group's outer resamples and weights, k blocks per call:
+        # k = min(cap, B - b), b the replication being drawn when a batch
+        # runs out.
+        cap = _batch_blocks(n, bs)
+        while True:
+            yield from _weighed(gen.integers(0, n, size=(min(cap, B - b), 1 + bs, n)))
+
+    def nested_draw(blocks1, blocks2):
+        (outer1, w1), (outer2, w2) = next(blocks1), next(blocks2)
+        xb, nested_std = spread(outer1, w1, outer2, w2)
+        return (outer1, outer2, xb), nested_std
+
+    # Accepted outer resamples are written row by row, in the record's
+    # narrow index type.
     outer_idx1 = np.empty((B, n1), dtype=_index_type(n1))
     outer_idx2 = np.empty((B, n2), dtype=_index_type(n2))
     stats = np.empty(B)
+    blocks1, blocks2 = blocks(gen1, n1), blocks(gen2, n2)
     for b in range(B):
         (outer_idx1[b], outer_idx2[b], xb), nested_std = _draw_with_spread(
             "a comparison replication kept zero nested spread",
-            nested_draw, gen1, gen2,
+            nested_draw, blocks1, blocks2,
         )
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(

@@ -104,8 +104,9 @@ def estimate_density(
     a fresh draw's.
 
     Raises ZeroSpread when more than 20% of replications had a zero-width
-    distance window, and DegenerateSpread when a replication kept zero
-    spread through every redraw.
+    distance window, and DegenerateSpread when the set has zero spread at
+    some time point (before any draw, as the bands) or a replication kept
+    zero spread through every redraw.
     """
     if frf_set.n < 3:
         raise ValueError("need at least three samples to estimate a density")

@@ -5,8 +5,10 @@ replication, one per comparison group), the redraw rule for degenerate
 replications, and the empirical CDF of a statistic pool, whose exact
 order statistics convert between band scaling constants and confidence
 levels.  The band bootstrap's replicate loop, its record and the pool
-that the bands and the density read live in `frfstats.bands`.  Every bootstrap loop runs serially, one
-replication at a time; results depend only on the seed.
+that the bands and the density read live in `frfstats.bands`.  Every
+bootstrap loop runs serially, one replication at a time (the comparison
+draws its index blocks several per call, which changes no draw); results
+depend only on the seed.
 """
 
 from __future__ import annotations
@@ -64,13 +66,15 @@ class BootstrapConfig:
 #: one loop in `frfstats.bands` that redraws a degenerate resample for
 #: both.  Comparison group g draws everything from one stream,
 #: (GROUP_KEY_OFFSET + g,): the sigma resamples, then one block of outer
-#: and nested rows per replication (see `frfstats.compare`).  What each
-#: layout changed, detailed in the README: 3 redraws a degenerate density
-#: replication; 4 reads the band scale, the minimal band's alpha and C_u
-#: as exact order statistics of the pool, not off a histogram; 5 draws the
-#: comparison from one stream per group, not from streams (b, g); 6 takes
-#: the comparison's sigma and mean differences from the nested std's
-#: resample weights, so sigma, its statistics and C_u move by rounding.
+#: and nested rows per replication, drawn several blocks per call (see
+#: `frfstats.compare`).  What each layout changed, detailed in the
+#: README: 3 redraws a degenerate density replication; 4 reads the band
+#: scale, the minimal band's alpha and C_u as exact order statistics of
+#: the pool, not off a histogram; 5 draws the comparison from one stream
+#: per group, not from streams (b, g); 6 takes the comparison's sigma and
+#: mean differences from the nested std's resample weights, so sigma, its
+#: statistics and C_u move by rounding.  Drawing the blocks in batches
+#: yields the same integers as a call per block, so it changed no layout.
 STREAM_LAYOUT = 6
 
 
@@ -107,17 +111,18 @@ def _index_type(n: int) -> np.dtype:
 MAX_REDRAWS = 10
 
 
-def _draw_with_spread(what: str, draw, *gens):
+def _draw_with_spread(what: str, draw, *sources):
     """First of up to 1 + MAX_REDRAWS draws with spread everywhere.
 
-    ``draw(*gens)`` makes one draw from the replication's own streams and
-    returns ``(result, spread)``.  The first draw whose spread is positive
-    at every time point is returned as that pair; a redraw is the next
-    call on the same streams.  When every draw has a zero somewhere,
-    DegenerateSpread says that `what` kept zero spread.
+    ``draw(*sources)`` makes one draw from the replication's own streams,
+    or the comparison's block sources, and returns ``(result, spread)``.
+    The first draw whose spread is positive at every time point is
+    returned as that pair; a redraw is the next call on the same sources.
+    When every draw has a zero somewhere, DegenerateSpread says that
+    `what` kept zero spread.
     """
     for _ in range(1 + MAX_REDRAWS):
-        result, spread = draw(*gens)
+        result, spread = draw(*sources)
         if (spread > 0.0).all():
             return result, spread
     raise DegenerateSpread(f"{what} after {MAX_REDRAWS} redraws")

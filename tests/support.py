@@ -16,6 +16,9 @@ class FixedStreams:
     `table` maps a stream key (tuple) to a list of canned draws, each an
     index vector or a 2-D block of index rows; each call to ``integers`` on
     that stream pops the next draw and checks it has the requested shape.
+    A request for a batch of k blocks, size ``(k, rows, n)``, pops the next
+    k canned blocks and stacks them, as one call of k blocks yields the
+    same integers as k calls of one.
     Used to drive the bootstrap loops with hand-chosen resamples so every
     intermediate value can be checked against straight-line arithmetic.
     """
@@ -32,13 +35,19 @@ class _FixedStream:
         self._draws = draws
 
     def integers(self, low, high, size=None):
-        draw = np.asarray(self._draws.pop(0), dtype=np.int64)
         want = (size,) if np.ndim(size) == 0 else tuple(size)
+        if len(want) == 3:
+            draw = np.stack([self._pop() for _ in range(want[0])])
+        else:
+            draw = self._pop()
         if size is not None and draw.shape != want:
             raise AssertionError(f"canned draw has shape {draw.shape}, wanted {size}")
         if np.any(draw < low) or np.any(draw >= high):
             raise AssertionError("canned draw out of range")
         return draw
+
+    def _pop(self):
+        return np.asarray(self._draws.pop(0), dtype=np.int64)
 
 
 class CountingStreams(IndexStreams):

@@ -2,13 +2,15 @@
 
 Each test prints a single "criterion N (...): PASS/FAIL" line (visible
 with pytest -s or -rA) and asserts the stated tolerance.  The heavier
-Monte Carlo checks take a couple of minutes combined.
+Monte Carlo checks, criteria 3, 4, 6 and 7, take 10-15 s each and are
+marked ``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from frfstats import (
@@ -83,6 +85,7 @@ def test_criterion_2_grid_derivation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_band_calibration():
     # The experiment frequency vector at a reduced rate: same 11
     # components, 90 time points, so 200 trials stay fast.
@@ -102,6 +105,7 @@ def test_criterion_3_band_calibration():
     report(3, "band calibration", ok, f" (coverage {coverage:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_4_minimal_band_consistency():
     grid = derive_grid(EXPERIMENT_FREQS, 4.5)
     train = gaussian_set(grid, noise=0.3, n=20, seed=42)
@@ -228,6 +232,7 @@ def test_criterion_5_density_oracles():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_type_i_error():
     grid = derive_grid([0.3, 0.5])
     rejections = 0
@@ -248,6 +253,7 @@ def test_criterion_6_type_i_error():
     report(6, "type I error", ok, f" (rejection rate {rate:.2f})")
 
 
+@pytest.mark.slow
 def test_criterion_7_power_and_localization():
     freqs = [0.15, 0.3, 0.55, 0.7, 0.9, 1.35]
     grid = derive_grid(freqs, 3.0)

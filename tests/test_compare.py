@@ -8,7 +8,7 @@ from frfstats import compare
 from frfstats.bands import Band
 from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
-from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams
+from frfstats.resampling import MAX_REDRAWS, BootstrapConfig, IndexStreams, c_at, ecdf
 
 from support import (
     EXPERIMENT_FREQS,
@@ -226,13 +226,17 @@ def test_one_stream_per_group_serves_every_draw(replications):
 
 def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     # sigma is the nested spread of the identity resample, and every drawn
-    # block, the redrawn one included, is weighed once by the same helper.
+    # block, the redrawn one included, is weighed once by the same helper,
+    # with its outer resample and its own weights.
     calls = []
     helper = compare._resample_means
 
-    def recorded(pirs, draw):
-        calls.append((pirs, np.array(draw)))
-        return helper(pirs, draw)
+    def recorded(pirs, outer, w):
+        calls.append((pirs, np.array(outer), np.array(w)))
+        return helper(pirs, outer, w)
+
+    def weights(block):
+        return compare._resample_weights(np.array(block)[None])[0]
 
     monkeypatch.setattr(compare, "_resample_means", recorded)
     grid = derive_grid([1.0])
@@ -257,14 +261,112 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     drawn = (result.draws.sigma_indices1, result.draws.sigma_indices2)
     for g, (key, frfs) in enumerate(((2, a), (3, b))):
         mine = calls[g::2]
-        for pirs, _ in mine:
+        for pirs, _, _ in mine:
             np.testing.assert_array_equal(pirs, pir_matrix(frfs, grid))
-        first = mine[0][1]
-        np.testing.assert_array_equal(first[0], np.arange(frfs.n))
-        np.testing.assert_array_equal(first[1:], drawn[g])
-        np.testing.assert_array_equal(first[1:], sigma[(key,)][0])
-        for (_, draw), block in zip(mine[1:], blocks[(key,)], strict=True):
-            np.testing.assert_array_equal(draw, block)
+        np.testing.assert_array_equal(drawn[g], sigma[(key,)][0])
+        identity = np.vstack([np.arange(frfs.n), drawn[g]])
+        np.testing.assert_array_equal(mine[0][1], np.arange(frfs.n))
+        np.testing.assert_array_equal(mine[0][2], weights(identity))
+        for (_, outer, w), block in zip(mine[1:], blocks[(key,)], strict=True):
+            np.testing.assert_array_equal(outer, block[0])
+            np.testing.assert_array_equal(w, weights(block))
+
+
+def reference_compare(set1, set2, grid, alpha, cfg, streams):
+    """The comparison drawn one block per ``integers`` call, with the
+    arithmetic of the loop before batching (``np.vstack``, ``.mean``)."""
+    bs = cfg.nested_replications
+    pirs = (pir_matrix(set1, grid), pir_matrix(set2, grid))
+
+    def means(p, draw):
+        n = p.shape[0]
+        picks = np.vstack([draw[0], draw[0][draw[1:]]])
+        rows = picks + n * np.arange(picks.shape[0])[:, None]
+        w = np.bincount(rows.ravel(), minlength=picks.size).reshape(picks.shape) / n
+        w[1:] -= w[1:].mean(axis=0)
+        return w[0] @ p, w[1:] @ (p - p[draw[0][0]])
+
+    def spread(draw1, draw2):
+        mean1, dev1 = means(pirs[0], draw1)
+        mean2, dev2 = means(pirs[1], draw2)
+        dev = dev1 - dev2
+        return mean1 - mean2, np.sqrt((dev * dev).sum(axis=0) / (bs - 1))
+
+    ns = (set1.n, set2.n)
+    gens = [streams.stream(compare.GROUP_KEY_OFFSET + g) for g in (0, 1)]
+    sigma_blocks = [gen.integers(0, n, size=(bs, n)) for gen, n in zip(gens, ns)]
+    _, sigma = spread(*(np.vstack([np.arange(n), block])
+                        for n, block in zip(ns, sigma_blocks)))
+    diff_mean = pirs[0].mean(axis=0) - pirs[1].mean(axis=0)
+    outer, stats = ([], []), []
+    for _ in range(cfg.replications):
+        for _ in range(1 + MAX_REDRAWS):
+            blocks = [gen.integers(0, n, size=(1 + bs, n)) for gen, n in zip(gens, ns)]
+            xb, nested_std = spread(*blocks)
+            if (nested_std > 0.0).all():
+                break
+        else:
+            raise DegenerateSpread("reference replication kept zero nested spread")
+        for g in (0, 1):
+            outer[g].append(blocks[g][0])
+        stats.append(np.max(np.abs(diff_mean - xb) / nested_std))
+    band = Band(mean=diff_mean, std=sigma, scale=c_at(ecdf(stats), alpha), alpha=alpha)
+    return dict(sigma_indices1=sigma_blocks[0], sigma_indices2=sigma_blocks[1],
+                outer_indices1=np.array(outer[0]), outer_indices2=np.array(outer[1]),
+                stats=np.array(stats), sigma=sigma, diff_mean=diff_mean,
+                lower=band.lower, upper=band.upper, scale=band.scale,
+                residuals=residuals(band))
+
+
+def assert_matches_reference(result, ref):
+    for name in result.draws.__dataclass_fields__:
+        assert np.array_equal(getattr(result.draws, name), ref[name]), name
+    for name in ("sigma", "diff_mean", "residuals"):
+        assert np.array_equal(getattr(result, name), ref[name]), name
+    assert np.array_equal(result.band.lower, ref["lower"])
+    assert np.array_equal(result.band.upper, ref["upper"])
+    assert result.band.scale == ref["scale"]
+
+
+@pytest.mark.parametrize("replications", [12, 70], ids=["within-one-batch", "past-the-cap"])
+def test_batched_blocks_match_one_call_per_block(replications):
+    # (1 + Bs) * N is odd for both groups, so a block ends halfway through
+    # a 64-bit draw of the generator.
+    a, b = group(30, n=21), group(31, n=25, center=0.2)
+    bs = 50
+    assert (1 + bs) * a.n % 2 == 1 and (1 + bs) * b.n % 2 == 1
+    if replications == 70:
+        assert replications > compare._batch_blocks(a.n, bs)
+        assert replications > compare._batch_blocks(b.n, bs)
+    cfg = BootstrapConfig(replications=replications, nested_replications=bs, seed=32)
+    result = compare_unpaired(a, b, GRID, 0.95, cfg)
+    ref = reference_compare(a, b, GRID, 0.95, cfg, IndexStreams(cfg.seed))
+    assert_matches_reference(result, ref)
+
+
+def test_redraw_inside_a_batch_matches_one_call_per_block():
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    cfg = BootstrapConfig(replications=3, nested_replications=2, seed=0)
+    # Replication 1's first blocks, the second of the first batch of three,
+    # have zero nested spread; its redraw is the batch's third block, and
+    # replication 2 takes a batch of one.
+    table = {
+        (2,): [[[0, 1, 1], [1, 0, 2]],
+               [[2, 1, 0], [1, 1, 2], [0, 2, 2]], [[1, 1, 1], [0, 1, 2], [2, 0, 1]],
+               [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]]],
+        (3,): [[[2, 2, 0], [0, 1, 2]],
+               [[0, 0, 1], [2, 0, 1], [1, 1, 0]], [[2, 2, 2], [1, 2, 0], [0, 0, 1]],
+               [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]]],
+    }
+    streams = FixedStreams(table)
+    result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
+    ref = reference_compare(a, b, grid, 0.5, cfg, FixedStreams(table))
+    assert_matches_reference(result, ref)
+    np.testing.assert_array_equal(result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    # Every canned block was drawn, and none past them.
+    assert not any(streams._table.values())
 
 
 def test_degenerate_groups_raise():
@@ -322,6 +424,22 @@ def test_comparison_memory_is_one_replication_deep():
         )
     )
     assert peak < outputs + 8 * set1.n * grid.n_samples * 8
+
+
+def test_comparison_memory_is_bounded_in_replications():
+    # The blocks are drawn in batches of at most `_BATCH_BYTES` per group,
+    # so ten times the replications add only the record's rows: B x N
+    # indices and B statistics.
+    a, b = group(33, n=20), group(34, n=20)
+    peaks = {}
+    for replications in (200, 2000):
+        cfg = BootstrapConfig(replications=replications, nested_replications=50, seed=35)
+        result, peaks[replications] = traced_peak(
+            lambda: compare_unpaired(a, b, GRID, 0.95, cfg)
+        )
+    extra = 2000 - 200
+    itemsize = result.draws.outer_indices1.itemsize
+    assert peaks[2000] - peaks[200] <= extra * (a.n + b.n) * itemsize + extra * 8
 
 
 def test_type_one_error_rate_small():

@@ -19,7 +19,7 @@ from frfstats.density import NUMERATOR_MODES, estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
-from support import EXPERIMENT_FREQS, FixedStreams
+from support import EXPERIMENT_FREQS, CountingStreams, FixedStreams
 
 GRID = derive_grid([1.0])
 
@@ -270,10 +270,16 @@ def test_zero_spread_handling():
 
 
 def test_all_identical_rows_raise_degenerate_spread():
+    # With no pool to read, the set is refused as the bands refuse it,
+    # before any stream is built.
     frfs = FRFSet(np.tile(np.array([1.0 + 2.0j]), (5, 1)))
     test = FRF(np.array([0.0 + 0.0j]))
-    with pytest.raises(DegenerateSpread, match="kept zero spread"):
-        estimate_density(test, frfs, GRID, BootstrapConfig(replications=10, seed=0))
+    cfg = BootstrapConfig(replications=10, seed=0)
+    for metric in ("squared", "max"):
+        streams = CountingStreams(0)
+        with pytest.raises(DegenerateSpread, match="^the sample set has zero spread"):
+            estimate_density(test, frfs, GRID, cfg, metric=metric, streams=streams)
+        assert streams.built == 0
 
 
 def test_validation():
