@@ -1,5 +1,8 @@
 """Tests for bootstrap plumbing: streams, index draws, and the pool's ECDF."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,44 @@ def test_index_frequencies_near_uniform():
     counts = np.bincount(draw, minlength=1000)
     assert counts.min() >= 0
     assert counts.max() <= 6
+
+
+# Seeds of one to seven 32-bit words, at and around the word boundaries.
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 11]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_streams_are_seed_sequence_generators(seed):
+    # Keys 0..600 ascending, descending and shuffled cross the 256-key
+    # blocks in every direction; the rest take the one-row path.
+    ascending = [(k,) for k in range(601)]
+    shuffled = [ascending[k] for k in np.random.default_rng(seed % 97).permutation(601)]
+    others = [(2,), (3,), (2**32 - 1,), (2**32,), (3, 1), (0, 0, 1), ()]
+    pair = IndexStreams(seed), IndexStreams(seed)
+    for i, key in enumerate(ascending + ascending[::-1] + shuffled + others):
+        gen = pair[i % 2].stream(*key)
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        assert gen.bit_generator.state == ref.bit_generator.state, key
+        assert gen.integers(0, 2**63) == ref.integers(0, 2**63), key
+
+
+def test_negative_seed_or_key_is_refused():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        IndexStreams(-1)
+    for key in [(-1,), (3, -1), (-(2**40),)]:
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            IndexStreams(0).stream(*key)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about a third to the package's import; the streams
+    # load it when the first one is built.
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, frfstats, frfstats.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_ecdf_two_halves():
