@@ -2,14 +2,16 @@
 
 The bootstrap config, the keyed random streams (one per band or density
 replication, one per comparison group; each is numpy's SeedSequence
-generator for its key, seeded by `frfstats._seeding` a block of keys at
-a time), the redraw rule for degenerate replications, and the empirical
-CDF of a statistic pool, whose exact order statistics convert between
-band scaling constants and confidence levels.  The band bootstrap's
-replicate loop, its record and the pool that the bands and the density
-read live in `frfstats.bands`.  Every bootstrap loop runs serially, one
-replication at a time (the comparison draws its index blocks several per
-call, which changes no draw); results depend only on the seed.
+generator for its key: numpy's SeedSequence hashes the seed once,
+`frfstats._seeding` hashes only a one-word key, and every other key
+gets numpy's own generator), the redraw rule for degenerate
+replications, and the empirical CDF of a statistic pool, whose exact
+order statistics convert between band scaling constants and confidence
+levels.  The band bootstrap's replicate loop, its record and the pool
+that the bands and the density read live in `frfstats.bands`.  Every
+bootstrap loop runs serially, one replication at a time (the comparison
+draws its index blocks several per call, which changes no draw);
+results depend only on the seed.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ class BootstrapConfig:
 #: per group, not from streams (b, g); 6 takes the comparison's sigma and
 #: mean differences from the nested std's resample weights, so sigma, its
 #: statistics and C_u move by rounding.  Drawing the blocks in batches
-#: yields the same integers as a call per block, and seeding the streams
-#: a block of keys at a time builds the same generators, so neither
-#: changed the layout.
+#: yields the same integers as a call per block.  numpy's SeedSequence
+#: hashes the seed once, `frfstats._seeding` hashes only a one-word key,
+#: and every other key gets numpy's own generator: the same generators
+#: as a SeedSequence per key.  So neither changed the layout.
 STREAM_LAYOUT = 6
 
 
@@ -87,17 +90,19 @@ class IndexStreams:
     ``stream(b)`` is the stream of band or density replication b, and
     ``stream(2 + g)`` the one stream of comparison group g; the full key
     table is under `STREAM_LAYOUT`.  Each stream is numpy's generator
-    ``default_rng(SeedSequence(seed, spawn_key=key))``, bit for bit, built
-    without a SeedSequence: the seed is hashed once, at construction, and
-    the PCG64 seed words of 256 consecutive one-word keys in one pass (see
-    `frfstats._seeding`).  A negative seed raises ValueError at
-    construction, a negative key element at `stream`.  Streams with
-    different keys are statistically independent and each key always
-    yields the same sequence for a given root seed.  A band or density
-    replication's draws therefore do not depend on the order in which
-    replications run.  A comparison replication's draws follow those of
-    every replication before it, redraws included, on its group's stream;
-    the engine runs serially, so they too depend only on the seed.
+    ``default_rng(SeedSequence(seed, spawn_key=key))``, bit for bit.
+    numpy's SeedSequence hashes the seed once, at construction;
+    `frfstats._seeding` hashes only a one-word key, the PCG64 seed words
+    of 256 consecutive keys in one pass, and every other key gets numpy's
+    own generator.  A seed numpy refuses is refused at construction: a
+    negative one with ValueError, a float with TypeError.  A negative key
+    element raises ValueError at `stream`.  Streams with different keys
+    are statistically independent and each key always yields the same
+    sequence for a given root seed.  A band or density replication's
+    draws therefore do not depend on the order in which replications
+    run.  A comparison replication's draws follow those of every
+    replication before it, redraws included, on its group's stream; the
+    engine runs serially, so they too depend only on the seed.
     """
 
     def __init__(self, seed: int):

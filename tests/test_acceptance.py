@@ -2,7 +2,7 @@
 
 Each test prints a single "criterion N (...): PASS/FAIL" line (visible
 with pytest -s or -rA) and asserts the stated tolerance.  The heavier
-Monte Carlo checks, criteria 3, 4, 6 and 7, take 10-15 s each and are
+Monte Carlo checks, criteria 3, 4, 6, 6b and 7, take 10-15 s each and are
 marked ``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
@@ -39,7 +39,7 @@ from frfstats.bands import _replicates
 from support import EXPERIMENT_FREQS, FixedStreams
 
 
-def report(number: int, name: str, ok: bool, detail: str = "") -> None:
+def report(number: int | str, name: str, ok: bool, detail: str = "") -> None:
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}{detail}"
     print(line)
     assert ok, line
@@ -251,6 +251,29 @@ def test_criterion_6_type_i_error():
     rate = rejections / runs
     ok = rate <= 0.12
     report(6, "type I error", ok, f" (rejection rate {rate:.2f})")
+
+
+@pytest.mark.slow
+def test_criterion_6b_type_i_error_unbalanced():
+    # A few variable members against many steady ones: the comparison must
+    # hold its level when the groups differ in size and in noise.
+    grid = derive_grid([0.3, 0.5])
+    rejections = 0
+    runs = 100
+    for run in range(runs):
+        group1 = gaussian_set(grid, noise=0.5, n=10, seed=60_000 + 2 * run)
+        group2 = gaussian_set(grid, noise=0.15, n=40, seed=60_001 + 2 * run)
+        result = compare_unpaired(
+            group1,
+            group2,
+            grid,
+            0.95,
+            BootstrapConfig(replications=1000, nested_replications=50, seed=run),
+        )
+        rejections += result.reject_null
+    rate = rejections / runs
+    ok = rate <= 0.12
+    report("6b", "type I error, 10 vs 40 members", ok, f" (rejection rate {rate:.2f})")
 
 
 @pytest.mark.slow

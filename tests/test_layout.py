@@ -49,6 +49,7 @@ ALPHA = 0.95
 NOISE = 0.1
 GAIN = 1.3
 RTOL = 1e-12
+CASES = [(s, seed) for s in SETS for seed in SEEDS]
 
 
 def _sha256(*arrays) -> str:
@@ -59,14 +60,6 @@ def _sha256(*arrays) -> str:
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
     return h.hexdigest()
-
-
-def _attempt(exact: dict, floats: dict, name: str, call):
-    """Run `call`, which fills `exact` and `floats`; a refusal is recorded."""
-    try:
-        call()
-    except FrfStatsError as err:
-        exact[name] = f"refused:{type(err).__name__}"
 
 
 def fingerprint(set_name: str, seed: int) -> dict:
@@ -113,12 +106,11 @@ def fingerprint(set_name: str, seed: int) -> dict:
     for name, call in [("band", band), ("minband", minband),
                        ("density_squared", density("squared")),
                        ("density_max", density("max")), ("compare", compare)]:
-        _attempt(exact, floats, name, call)
+        try:
+            call()
+        except FrfStatsError as err:
+            exact[name] = f"refused:{type(err).__name__}"
     return {"exact": exact, "floats": floats}
-
-
-def _cases():
-    return [(s, seed) for s in SETS for seed in SEEDS]
 
 
 def _case_id(set_name: str, seed: int) -> str:
@@ -132,10 +124,10 @@ def recorded():
 
 def test_fixture_names_the_current_layout(recorded):
     assert recorded["STREAM_LAYOUT"] == STREAM_LAYOUT
-    assert sorted(recorded["cases"]) == sorted(_case_id(*c) for c in _cases())
+    assert sorted(recorded["cases"]) == sorted(_case_id(*c) for c in CASES)
 
 
-@pytest.mark.parametrize("set_name, seed", _cases())
+@pytest.mark.parametrize("set_name, seed", CASES)
 def test_fixed_seed_results_match_the_fingerprint(recorded, set_name, seed):
     want = recorded["cases"][_case_id(set_name, seed)]
     got = fingerprint(set_name, seed)
@@ -147,7 +139,7 @@ def test_fixed_seed_results_match_the_fingerprint(recorded, set_name, seed):
 
 def regenerate() -> None:
     """Rewrite the fixture from the current code, under the current layout."""
-    cases = {_case_id(*c): fingerprint(*c) for c in _cases()}
+    cases = {_case_id(*c): fingerprint(*c) for c in CASES}
     doc = {"STREAM_LAYOUT": STREAM_LAYOUT, "numpy": np.__version__,
            "B": B, "Bs": BS, "cases": cases}
     FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -88,14 +88,16 @@ def test_index_frequencies_near_uniform():
     assert counts.max() <= 6
 
 
-# Seeds of one to seven 32-bit words, at and around the word boundaries.
-_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 11]
+# Seeds of one to seven 32-bit words, at and around the word boundaries;
+# from four words on, SeedSequence pads no more.
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128, 2**160 + 7, 2**200 + 11]
 
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_streams_are_seed_sequence_generators(seed):
     # Keys 0..600 ascending, descending and shuffled cross the 256-key
-    # blocks in every direction; the rest take the one-row path.
+    # blocks in every direction.  Of the rest, one-word keys below 2**32
+    # come from a block and the others from numpy's own generator.
     ascending = [(k,) for k in range(601)]
     shuffled = [ascending[k] for k in np.random.default_rng(seed % 97).permutation(601)]
     others = [(2,), (3,), (2**32 - 1,), (2**32,), (3, 1), (0, 0, 1), ()]
@@ -113,6 +115,19 @@ def test_negative_seed_or_key_is_refused():
     for key in [(-1,), (3, -1), (-(2**40),)]:
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             IndexStreams(0).stream(*key)
+
+
+def test_seed_is_refused_or_seeded_as_numpy_does():
+    # SeedSequence refuses a float seed or key rather than truncating it.
+    with pytest.raises(TypeError):
+        IndexStreams(1.5)
+    with pytest.raises(TypeError):
+        IndexStreams(0).stream(1.5)
+    for seed in [np.int64(7), np.uint32(2**32 - 1)]:
+        streams = IndexStreams(seed)
+        for key in [(0,), (300,), (3, 1)]:
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            assert streams.stream(*key).bit_generator.state == ref.bit_generator.state
 
 
 def test_import_leaves_numpy_random_unloaded():
