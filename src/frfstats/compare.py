@@ -37,10 +37,11 @@ from .resampling import (
 # the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the
 # outer resample and rows 1..Bs nested positions into it.  A redraw takes
 # the next block, so a replication's block follows every block drawn
-# before it, redraws included; the loop is serial.  The blocks are drawn
-# several per call (`_batch_blocks`), which yields the same integers as one
-# call per block.  The group is always the last key element, so swapping
-# the groups is swapping the key tails.
+# before it, redraws included; the loop is serial.  The blocks are drawn,
+# and weighed (`_weigh_blocks`), several per call (`_batch_blocks`); a call
+# of k blocks yields the same integers as k calls of one.  The group is
+# always the last key element, so swapping the groups is swapping the key
+# tails.
 GROUP_KEY_OFFSET = 2
 
 #: Bytes of one group's batch: the int64 indices of its blocks plus their
@@ -134,8 +135,8 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=r, grid=grid))
 
 
-def _resample_weights(blocks: np.ndarray) -> np.ndarray:
-    """Count weights of a stack of (1 + Bs, n) blocks, one per block.
+def _weigh_blocks(blocks: np.ndarray):
+    """Each block's outer resample and count weights, for a stack of blocks.
 
     In block j, row 0 of the weights counts the outer resample
     ``blocks[j, 0]``'s picks of each original row, and row 1 + i those of
@@ -143,7 +144,7 @@ def _resample_weights(blocks: np.ndarray) -> np.ndarray:
     gather is built.  The nested rows are centred over the Bs rows, so
     the nested means come out centred without a (Bs, T) pass.  Each
     block's weights are bit-identical to those of a stack of that block
-    alone.
+    alone.  No block is kept.
     """
     k, rows, n = blocks.shape
     first = blocks[:, 0].copy()
@@ -156,25 +157,7 @@ def _resample_weights(blocks: np.ndarray) -> np.ndarray:
     # The two ufunc calls of ``.mean(axis=1, keepdims=True)``, without its
     # wrapper.
     w[:, 1:] -= w[:, 1:].sum(axis=1, keepdims=True) / (rows - 1)
-    return w
-
-
-def _resample_means(
-    pirs: np.ndarray, outer: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outer mean and centred nested means of one block's weights `w`.
-
-    The nested weights multiply the rows shifted by the outer resample's
-    first member ``pirs[outer[0]]``: a member outside the resample weighs
-    exactly zero in every row, so where all its members agree the nested
-    means are exactly zero, not zero up to rounding.
-    """
-    return w[0] @ pirs, w[1:] @ (pirs - pirs[outer[0]])
-
-
-def _weighed(blocks: np.ndarray):
-    """Each block's outer resample and weights, keeping no block."""
-    return zip(blocks[:, 0].copy(), _resample_weights(blocks))
+    return zip(first, w)
 
 
 def compare_unpaired(
@@ -195,9 +178,9 @@ def compare_unpaired(
     is diff_mean +/- C_u * sigma, sigma being the same nested std taken
     over Bs resamples of the original groups (the identity resample).
 
-    Every resample mean comes from `_resample_means`, so the nested std
-    is the root of the summed squares of the centred nested mean
-    differences over Bs - 1, with no centring pass of its own.
+    Every resample mean is formed in `draw` from `_weigh_blocks`' weights,
+    so the nested std is the root of the summed squares of the centred
+    nested mean differences over Bs - 1, with no centring pass of its own.
     Replications whose nested std hits zero anywhere are redrawn from the
     groups' streams, at most `resampling.MAX_REDRAWS` times, then
     DegenerateSpread.
@@ -211,40 +194,40 @@ def compare_unpaired(
     pirs1 = pir_matrix(set1, grid)
     pirs2 = pir_matrix(set2, grid)
     n1, n2 = set1.n, set2.n
-    bs = cfg.nested_replications
+    bs, B = cfg.nested_replications, cfg.replications
     _refuse_overflowing_stats(pirs1, bs)
     _refuse_overflowing_stats(pirs2, bs)
 
     diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
 
-    def spread(outer1, w1, outer2, w2):
-        mean1, dev = _resample_means(pirs1, outer1, w1)
-        mean2, dev2 = _resample_means(pirs2, outer2, w2)
+    def draw(blocks1, blocks2):
+        # The next block of each group: the record rows, the mean
+        # difference and the nested std.  The nested weights multiply the
+        # rows shifted by the outer resample's first member: a member
+        # outside the resample weighs exactly zero in every row, so where
+        # all its members agree the nested means are exactly zero, not
+        # zero up to rounding.
+        (outer1, w1), (outer2, w2) = next(blocks1), next(blocks2)
+        mean1, dev = w1[0] @ pirs1, w1[1:] @ (pirs1 - pirs1[outer1[0]])
+        mean2, dev2 = w2[0] @ pirs2, w2[1:] @ (pirs2 - pirs2[outer2[0]])
         dev -= dev2
         dev *= dev
-        return mean1 - mean2, np.sqrt(dev.sum(axis=0) / (bs - 1))
+        return (outer1, outer2, mean1 - mean2), np.sqrt(dev.sum(axis=0) / (bs - 1))
 
     gen1 = streams.stream(GROUP_KEY_OFFSET)
     gen2 = streams.stream(GROUP_KEY_OFFSET + 1)
     sigma1 = np.vstack([np.arange(n1), gen1.integers(0, n1, size=(bs, n1))])
     sigma2 = np.vstack([np.arange(n2), gen2.integers(0, n2, size=(bs, n2))])
-    _, sigma = spread(sigma1[0], _resample_weights(sigma1[None])[0],
-                      sigma2[0], _resample_weights(sigma2[None])[0])
-
-    B = cfg.replications
+    _, sigma = draw(_weigh_blocks(sigma1[None]), _weigh_blocks(sigma2[None]))
 
     def blocks(gen, n):
-        # The group's outer resamples and weights, k blocks per call:
-        # k = min(cap, B - b), b the replication being drawn when a batch
-        # runs out.
-        cap = _batch_blocks(n, bs)
+        # Weighed k blocks per call; B - drawn undercounts the blocks still
+        # to read by the redraws so far, so every block drawn is read.
+        cap, drawn = _batch_blocks(n, bs), 0
         while True:
-            yield from _weighed(gen.integers(0, n, size=(min(cap, B - b), 1 + bs, n)))
-
-    def nested_draw(blocks1, blocks2):
-        (outer1, w1), (outer2, w2) = next(blocks1), next(blocks2)
-        xb, nested_std = spread(outer1, w1, outer2, w2)
-        return (outer1, outer2, xb), nested_std
+            k = max(1, min(cap, B - drawn))
+            drawn += k
+            yield from _weigh_blocks(gen.integers(0, n, size=(k, 1 + bs, n)))
 
     # Accepted outer resamples are written row by row, in the record's
     # narrow index type.
@@ -255,7 +238,7 @@ def compare_unpaired(
     for b in range(B):
         (outer_idx1[b], outer_idx2[b], xb), nested_std = _draw_with_spread(
             "a comparison replication kept zero nested spread",
-            nested_draw, blocks1, blocks2,
+            draw, blocks1, blocks2,
         )
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(

@@ -229,47 +229,70 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     # block, the redrawn one included, is weighed once by the same helper,
     # with its outer resample and its own weights.
     calls = []
-    helper = compare._resample_means
+    helper = compare._weigh_blocks
 
-    def recorded(pirs, outer, w):
-        calls.append((pirs, np.array(outer), np.array(w)))
-        return helper(pirs, outer, w)
+    def recorded(blocks):
+        weighed = [(np.array(outer), np.array(w)) for outer, w in helper(blocks)]
+        calls.append((np.array(blocks), weighed))
+        return iter(weighed)
 
     def weights(block):
-        return compare._resample_weights(np.array(block)[None])[0]
+        [(_, w)] = helper(np.array(block)[None])
+        return w
 
-    monkeypatch.setattr(compare, "_resample_means", recorded)
+    monkeypatch.setattr(compare, "_weigh_blocks", recorded)
     grid = derive_grid([1.0])
+    # The groups differ in size, so each call's blocks name the PIR matrix
+    # they index by their width.
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
-    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j], [0.2 - 0.7j]]))
     cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
-    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 2, 0], [0, 1, 2]]]}
+    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 3, 0, 1], [0, 1, 2, 3]]]}
     # Replication 0's first blocks have zero nested spread and are redrawn.
     blocks = {
         (2,): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
                [[0, 2, 1], [2, 2, 0], [1, 0, 0]]],
-        (3,): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]],
-               [[1, 2, 0], [0, 0, 2], [2, 1, 1]]],
+        (3,): [[[3, 3, 3, 3], [1, 2, 0, 3], [0, 0, 1, 2]],
+               [[0, 0, 1, 3], [2, 0, 1, 3], [1, 3, 0, 2]],
+               [[1, 2, 0, 3], [0, 3, 2, 1], [2, 1, 1, 0]]],
     }
     streams = FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
     np.testing.assert_array_equal(result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1]])
-    np.testing.assert_array_equal(result.draws.outer_indices2, [[0, 0, 1], [1, 2, 0]])
+    np.testing.assert_array_equal(result.draws.outer_indices2, [[0, 0, 1, 3], [1, 2, 0, 3]])
 
-    # Group 1 and group 2 alternate: the sigma blocks, then each drawn block.
-    assert len(calls) == 2 * (1 + 3)
     drawn = (result.draws.sigma_indices1, result.draws.sigma_indices2)
+    per_group = []
     for g, (key, frfs) in enumerate(((2, a), (3, b))):
-        mine = calls[g::2]
-        for pirs, _, _ in mine:
-            np.testing.assert_array_equal(pirs, pir_matrix(frfs, grid))
+        # The group's calls, in order: its sigma block, then each batch.
+        mine = [call for call in calls if call[0].shape[-1] == frfs.n]
         np.testing.assert_array_equal(drawn[g], sigma[(key,)][0])
         identity = np.vstack([np.arange(frfs.n), drawn[g]])
-        np.testing.assert_array_equal(mine[0][1], np.arange(frfs.n))
-        np.testing.assert_array_equal(mine[0][2], weights(identity))
-        for (_, outer, w), block in zip(mine[1:], blocks[(key,)], strict=True):
+        np.testing.assert_array_equal(mine[0][0], identity[None])
+        ((outer, w),) = mine[0][1]
+        np.testing.assert_array_equal(outer, np.arange(frfs.n))
+        np.testing.assert_array_equal(w, weights(identity))
+        pairs = [pair for _, batch in mine[1:] for pair in batch]
+        for (outer, w), block in zip(pairs, blocks[(key,)], strict=True):
             np.testing.assert_array_equal(outer, block[0])
             np.testing.assert_array_equal(w, weights(block))
+        per_group.append(mine[0][1] + pairs)
+
+    # Each group's weights meet its own PIR matrix: sigma and the accepted
+    # replications' statistics, from the recorded weights.
+    p1, p2 = pir_matrix(a, grid), pir_matrix(b, grid)
+
+    def spread(i):
+        (o1, w1), (o2, w2) = per_group[0][i], per_group[1][i]
+        dev = w1[1:] @ (p1 - p1[o1[0]]) - w2[1:] @ (p2 - p2[o2[0]])
+        nested_std = np.sqrt((dev * dev).sum(axis=0) / (cfg.nested_replications - 1))
+        return w1[0] @ p1 - w2[0] @ p2, nested_std
+
+    np.testing.assert_array_equal(result.sigma, spread(0)[1])
+    diff_mean = p1.mean(axis=0) - p2.mean(axis=0)
+    for rep, i in enumerate((2, 3)):
+        xb, nested_std = spread(i)
+        assert result.draws.stats[rep] == np.max(np.abs(diff_mean - xb) / nested_std)
 
 
 def reference_compare(set1, set2, grid, alpha, cfg, streams):
@@ -365,6 +388,37 @@ def test_redraw_inside_a_batch_matches_one_call_per_block():
     ref = reference_compare(a, b, grid, 0.5, cfg, FixedStreams(table))
     assert_matches_reference(result, ref)
     np.testing.assert_array_equal(result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    # Every canned block was drawn, and none past them.
+    assert not any(streams._table.values())
+
+
+def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    monkeypatch.setattr(compare, "_BATCH_BYTES", 2 * (1 + 2) * 3 * 16)
+    assert compare._batch_blocks(3, 2) == 2
+    cfg = BootstrapConfig(replications=4, nested_replications=2, seed=0)
+    # Batches of 2, 2, 1 and 1 blocks: replication 0's first blocks and
+    # replication 3's first blocks have zero nested spread, so one redraw
+    # falls inside the first batch and the other takes a batch of its own.
+    table = {
+        (2,): [[[0, 1, 1], [1, 0, 2]],
+               [[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
+               [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]],
+               [[0, 0, 0], [1, 2, 0], [2, 2, 1]], [[2, 0, 1], [0, 1, 1], [2, 2, 0]]],
+        (3,): [[[2, 2, 0], [0, 1, 2]],
+               [[2, 2, 2], [1, 2, 0], [0, 0, 1]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]],
+               [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]],
+               [[1, 1, 1], [0, 2, 1], [2, 1, 0]], [[0, 1, 2], [1, 2, 2], [0, 0, 1]]],
+    }
+    streams = FixedStreams(table)
+    result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
+    ref = reference_compare(a, b, grid, 0.5, cfg, FixedStreams(table))
+    assert_matches_reference(result, ref)
+    np.testing.assert_array_equal(
+        result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1], [1, 0, 2], [2, 0, 1]]
+    )
     # Every canned block was drawn, and none past them.
     assert not any(streams._table.values())
 

@@ -14,10 +14,14 @@ moves any draw bumps the layout and regenerates the fixture in the same
 diff, by hand only:
 
     PYTHONPATH=src python tests/test_layout.py
+
+which refuses, exiting non-zero, to overwrite a fixture made under the
+current layout, so that no regeneration can hide a moved draw.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +141,22 @@ def test_fixed_seed_results_match_the_fingerprint(recorded, set_name, seed):
         assert got["floats"][name] == pytest.approx(value, rel=RTOL, abs=0.0), name
 
 
+def test_regeneration_refuses_the_current_layout(tmp_path, monkeypatch):
+    copy = tmp_path / FIXTURE.name
+    copy.write_bytes(FIXTURE.read_bytes())
+    monkeypatch.setitem(globals(), "FIXTURE", copy)
+    with pytest.raises(SystemExit) as refused:
+        regenerate()
+    assert refused.value.code not in (0, None)
+    assert "bumps resampling.STREAM_LAYOUT first" in str(refused.value.code)
+    assert copy.read_bytes() == FIXTURE.read_bytes()
+
+
 def regenerate() -> None:
-    """Rewrite the fixture from the current code, under the current layout."""
+    """Rewrite the fixture from the current code, under a new layout."""
+    if FIXTURE.exists() and json.loads(FIXTURE.read_text())["STREAM_LAYOUT"] == STREAM_LAYOUT:
+        sys.exit(f"{FIXTURE} was made under STREAM_LAYOUT {STREAM_LAYOUT}: a change that "
+                 "moves a draw bumps resampling.STREAM_LAYOUT first; nothing written")
     cases = {_case_id(*c): fingerprint(*c) for c in CASES}
     doc = {"STREAM_LAYOUT": STREAM_LAYOUT, "numpy": np.__version__,
            "B": B, "Bs": BS, "cases": cases}
