@@ -16,11 +16,12 @@ where rounding would leave the test outside the band) and the confidence
 level is read off the same statistic pool at that scale.
 
 One band bootstrap of a set serves every band, minimal band and density
-call that reads the same inputs: its pool (`_Pool`) holds the set's PIR
-matrix, mean and std, the record of the draws, the sorted statistic pool
-and each replication's sorted squared member distances.  The density ranks
-a test's squared distance against those distances without gathering the
-resamples again (`_ranked`); the "max" metric replays them.
+call under the reuse rule of `bootstrap_deviation_stats`: its pool
+(`_Pool`) holds the set's PIR matrix, mean and std, the record of the
+draws, the sorted statistic pool and each replication's sorted squared
+member distances.  The density ranks a test's squared distance against
+those distances without gathering the resamples again (`_ranked`); the
+"max" metric replays them.
 """
 
 from __future__ import annotations
@@ -163,18 +164,15 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
 class _Pool:
     """One band bootstrap of a set, with everything its readers reuse.
 
-    Its key is what the draws read: `grid` and `streams` by identity,
-    `replications` and `seed` by value.  `pirs` is the set's PIR matrix and
+    `key` is what its draws read (`_key`), under the reuse rule of
+    `bootstrap_deviation_stats`.  `pirs` is the set's PIR matrix and
     `mean` and `std` its pointwise statistics, as `pir_stats` computes
     them.  `draws` is the record, `stat_ecdf` its sorted statistic pool,
     and row b of `distances` replication b's squared member distances to
     its mean, sorted.
     """
 
-    grid: FrequencyGrid
-    replications: int
-    seed: int
-    streams: IndexStreams | None
+    key: tuple
     pirs: np.ndarray
     mean: np.ndarray
     std: np.ndarray
@@ -192,12 +190,15 @@ class _Pool:
 _LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _key(grid, cfg, streams) -> tuple:
+    """A pool's reuse key: every input of the draws but the set."""
+    return grid, streams, cfg.replications, cfg.seed
+
+
 def _pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool | None:
     """The set's pool if its band bootstrap read exactly these inputs."""
     pool = _LAST.get(frf_set)
-    if pool is None or pool.grid is not grid or pool.streams is not streams:
-        return None
-    return pool if (pool.replications, pool.seed) == (cfg.replications, cfg.seed) else None
+    return pool if pool is not None and pool.key == _key(grid, cfg, streams) else None
 
 
 def bootstrap_deviation_stats(
@@ -216,12 +217,13 @@ def bootstrap_deviation_stats(
     spread at some time point is refused first (DegenerateSpread).  The
     record keeps the B x N indices and statistics, no replicate mean or std.
 
-    The last bootstrap is kept while its set lives: a call with the same
-    set, grid and `streams` objects (None for ``IndexStreams(cfg.seed)``;
-    a streams object must yield the same draws per key on every call) and
-    the same `cfg.replications` and `cfg.seed`, the fields the draws read,
-    returns its record, and the bands and `estimate_density` read its pool.
-    Any other call drops it first, so one pool at most is held: at N=200,
+    The last bootstrap is kept while its set lives, keyed by what the draws
+    read, ``(grid, streams, cfg.replications, cfg.seed)``.  A call on that
+    set with an equal key returns its record, and the bands and
+    `estimate_density` read its pool.  Grids and `IndexStreams` compare by
+    identity (None stands for ``IndexStreams(cfg.seed)``, and a streams
+    object must yield the same draws per key on every call).  Any other
+    call drops the pool first, so one pool at most is held: at N=200,
     B=1000 its B x N statistics, sorted statistics and squared member
     distances take 1.6 MB each and its indices 0.2 MB.
     """
@@ -231,9 +233,11 @@ def bootstrap_deviation_stats(
 def _checked_stats(frf_set: FRFSet, grid):
     """The set's PIR matrix, mean and std, checked before any draw.
 
-    Refuses PIRs too large for finite statistics and zero spread at some
-    time point, where every replication would keep zero spread.
+    Refuses fewer than three samples, PIRs too large for finite statistics
+    and zero spread at some time point, which every replication would keep.
     """
+    if frf_set.n < 3:
+        raise ValueError("need at least three samples to bootstrap")
     pirs = pir_matrix(frf_set, grid)
     _refuse_overflowing_stats(pirs)
     mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
@@ -243,17 +247,11 @@ def _checked_stats(frf_set: FRFSet, grid):
 
 
 def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
-    """The pool for these inputs, drawn and kept on a miss.
-
-    A miss refuses fewer than three samples, PIRs too large for finite
-    statistics and zero spread at some time point before any draw.
-    """
+    """The pool for these inputs, checked (`_checked_stats`), drawn and kept on a miss."""
     pool = _pool(frf_set, grid, cfg, streams)
     if pool is not None:
         return pool
     _LAST.clear()
-    if frf_set.n < 3:
-        raise ValueError("need at least three samples to bootstrap a band")
     pirs, mean, std = _checked_stats(frf_set, grid)
 
     B, n = cfg.replications, frf_set.n
@@ -266,10 +264,8 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
         distances[b] = _METRICS["squared"](sq)
     distances.sort(axis=1)
     draws = ReplicateDraws(indices=indices, stats=stats)
-    pool = _Pool(
-        grid=grid, replications=B, seed=cfg.seed, streams=streams, pirs=pirs,
-        mean=mean, std=std, draws=draws, stat_ecdf=ecdf(draws.pool), distances=distances,
-    )
+    pool = _Pool(key=_key(grid, cfg, streams), pirs=pirs, mean=mean, std=std, draws=draws,
+                 stat_ecdf=ecdf(draws.pool), distances=distances)
     _LAST[frf_set] = pool
     return pool
 
@@ -367,8 +363,8 @@ def prediction_band(
     cfg: BootstrapConfig,
     streams: IndexStreams | None = None,
 ) -> Band:
-    """Band expected to contain a fresh draw with confidence `alpha`; calls on
-    one set, grid, config and `streams` share one pool (`bootstrap_deviation_stats`)."""
+    """Band expected to contain a fresh draw with confidence `alpha`; it
+    reads the pool under `bootstrap_deviation_stats`' reuse rule."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     pool = _band_pool(frf_set, grid, cfg, streams)

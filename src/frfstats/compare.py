@@ -19,6 +19,7 @@ import numpy as np
 
 from ._frozen import fix
 from .bands import Band
+from .errors import DegenerateSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet, PIR, _refuse_overflowing_stats, frf_from_pir, pir_matrix
 from .resampling import (
@@ -181,9 +182,11 @@ def compare_unpaired(
     Every resample mean is formed in `draw` from `_weigh_blocks`' weights,
     so the nested std is the root of the summed squares of the centred
     nested mean differences over Bs - 1, with no centring pass of its own.
-    Replications whose nested std hits zero anywhere are redrawn from the
-    groups' streams, at most `resampling.MAX_REDRAWS` times, then
-    DegenerateSpread.
+    A sigma with zero spread at some time point, which would give a
+    zero-width band there, raises DegenerateSpread before any replication
+    is drawn.  Replications whose nested std hits zero anywhere are
+    redrawn from the groups' streams, at most `resampling.MAX_REDRAWS`
+    times, then DegenerateSpread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -219,6 +222,8 @@ def compare_unpaired(
     sigma1 = np.vstack([np.arange(n1), gen1.integers(0, n1, size=(bs, n1))])
     sigma2 = np.vstack([np.arange(n2), gen2.integers(0, n2, size=(bs, n2))])
     _, sigma = draw(_weigh_blocks(sigma1[None]), _weigh_blocks(sigma2[None]))
+    if np.any(sigma == 0.0):
+        raise DegenerateSpread("the comparison's sigma has zero spread at some time point")
 
     def blocks(gen, n):
         # Weighed k blocks per call; B - drawn undercounts the blocks still

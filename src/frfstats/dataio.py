@@ -50,6 +50,9 @@ class Dataset:
     def __post_init__(self) -> None:
         if not self.groups:
             raise ValueError("dataset needs at least one group")
+        for key, value in self.metadata.items():
+            if not isinstance(key, str) or not isinstance(value, str):
+                raise ValueError(f"metadata entry {key!r}: {value!r} is not text")
         for name, frf_set in self.groups.items():
             if not name:
                 raise ValueError("group names must be non-empty")

@@ -95,8 +95,8 @@ def estimate_density(
     [N - Ds, N] and spans only Ds ranks.  "code-compatible" keeps Ds in
     the numerator for every window, "index-span" uses the actual span.
 
-    Where `bootstrap_deviation_stats` holds a pool for the same inputs
-    (its reuse rule), its accepted resamples are read, not redrawn.  The
+    Where `bootstrap_deviation_stats`' reuse rule finds a pool for these
+    inputs, its accepted resamples are read, not redrawn.  The
     squared metric then ranks the test from the pool's member distances
     and one product of the set's centred PIRs with the test, and forms a
     replicate mean only where rounding could move the test's rank; the
@@ -108,8 +108,6 @@ def estimate_density(
     some time point (before any draw, as the bands) or a replication kept
     zero spread through every redraw.
     """
-    if frf_set.n < 3:
-        raise ValueError("need at least three samples to estimate a density")
     if numerator_mode not in NUMERATOR_MODES:
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")
     if not isinstance(metric, str) or metric not in _METRICS:

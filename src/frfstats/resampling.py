@@ -65,22 +65,12 @@ class BootstrapConfig:
 
 #: Version of the stream key layout, the map from bootstrap draws to
 #: stream keys, bumped whenever fixed-seed results of some operation
-#: change.  Band and density replication b draws from stream (b,), through
-#: one loop in `frfstats.bands` that redraws a degenerate resample for
-#: both.  Comparison group g draws everything from one stream,
-#: (GROUP_KEY_OFFSET + g,): the sigma resamples, then one block of outer
-#: and nested rows per replication, drawn several blocks per call (see
-#: `frfstats.compare`).  What each layout changed, detailed in the
-#: README: 3 redraws a degenerate density replication; 4 reads the band
-#: scale, the minimal band's alpha and C_u as exact order statistics of
-#: the pool, not off a histogram; 5 draws the comparison from one stream
-#: per group, not from streams (b, g); 6 takes the comparison's sigma and
-#: mean differences from the nested std's resample weights, so sigma, its
-#: statistics and C_u move by rounding.  Drawing the blocks in batches
-#: yields the same integers as a call per block.  numpy's SeedSequence
-#: hashes the seed once, `frfstats._seeding` hashes only a one-word key,
-#: and every other key gets numpy's own generator: the same generators
-#: as a SeedSequence per key.  So neither changed the layout.
+#: change; the README's "Stream layout" section records what each
+#: version changed.  Band and density replication b draw from stream
+#: (b,), through one loop in `frfstats.bands` that redraws a degenerate
+#: resample for both.  Comparison group g draws everything from one
+#: stream, (GROUP_KEY_OFFSET + g,): the sigma resamples, then one block
+#: of outer and nested rows per replication (see `frfstats.compare`).
 STREAM_LAYOUT = 6
 
 

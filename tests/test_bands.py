@@ -264,6 +264,39 @@ def test_too_few_samples_rejected():
         prediction_band(small_set(), grid, 1.5, BootstrapConfig(seed=0))
 
 
+def test_too_few_samples_refused_in_one_place():
+    # Every band bootstrap reader refuses a two-sample set with the same
+    # message, before any stream is built.
+    grid = derive_grid([0.3, 0.5])
+    frfs = FRFSet(small_set().values[:2])
+    test = FRF(small_set().values[0])
+    cfg = BootstrapConfig(replications=5, seed=0)
+    streams = CountingStreams(0)
+    calls = [
+        lambda: bootstrap_deviation_stats(frfs, grid, cfg, streams),
+        lambda: prediction_band(frfs, grid, 0.9, cfg, streams),
+        lambda: minimal_prediction_band(test, frfs, grid, cfg, streams),
+        lambda: estimate_density(test, frfs, grid, cfg, streams=streams),
+        lambda: estimate_density(test, frfs, grid, cfg, metric="max", streams=streams),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^need at least three samples to bootstrap$"):
+            call()
+    assert streams.built == 0
+
+
+def test_pool_holds_one_key():
+    grid, group, _ = scored_group(4.5, 20, 0)
+    cfg = BootstrapConfig(replications=10, seed=3)
+    streams = CountingStreams(3)
+    bootstrap_deviation_stats(group, grid, cfg, streams)
+    assert bands._LAST[group].key == (grid, streams, 10, 3)
+    bootstrap_deviation_stats(group, grid, cfg)
+    assert bands._LAST[group].key == (grid, None, 10, 3)
+    names = [f.name for f in dataclasses.fields(bands._Pool)]
+    assert not {"grid", "streams", "replications", "seed"} & set(names)
+
+
 def test_fresh_draw_coverage_sane():
     # Light calibration check; the acceptance suite runs the full version.
     grid = derive_grid([0.3, 0.5])

@@ -9,12 +9,15 @@ import pytest
 
 from frfstats import (
     BootstrapConfig,
+    Dataset,
+    FRFSet,
     derive_grid,
     ecdf,
     load_dataset,
     lowpass_mean_frf,
     pir_matrix,
     prediction_band,
+    save_dataset,
 )
 from frfstats import cli
 from frfstats.cli import main
@@ -474,6 +477,24 @@ def test_degenerate_statistics_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "the sample set has zero spread at some time point" in err
+
+
+def test_compare_with_zero_sigma_exits_3(tmp_path, capsys):
+    # Three members a group and Bs = 2: this seed's two sigma resamples
+    # give equal mean differences, so sigma is zero at every time point.
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    grid = derive_grid([0.3, 0.5], 2.0)
+    data = tmp_path / "data.json"
+    save_dataset(Dataset(grid, {"a": FRFSet(values[:3]), "b": FRFSet(values[3:])}), data)
+    out = tmp_path / "cmp"
+    code = main(["compare", str(data), "--group1", "a", "--group2", "b",
+                 "--B", "50", "--Bs", "2", "--seed", "24", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the comparison's sigma has zero spread at some time point" in captured.err
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -431,11 +431,33 @@ def test_degenerate_groups_raise():
         compare_unpaired(a, a, GRID, 0.95, cfg)
 
 
+def test_sigma_with_zero_spread_is_refused_before_any_replication():
+    # Group (2,)'s two sigma resamples hold the same members reordered and
+    # group (3,)'s are equal, so every nested mean difference is the same:
+    # sigma is zero and the band would have zero width.  The replication
+    # blocks have spread, so only the sigma refusal can raise.
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    table = {
+        (2,): [[[2, 1, 0], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        (3,): [[[0, 0, 2], [0, 0, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+    }
+    cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
+    streams = FixedStreams(table)
+    message = "^the comparison's sigma has zero spread at some time point$"
+    with pytest.raises(DegenerateSpread, match=message):
+        compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
+    # Only the sigma blocks were drawn.
+    assert [len(streams._table[k]) for k in table] == [1, 1]
+
+
 def test_zero_spread_at_one_time_point_is_caught_exactly():
     # On a one-frequency grid the PIR at t = 0 is the real part, so members
-    # that differ only in their imaginary parts agree there exactly: every
-    # nested spread is zero at t = 0 and no redraw can help.  Unshifted
-    # count-weight means leave a rounding-sized spread there instead.
+    # that differ only in their imaginary parts agree there exactly: sigma
+    # and every nested spread are zero at t = 0 and no redraw can help.
+    # Unshifted count-weight means leave a rounding-sized spread there
+    # instead.
     grid = derive_grid([1.0])
     rng = np.random.default_rng(15)
     a = FRFSet(0.1 + 1j * rng.standard_normal((8, 1)))

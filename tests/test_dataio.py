@@ -77,6 +77,14 @@ def test_csv_save_refuses_what_would_read_back_changed(tmp_path, group, metadata
     assert loaded.metadata == metadata
 
 
+@pytest.mark.parametrize("metadata", [{"k": 1}, {1: "v"}, {"k": None}, {"k": b"v"}])
+def test_metadata_must_be_text(metadata):
+    # Neither format could read a number or bytes back as they were given.
+    base = example_dataset()
+    with pytest.raises(ValueError, match="is not text"):
+        Dataset(grid=base.grid, groups=base.groups, metadata=metadata)
+
+
 def test_minimal_json_dataset(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text('{"frequencies": [1.0], "groups": {"g": [[[1, 0]]]}}')

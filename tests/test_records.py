@@ -1,6 +1,8 @@
 """Tests for how the records hold their arrays, derive fields and compare."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,13 @@ from frfstats import (
     bootstrap_deviation_stats,
     compare_unpaired,
     estimate_density,
+    derive_grid,
     frf_from_pir,
+    generate_synthetic,
+    lowpass_mean_frf,
     minimal_prediction_band,
 )
+from frfstats.cli import main
 
 GRID = FrequencyGrid([0.3, 0.5])
 
@@ -182,3 +188,34 @@ def test_readme_quickstart_finds_a_difference():
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["comparison"].reject_null
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    commands = [shlex.split(line) for line in lines]
+    assert all(argv[0] == "frfstats" for argv in commands)
+    # The block reads a held-out response it never writes: one more draw
+    # of the control group's model, with the next seed.
+    spec = SyntheticSpec(mean_frf=lowpass_mean_frf(derive_grid([0.3, 0.5, 1.1])),
+                         noise_std=0.1, n=1)
+    held_out = generate_synthetic(spec, seed=3).values[0]
+    (tmp_path / "held_out.json").write_text(
+        json.dumps({"values": [[z.real, z.imag] for z in held_out]}))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        code = main(argv[1:])
+        out, err = capsys.readouterr()
+        if argv[1] == "density":
+            # The density may refuse this response; it must say why.
+            assert code == 0 or (code == 3 and "zero-width distance window" in err), err
+        else:
+            assert code == 0, (argv, err)
+        if argv[1] == "compare":
+            assert out.startswith("result = reject\n")
+    assert [argv[1] for argv in commands] == [
+        "synth", "synth", "pir", "band", "minband", "density", "compare"]
