@@ -21,6 +21,8 @@ JSON::
      "groups": {"control": [[[re, im], ...], ...]},
      "metadata": {...}}
 
+Any other top-level key is refused, so a misspelled one is not ignored.
+
 Numbers are written with full repr precision so a save/load roundtrip
 reproduces the dataset bit for bit, the sign of a zero included.
 """
@@ -28,7 +30,6 @@ reproduces the dataset bit for bit, the sign of a zero included.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .grid import FrequencyGrid, derive_grid
 from .pir import FRF, FRFSet
 
 FORMATS = ("csv", "json")
+_JSON_KEYS = ("frequencies", "sample_rate", "groups", "metadata")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +56,12 @@ class Dataset:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValueError(f"metadata entry {key!r}: {value!r} is not text")
         for name, frf_set in self.groups.items():
+            if not isinstance(name, str):
+                raise ValueError(f"group name {name!r} is not text")
             if not name:
                 raise ValueError("group names must be non-empty")
+            if not isinstance(frf_set, FRFSet):
+                raise ValueError(f"group {name!r} is not an FRFSet")
             if frf_set.m != self.grid.m:
                 raise ValueError(
                     f"group {name!r} has {frf_set.m} components but the grid "
@@ -78,17 +84,20 @@ def _is_csv(path: Path) -> bool:
     return suffix == "csv"
 
 
-@contextmanager
-def _reading(path: Path):
-    """Report any content error met while reading `path` as a ParseError.
+def _load(path, parse_csv, parse_json):
+    """Parse the file at `path` with the parser its suffix picks.
 
-    Text that does not decode or is not JSON, JSON nested deeper than the
-    parser's recursion limit, and values that make no valid grid, FRF or
-    dataset (a frequency row no grid fits, a non-finite value, an empty
-    group name) all surface here from the code that meets them.
+    The file is read once as UTF-8, past a leading byte order mark, and
+    the parser gets its text and its name.  Any content error it meets is
+    reported as a ParseError naming the file: text that does not decode
+    or is not JSON, JSON nested deeper than the parser's recursion limit,
+    and values that make no valid grid, FRF or dataset (a frequency row no
+    grid fits, a non-finite value, an empty group name).
     """
+    path = Path(path)
+    parse = parse_csv if _is_csv(path) else parse_json
     try:
-        yield
+        return parse(path.read_text(encoding="utf-8-sig"), path.name)
     except (ValueError, GridError, RecursionError) as err:
         raise ParseError(f"{path.name}: {err}") from err
 
@@ -120,17 +129,17 @@ def _complex(floats: list[float]) -> np.ndarray:
     return np.array(floats, dtype=float).view(complex)
 
 
-def _load_csv(path: Path) -> Dataset:
+def _load_csv(text: str, source: str) -> Dataset:
     metadata: dict[str, str] = {}
     table: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             key, sep, value = line.lstrip("#").partition("=")
             if not sep:
-                raise ParseError(f"{path.name} line {lineno}: metadata needs key=value")
+                raise ParseError(f"{source} line {lineno}: metadata needs key=value")
             metadata[key.strip()] = value.strip()
             continue
         # Only the header, the frequency row and group names are stripped
@@ -138,25 +147,25 @@ def _load_csv(path: Path) -> Dataset:
         table.append((lineno, raw.split(",")))
 
     if len(table) < 3:
-        raise ParseError(f"{path.name}: need a header, a frequency row, and samples")
+        raise ParseError(f"{source}: need a header, a frequency row, and samples")
     (header_line, header), (freq_line, freq_row), *samples = table
     header = [cell.strip() for cell in header]
     freq_row = [cell.strip() for cell in freq_row]
     if header[0] != "freq_hz" or len(header) < 3 or len(header) % 2 == 0:
-        raise ParseError(f"{path.name}: header must be freq_hz,re_0,im_0,...")
+        raise ParseError(f"{source}: header must be freq_hz,re_0,im_0,...")
     m = (len(header) - 1) // 2
     names = ["freq_hz"] + [f"{part}_{k}" for k in range(m) for part in ("re", "im")]
     for got, want in zip(header, names):
         if got != want:
             raise ParseError(
-                f"{path.name} line {header_line}: header cell {got!r} should be {want!r}"
+                f"{source} line {header_line}: header cell {got!r} should be {want!r}"
             )
     if len(freq_row) != len(header):
         raise ParseError(
-            f"{path.name} line {freq_line}: frequency row has {len(freq_row)} "
+            f"{source} line {freq_line}: frequency row has {len(freq_row)} "
             f"cells, expected {len(header)}"
         )
-    where = f"{path.name} line {freq_line}"
+    where = f"{source} line {freq_line}"
     if any(freq_row[2::2]):
         raise ParseError(f"{where}: frequency row im cells must be blank")
     rate = _parse_float(freq_row[0], where) if freq_row[0] else None
@@ -164,7 +173,7 @@ def _load_csv(path: Path) -> Dataset:
 
     grouped: dict[str, list[np.ndarray]] = {}
     for lineno, row in samples:
-        where = f"{path.name} line {lineno}"
+        where = f"{source} line {lineno}"
         if len(row) != len(header):
             raise ParseError(
                 f"{where}: sample row has {len(row)} cells, expected {len(header)}"
@@ -203,27 +212,30 @@ def _json_pairs(value, where: str, m: int | None = None) -> np.ndarray:
     )
 
 
-def _load_json(path: Path) -> Dataset:
-    doc = json.loads(path.read_text(encoding="utf-8-sig"))
+def _load_json(text: str, source: str) -> Dataset:
+    doc = json.loads(text)
     if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
-        raise ParseError(f"{path.name}: need an object with frequencies and groups")
+        raise ParseError(f"{source}: need an object with frequencies and groups")
+    for key in doc:
+        if key not in _JSON_KEYS:
+            raise ParseError(f"{source}: unknown key {key!r}; use {', '.join(_JSON_KEYS)}")
     if not isinstance(doc["frequencies"], list):
-        raise ParseError(f"{path.name}: frequencies must be a list of numbers")
-    freqs = [_number(f, f"{path.name}: frequencies") for f in doc["frequencies"]]
+        raise ParseError(f"{source}: frequencies must be a list of numbers")
+    freqs = [_number(f, f"{source}: frequencies") for f in doc["frequencies"]]
     rate = doc.get("sample_rate")
-    rate = None if rate is None else _number(rate, f"{path.name}: sample_rate")
+    rate = None if rate is None else _number(rate, f"{source}: sample_rate")
     if not isinstance(doc["groups"], dict):
-        raise ParseError(f"{path.name}: groups must map names to sample lists")
+        raise ParseError(f"{source}: groups must map names to sample lists")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
-        raise ParseError(f"{path.name}: metadata must be an object")
+        raise ParseError(f"{source}: metadata must be an object")
     grid = derive_grid(freqs, rate)
     groups = {}
     for name, samples in doc["groups"].items():
         if not isinstance(samples, list) or not samples:
-            raise ParseError(f"{path.name}: group {name!r} has no list of samples")
+            raise ParseError(f"{source}: group {name!r} has no list of samples")
         rows = [
-            _json_pairs(sample, f"{path.name}: group {name!r} sample {i}", grid.m)
+            _json_pairs(sample, f"{source}: group {name!r} sample {i}", grid.m)
             for i, sample in enumerate(samples)
         ]
         groups[name] = FRFSet(np.array(rows))
@@ -236,10 +248,7 @@ def load_dataset(path) -> Dataset:
 
     Any malformed content raises `ParseError` naming the file.
     """
-    path = Path(path)
-    load = _load_csv if _is_csv(path) else _load_json
-    with _reading(path):
-        return load(path)
+    return _load(path, _load_csv, _load_json)
 
 
 def _reads_back(text: str) -> bool:
@@ -247,7 +256,7 @@ def _reads_back(text: str) -> bool:
     return text == text.strip() and len(text.splitlines()) <= 1
 
 
-def _save_csv(dataset: Dataset, path: Path) -> None:
+def _save_csv(dataset: Dataset) -> str:
     for name in dataset.groups:
         if not _reads_back(name) or "," in name or name.startswith("#"):
             raise ValueError(f"group name {name!r} cannot be stored in CSV")
@@ -267,10 +276,10 @@ def _save_csv(dataset: Dataset, path: Path) -> None:
         # Each row's re/im parts, laid out flat, as Python floats.
         for row in frf_set.values.view(float):
             lines.append(",".join([name, *map(repr, row.tolist())]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _save_json(dataset: Dataset, path: Path) -> None:
+def _save_json(dataset: Dataset) -> str:
     doc = {
         "frequencies": [float(f) for f in dataset.grid.frequencies],
         "sample_rate": float(dataset.grid.sample_rate),
@@ -280,16 +289,14 @@ def _save_json(dataset: Dataset, path: Path) -> None:
         },
         "metadata": dataset.metadata,
     }
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset to a CSV or JSON file (format inferred by suffix)."""
     path = Path(path)
-    if _is_csv(path):
-        _save_csv(dataset, path)
-    else:
-        _save_json(dataset, path)
+    text = _save_csv(dataset) if _is_csv(path) else _save_json(dataset)
+    path.write_text(text, encoding="utf-8")
 
 
 def load_frf(path) -> FRF:
@@ -299,31 +306,28 @@ def load_frf(path) -> FRF:
     ``re,im`` pair per line (blank lines and # comments ignored).  Any
     malformed content raises `ParseError` naming the file.
     """
-    path = Path(path)
-    load = _load_frf_csv if _is_csv(path) else _load_frf_json
-    with _reading(path):
-        return load(path)
+    return _load(path, _load_frf_csv, _load_frf_json)
 
 
-def _load_frf_json(path: Path) -> FRF:
-    doc = json.loads(path.read_text(encoding="utf-8-sig"))
+def _load_frf_json(text: str, source: str) -> FRF:
+    doc = json.loads(text)
     if not isinstance(doc, dict) or "values" not in doc:
-        raise ParseError(f"{path.name}: need {{\"values\": [[re, im], ...]}}")
-    return FRF(_json_pairs(doc["values"], f"{path.name}: values"))
+        raise ParseError(f"{source}: need {{\"values\": [[re, im], ...]}}")
+    return FRF(_json_pairs(doc["values"], f"{source}: values"))
 
 
-def _load_frf_csv(path: Path) -> FRF:
+def _load_frf_csv(text: str, source: str) -> FRF:
     values = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         cells = line.split(",")
         if len(cells) != 2:
             raise ParseError(
-                f"{path.name} line {lineno}: expected re,im but got {len(cells)} cells"
+                f"{source} line {lineno}: expected re,im but got {len(cells)} cells"
             )
-        values += _parse_floats(cells, f"{path.name} line {lineno}")
+        values += _parse_floats(cells, f"{source} line {lineno}")
     if not values:
-        raise ParseError(f"{path.name}: no FRF values found")
+        raise ParseError(f"{source}: no FRF values found")
     return FRF(_complex(values))

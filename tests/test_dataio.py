@@ -85,6 +85,24 @@ def test_metadata_must_be_text(metadata):
         Dataset(grid=base.grid, groups=base.groups, metadata=metadata)
 
 
+@pytest.mark.parametrize(
+    "make_groups, message",
+    [
+        (lambda group: {}, "dataset needs at least one group"),
+        (lambda group: {1: group}, "group name 1 is not text"),
+        (lambda group: {"a": group.values}, "group 'a' is not an FRFSet"),
+    ],
+    ids=["no-group", "name-not-text", "group-not-frfset"],
+)
+def test_dataset_refuses_malformed_groups(make_groups, message):
+    # A name that is not text could not be saved to CSV, and JSON would
+    # read it back as text; a bare array has no FRF set's checks.
+    base = example_dataset()
+    with pytest.raises(ValueError) as err:
+        Dataset(grid=base.grid, groups=make_groups(base.groups["control"]))
+    assert str(err.value) == message
+
+
 def test_minimal_json_dataset(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text('{"frequencies": [1.0], "groups": {"g": [[[1, 0]]]}}')
@@ -109,6 +127,13 @@ def test_csv_default_rate_and_metadata(tmp_path):
     assert dataset.grid.sample_rate == pytest.approx(10.0)
     assert dataset.metadata == {"note": "hello world"}
     assert np.array_equal(dataset.groups["g"].values[:, 0], [2.0 - 3.0j, 0.5 + 0.25j])
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("freq_hz,re_0,im_0\n\n,1.0,\ng,2.0,-3.0\n \t\ng,0.5,0.25\n\n")
+    np.testing.assert_array_equal(load_dataset(path).groups["g"].values[:, 0],
+                                  [2.0 - 3.0j, 0.5 + 0.25j])
 
 
 def test_csv_bad_cell_names_line(tmp_path):
@@ -158,8 +183,13 @@ def test_csv_header_names_every_cell(tmp_path, header, cell, want):
         ("test.csv", "1.0,2.0\n 3.0 , y\n", "test.csv line 2: 'y' is not a number"),
         ("test.csv", "1.0,  \n", "test.csv line 1: '' is not a number"),
         ("test.csv", "1.0,2.0,3.0\n", "test.csv line 1: expected re,im but got 3 cells"),
+        ("data.csv", "freq_hz,re_0,im_0\n,1.0\ng,1.0,2.0\n",
+         "data.csv line 2: frequency row has 2 cells, expected 3"),
+        ("data.csv", "freq_hz,re_0,im_0\n,1.0,\n ,1.0,2.0\n",
+         "data.csv line 3: sample row has an empty group name"),
     ],
-    ids=["bad-cell", "blank-cell", "short-row", "frf-bad-cell", "frf-blank-cell", "frf-long-row"],
+    ids=["bad-cell", "blank-cell", "short-row", "frf-bad-cell", "frf-blank-cell", "frf-long-row",
+         "short-frequency-row", "empty-group-name"],
 )
 def test_csv_cell_errors_keep_their_text(tmp_path, name, content, message):
     # Rows are read with one float call per cell and re-read stripped only
@@ -282,10 +312,14 @@ def test_json_ragged_sample_rejected(tmp_path):
         ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metadata": ["x"]}, "metadata"),
         ({"frequencies": "0.3 0.5", "groups": {}}, "frequencies"),
         ({"sample_rate": 10**400, "groups": {}}, "sample_rate"),
+        ({"sample_rte": 2.0, "groups": {"a": [[[1, 0], [0, 1]]]}},
+         "unknown key 'sample_rte'; use frequencies, sample_rate, groups, metadata"),
+        ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metdata": {"k": "v"}}, "unknown key 'metdata'"),
     ],
     ids=[
         "group-not-list", "pair-not-number", "groups-not-object",
         "metadata-not-object", "frequencies-not-list", "rate-out-of-range",
+        "misspelled-rate", "misspelled-metadata",
     ],
 )
 def test_json_malformed_dataset_raises_parse_error(tmp_path, doc, where):

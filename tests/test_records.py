@@ -89,6 +89,32 @@ def test_nan_spread_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Band(np.zeros(3), np.ones(2), scale=1.0, alpha=0.5),
+         "mean and std must be 1-D vectors of equal length"),
+        (lambda: Band(np.zeros((1, 3)), np.ones((1, 3)), scale=1.0, alpha=0.5),
+         "mean and std must be 1-D vectors of equal length"),
+        (lambda: Band(np.zeros(3), np.ones(3), scale=1.0, alpha=1.5), "alpha must lie in [0, 1]"),
+        (lambda: Band(np.zeros(3), np.ones(3), scale=1.0, alpha=-0.1), "alpha must lie in [0, 1]"),
+        (lambda: FRF(np.ones((2, 2))), "FRF values must be a non-empty 1-D vector"),
+        (lambda: FRF(np.array([])), "FRF values must be a non-empty 1-D vector"),
+        (lambda: FRFSet(np.ones(3)), "FRF set must be a non-empty 2-D array (N, M)"),
+        (lambda: FRFSet(np.ones((0, 3))), "FRF set must be a non-empty 2-D array (N, M)"),
+        (lambda: PIR(np.full(GRID.n_samples, np.nan), GRID), "PIR values must be finite"),
+        (lambda: SyntheticSpec(np.array([1.0, np.inf]), noise_std=0.1, n=2),
+         "mean_frf must be finite"),
+    ],
+    ids=["band-unequal", "band-2d", "band-alpha-high", "band-alpha-low", "frf-2d", "frf-empty",
+         "set-1d", "set-empty", "pir-nan", "spec-inf"],
+)
+def test_records_refuse_malformed_values(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 CFG = BootstrapConfig(replications=40, nested_replications=6, seed=3)
 
 
