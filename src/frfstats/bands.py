@@ -416,9 +416,11 @@ def minimal_prediction_band(
     when no such scale is found (an overflowing deviation, say).  The
     returned alpha is the fraction of the bootstrap pool at or below that
     returned scale, 1 when the test lies beyond every pooled statistic.
+    A test that does not fit the grid is refused before any draw.
     """
+    x = pir_from_frf(test, grid).values
     pool = _band_pool(frf_set, grid, cfg, streams)
-    scale = _containing_scale(pool.mean, pool.std, pir_from_frf(test, grid).values)
+    scale = _containing_scale(pool.mean, pool.std, x)
     band = Band(mean=pool.mean, std=pool.std, scale=scale,
                 alpha=alpha_at(pool.stat_ecdf, scale))
     return MinimalBand(band=band, stat_ecdf=pool.stat_ecdf)

@@ -22,7 +22,7 @@ import numpy as np
 from .bands import Band, minimal_prediction_band, prediction_band
 from .compare import compare_unpaired
 from .dataio import Dataset, load_dataset, load_frf, save_dataset
-from .density import NUMERATOR_MODES, estimate_density
+from .density import METRICS, NUMERATOR_MODES, estimate_density
 from .errors import DegenerateSpread, FrfStatsError, ZeroSpread
 from .grid import derive_grid
 from .pir import pir_matrix
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument("data")
     density.add_argument("--group", required=True)
     density.add_argument("--test", required=True, help="test FRF file (json or csv)")
-    density.add_argument("--metric", choices=["squared", "max"], default="squared")
+    density.add_argument("--metric", choices=list(METRICS), default="squared")
     density.add_argument("--numerator", choices=list(NUMERATOR_MODES), default="code-compatible")
     _add_bootstrap_flags(density)
     density.set_defaults(run=_cmd_density)

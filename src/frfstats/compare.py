@@ -14,6 +14,7 @@ spectrum localizes the difference in frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,11 +39,12 @@ from .resampling import (
 # the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the
 # outer resample and rows 1..Bs nested positions into it.  A redraw takes
 # the next block, so a replication's block follows every block drawn
-# before it, redraws included; the loop is serial.  The blocks are drawn,
-# and weighed (`_weigh_blocks`), several per call (`_batch_blocks`); a call
-# of k blocks yields the same integers as k calls of one.  The group is
-# always the last key element, so swapping the groups is swapping the key
-# tails.
+# before it, redraws included; the loop is serial.  One reader per group
+# draws and weighs (`_weigh_blocks`) them all: the sigma block (the
+# identity row over the sigma resamples) first, then the replications'
+# blocks several per call (`_batch_blocks`); a call of k blocks yields the
+# same integers as k calls of one.  The group is always the last key
+# element, so swapping the groups is swapping the key tails.
 GROUP_KEY_OFFSET = 2
 
 #: Bytes of one group's batch: the int64 indices of its blocks plus their
@@ -179,9 +181,13 @@ def compare_unpaired(
     is diff_mean +/- C_u * sigma, sigma being the same nested std taken
     over Bs resamples of the original groups (the identity resample).
 
-    Every resample mean is formed in `draw` from `_weigh_blocks`' weights,
-    so the nested std is the root of the summed squares of the centred
-    nested mean differences over Bs - 1, with no centring pass of its own.
+    Each group is set up once: its PIR matrix, refused if its statistics
+    would overflow, its stream and one reader that weighs its blocks
+    (`_weigh_blocks`), the sigma block first and then the replications'.
+    `draw` takes the next block from both readers and forms every resample
+    mean from their weights, for sigma and each replication alike, so the
+    nested std is the root of the summed squares of the centred nested
+    mean differences over Bs - 1, with no centring pass of its own.
     A sigma with zero spread at some time point, which would give a
     zero-width band there, raises DegenerateSpread before any replication
     is drawn.  Replications whose nested std hits zero anywhere are
@@ -194,63 +200,58 @@ def compare_unpaired(
         raise ValueError("need at least three samples in each group")
     if streams is None:
         streams = IndexStreams(cfg.seed)
-    pirs1 = pir_matrix(set1, grid)
-    pirs2 = pir_matrix(set2, grid)
-    n1, n2 = set1.n, set2.n
-    bs, B = cfg.nested_replications, cfg.replications
-    _refuse_overflowing_stats(pirs1, bs)
-    _refuse_overflowing_stats(pirs2, bs)
+    sets, bs, B = (set1, set2), cfg.nested_replications, cfg.replications
+    pirs = [pir_matrix(s, grid) for s in sets]
+    for p in pirs:
+        _refuse_overflowing_stats(p, bs)
+    diff_mean = pirs[0].mean(axis=0) - pirs[1].mean(axis=0)
+    # Each group's record indices, in the record's narrow index type: its
+    # Bs sigma resamples, then its B accepted outer resamples.
+    indices = [np.empty((bs + B, s.n), dtype=_index_type(s.n)) for s in sets]
 
-    diff_mean = pirs1.mean(axis=0) - pirs2.mean(axis=0)
-
-    def draw(blocks1, blocks2):
-        # The next block of each group: the record rows, the mean
-        # difference and the nested std.  The nested weights multiply the
-        # rows shifted by the outer resample's first member: a member
-        # outside the resample weighs exactly zero in every row, so where
-        # all its members agree the nested means are exactly zero, not
-        # zero up to rounding.
-        (outer1, w1), (outer2, w2) = next(blocks1), next(blocks2)
-        mean1, dev = w1[0] @ pirs1, w1[1:] @ (pirs1 - pirs1[outer1[0]])
-        mean2, dev2 = w2[0] @ pirs2, w2[1:] @ (pirs2 - pirs2[outer2[0]])
-        dev -= dev2
-        dev *= dev
-        return (outer1, outer2, mean1 - mean2), np.sqrt(dev.sum(axis=0) / (bs - 1))
-
-    gen1 = streams.stream(GROUP_KEY_OFFSET)
-    gen2 = streams.stream(GROUP_KEY_OFFSET + 1)
-    sigma1 = np.vstack([np.arange(n1), gen1.integers(0, n1, size=(bs, n1))])
-    sigma2 = np.vstack([np.arange(n2), gen2.integers(0, n2, size=(bs, n2))])
-    _, sigma = draw(_weigh_blocks(sigma1[None]), _weigh_blocks(sigma2[None]))
-    if np.any(sigma == 0.0):
-        raise DegenerateSpread("the comparison's sigma has zero spread at some time point")
-
-    def blocks(gen, n):
-        # Weighed k blocks per call; B - drawn undercounts the blocks still
-        # to read by the redraws so far, so every block drawn is read.
-        cap, drawn = _batch_blocks(n, bs), 0
-        while True:
-            k = max(1, min(cap, B - drawn))
-            drawn += k
+    def reader(g, gen, n):
+        # Group g's blocks, weighed: its sigma block first, the identity
+        # row over the Bs sigma resamples, then the replications' blocks,
+        # k per call: cap at a time up to B, then one at a time for the
+        # redraws past B, so every block drawn is read.
+        indices[g][:bs] = gen.integers(0, n, size=(bs, n))
+        yield from _weigh_blocks(np.vstack([np.arange(n), indices[g][:bs]])[None])
+        cap = _batch_blocks(n, bs)
+        for k in chain((min(cap, B - drawn) for drawn in range(0, B, cap)), repeat(1)):
             yield from _weigh_blocks(gen.integers(0, n, size=(k, 1 + bs, n)))
 
-    # Accepted outer resamples are written row by row, in the record's
-    # narrow index type.
-    outer_idx1 = np.empty((B, n1), dtype=_index_type(n1))
-    outer_idx2 = np.empty((B, n2), dtype=_index_type(n2))
+    def draw(*readers):
+        # The next block of each reader, both fetched before either
+        # group's means, and the mean difference and nested std they
+        # give.  The nested weights multiply the rows shifted by the
+        # outer resample's first member: a member outside the resample
+        # weighs exactly zero in every row, so where all its members agree
+        # the nested means are exactly zero, not zero up to rounding.
+        outers, weights = zip(*[next(r) for r in readers])
+        (mean1, dev), (mean2, dev2) = [
+            (w[0] @ p, w[1:] @ (p - p[outer[0]])) for p, outer, w in zip(pirs, outers, weights)
+        ]
+        dev -= dev2
+        dev *= dev
+        return (outers, mean1 - mean2), np.sqrt(dev.sum(axis=0) / (bs - 1))
+
+    readers = [reader(g, streams.stream(GROUP_KEY_OFFSET + g), s.n) for g, s in enumerate(sets)]
+    _, sigma = draw(*readers)
+    if np.any(sigma == 0.0):
+        raise DegenerateSpread("the comparison's sigma has zero spread at some time point")
     stats = np.empty(B)
-    blocks1, blocks2 = blocks(gen1, n1), blocks(gen2, n2)
     for b in range(B):
-        (outer_idx1[b], outer_idx2[b], xb), nested_std = _draw_with_spread(
-            "a comparison replication kept zero nested spread",
-            draw, blocks1, blocks2,
+        (outers, xb), nested_std = _draw_with_spread(
+            "a comparison replication kept zero nested spread", draw, *readers
         )
+        for idx, outer in zip(indices, outers):
+            idx[bs + b] = outer
         stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(
-        sigma_indices1=sigma1[1:].astype(_index_type(n1)),
-        sigma_indices2=sigma2[1:].astype(_index_type(n2)),
-        outer_indices1=outer_idx1,
-        outer_indices2=outer_idx2,
+        sigma_indices1=indices[0][:bs],
+        sigma_indices2=indices[1][:bs],
+        outer_indices1=indices[0][bs:],
+        outer_indices2=indices[1][bs:],
         stats=stats,
     )
 

@@ -22,6 +22,8 @@ JSON::
      "metadata": {...}}
 
 Any other top-level key is refused, so a misspelled one is not ignored.
+A key given twice in one object, or a metadata key given twice in CSV,
+is refused too, so no copy of it silently wins.
 
 Numbers are written with full repr precision so a save/load roundtrip
 reproduces the dataset bit for bit, the sign of a zero included.
@@ -90,9 +92,10 @@ def _load(path, parse_csv, parse_json):
     The file is read once as UTF-8, past a leading byte order mark, and
     the parser gets its text and its name.  Any content error it meets is
     reported as a ParseError naming the file: text that does not decode
-    or is not JSON, JSON nested deeper than the parser's recursion limit,
-    and values that make no valid grid, FRF or dataset (a frequency row no
-    grid fits, a non-finite value, an empty group name).
+    or is not JSON, a JSON object that gives a key twice, JSON nested
+    deeper than the parser's recursion limit, and values that make no
+    valid grid, FRF or dataset (a frequency row no grid fits, a
+    non-finite value, an empty group name).
     """
     path = Path(path)
     parse = parse_csv if _is_csv(path) else parse_json
@@ -140,7 +143,10 @@ def _load_csv(text: str, source: str) -> Dataset:
             key, sep, value = line.lstrip("#").partition("=")
             if not sep:
                 raise ParseError(f"{source} line {lineno}: metadata needs key=value")
-            metadata[key.strip()] = value.strip()
+            key = key.strip()
+            if key in metadata:
+                raise ParseError(f"{source} line {lineno}: metadata key {key!r} given twice")
+            metadata[key] = value.strip()
             continue
         # Only the header, the frequency row and group names are stripped
         # here; `_parse_floats` reads the number cells as they stand.
@@ -212,8 +218,18 @@ def _json_pairs(value, where: str, m: int | None = None) -> np.ndarray:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`json.loads`' object hook: the object's dict, refusing a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
+
+
 def _load_json(text: str, source: str) -> Dataset:
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
         raise ParseError(f"{source}: need an object with frequencies and groups")
     for key in doc:
@@ -310,7 +326,7 @@ def load_frf(path) -> FRF:
 
 
 def _load_frf_json(text: str, source: str) -> FRF:
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ParseError(f"{source}: need {{\"values\": [[re, im], ...]}}")
     return FRF(_json_pairs(doc["values"], f"{source}: values"))

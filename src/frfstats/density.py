@@ -25,6 +25,7 @@ from .resampling import BootstrapConfig, IndexStreams
 MAX_SKIPPED_FRACTION = 0.2
 
 NUMERATOR_MODES = ("code-compatible", "index-span")
+METRICS = tuple(_METRICS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +111,7 @@ def estimate_density(
     """
     if numerator_mode not in NUMERATOR_MODES:
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")
-    if not isinstance(metric, str) or metric not in _METRICS:
+    if not isinstance(metric, str) or metric not in METRICS:
         raise ValueError(f"{metric!r} is not a valid metric")
     es, below = _ranked(test, frf_set, grid, cfg, metric, streams)
     n, B = frf_set.n, cfg.replications

@@ -11,6 +11,7 @@ from frfstats import (
     BandContainment,
     DegenerateSpread,
     FrequencyGrid,
+    GridMismatch,
     SyntheticSpec,
     ZeroSpread,
     compare_unpaired,
@@ -470,3 +471,17 @@ def test_alpha_bisection_builds_one_pool(monkeypatch):
             lo = mid
     assert calls == [1000]
     assert abs(minimal.alpha - hi) <= 0.001
+
+
+def test_minimal_band_refuses_a_mismatched_test_before_drawing():
+    # A 3-component test against a 2-frequency set is refused before the
+    # band bootstrap: no stream is built and no pool is kept for the set.
+    grid = derive_grid([0.3, 0.5], 2.0)
+    rng = np.random.default_rng(8)
+    group = FRFSet(lowpass_mean_frf(grid) + 0.1 * rng.standard_normal((10, grid.m)))
+    test = FRF(np.ones(3, dtype=complex))
+    streams = CountingStreams(0)
+    with pytest.raises(GridMismatch):
+        minimal_prediction_band(test, group, grid, BootstrapConfig(replications=2000), streams)
+    assert streams.built == 0
+    assert group not in bands._LAST

@@ -13,7 +13,9 @@ from frfstats import (
     FRFSet,
     derive_grid,
     ecdf,
+    estimate_density,
     load_dataset,
+    load_frf,
     lowpass_mean_frf,
     pir_matrix,
     prediction_band,
@@ -21,6 +23,7 @@ from frfstats import (
 )
 from frfstats import cli
 from frfstats.cli import main
+from frfstats.density import METRICS, NUMERATOR_MODES
 
 
 def read_columns(path):
@@ -231,6 +234,36 @@ def test_density_prints_four_statistics(tmp_path, capsys):
     assert values["f"] >= 0.0
 
 
+def test_density_flags_reach_the_library(tmp_path, capsys):
+    # Each --metric x --numerator pair prints exactly the library's
+    # estimate for that pair, and the four pairs print four different
+    # results, so a dropped flag shows.
+    data = make_dataset(tmp_path, n=40, noise=0.4, seed=5)
+    test = write_test_frf(tmp_path)
+    dataset = load_dataset(data)
+    cfg = BootstrapConfig(replications=40, seed=6)
+    printed = set()
+    for metric in METRICS:
+        for numerator in NUMERATOR_MODES:
+            code = main([
+                "density", str(data), "--group", "synth", "--test", str(test),
+                "--B", "40", "--seed", "6", "--metric", metric, "--numerator", numerator,
+            ])
+            assert code == 0
+            out = capsys.readouterr().out
+            estimate = estimate_density(
+                load_frf(test), dataset.groups["synth"], dataset.grid, cfg,
+                metric=metric, numerator_mode=numerator,
+            )
+            values = (estimate.cdf_mean, estimate.cdf_std, estimate.pdf_mean, estimate.pdf_std)
+            assert out == "".join(
+                f"{key} = {value:.9g}\n"
+                for key, value in zip(("F", "sigma_F", "f", "sigma_f"), values)
+            )
+            printed.add(out)
+    assert len(printed) == 4
+
+
 def test_compare_rejects_separated_groups(tmp_path, capsys):
     data = make_dataset(tmp_path, n=8, noise=0.05, seed=1, name="a", gain=1.0)
     make_dataset(tmp_path, n=8, noise=0.05, seed=2, name="b", gain=3.0, out=data, append=True)
@@ -316,6 +349,12 @@ def test_malformed_json_exits_2(tmp_path, capsys):
                  "--B", "20", "--out", str(tmp_path / "mb")])
     assert code == 2
     assert "test.json: values" in capsys.readouterr().err
+
+    test.write_text('{"values": [[1, 0], [0, 1]], "values": [[2, 0], [0, 2]]}')
+    code = main(["minband", str(data), "--group", "synth", "--test", str(test),
+                 "--B", "20", "--out", str(tmp_path / "mb")])
+    assert code == 2
+    assert "test.json: key 'values' given twice" in capsys.readouterr().err
 
 
 def test_test_file_with_unknown_suffix_exits_2(tmp_path, capsys):

@@ -187,9 +187,11 @@ def test_csv_header_names_every_cell(tmp_path, header, cell, want):
          "data.csv line 2: frequency row has 2 cells, expected 3"),
         ("data.csv", "freq_hz,re_0,im_0\n,1.0,\n ,1.0,2.0\n",
          "data.csv line 3: sample row has an empty group name"),
+        ("data.csv", "# k=1\n# k = 2\nfreq_hz,re_0,im_0\n,0.3,\ng,1.0,0.0\n",
+         "data.csv line 2: metadata key 'k' given twice"),
     ],
     ids=["bad-cell", "blank-cell", "short-row", "frf-bad-cell", "frf-blank-cell", "frf-long-row",
-         "short-frequency-row", "empty-group-name"],
+         "short-frequency-row", "empty-group-name", "metadata-key-twice"],
 )
 def test_csv_cell_errors_keep_their_text(tmp_path, name, content, message):
     # Rows are read with one float call per cell and re-read stripped only
@@ -346,9 +348,18 @@ def test_load_frf_json_malformed_pair(tmp_path):
         ("data.csv", b"freq_hz,re_0,im_0,re_1,im_1\n1000,0.0001,,1.0,\ng,1,0,1,0\n", "samples"),
         ("test.csv", b"1.0,inf\n", "finite"),
         ("test.json", b'{"values": [[1.0, 1e999]]}', "finite"),
+        # A key given twice, at any depth: no copy of it silently wins.
+        ("data.json", b'{"frequencies": [0.3], "sample_rate": 2.0, "sample_rate": 5.0,'
+                      b' "groups": {"g": [[[1, 0]]]}}', "key 'sample_rate' given twice"),
+        ("data.json", b'{"frequencies": [0.3], "groups": {"g": [[[1, 0]], [[2, 0]]],'
+                      b' "g": [[[3, 0]]]}}', "key 'g' given twice"),
+        ("data.json", b'{"frequencies": [0.3], "groups": {"g": [[[1, 0]]]},'
+                      b' "metadata": {"k": "1", "k": "2"}}', "key 'k' given twice"),
+        ("test.json", b'{"values": [[1, 0]], "values": [[2, 0]]}', "key 'values' given twice"),
     ],
     ids=["not-utf8", "deep-json", "nan-value", "empty-group-name", "grid-too-large",
-         "frf-inf", "frf-json-overflow"],
+         "frf-inf", "frf-json-overflow", "rate-twice", "group-twice", "metadata-key-twice",
+         "frf-values-twice"],
 )
 def test_content_errors_raise_parse_error(tmp_path, name, content, where):
     path = tmp_path / name
