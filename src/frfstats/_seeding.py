@@ -1,11 +1,11 @@
-"""`IndexStreams`' generators, numpy's ``default_rng(SeedSequence(seed, spawn_key=key))``
-bit for bit.  numpy's `SeedSequence` hashes the seed once; this module hashes only
-one-word keys, by numpy's published hash, BLOCK keys per uint32 pass, and every other
-key gets numpy's own generator.  It loads `numpy.random`; ``import frfstats`` does not.
+"""`IndexStreams`' generators, numpy's ``default_rng(SeedSequence(seed, spawn_key=(k,)))``
+bit for bit, for one integer key k in [0, 2**32).  numpy's `SeedSequence` hashes the
+seed once; this module hashes the keys, by numpy's published hash, BLOCK keys per
+uint32 pass.  It loads `numpy.random`; ``import frfstats`` does not.
 """
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 # SeedSequence's hash constants.
@@ -13,7 +13,7 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R, XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 
-#: One-word keys hashed per pass, from a multiple of BLOCK.
+#: Keys hashed per pass, from a multiple of BLOCK.
 BLOCK = 256
 
 
@@ -25,19 +25,16 @@ def _hashmix(value: np.ndarray, h: int, mult: int) -> np.ndarray:
 
 
 class KeyedSeeds:
-    """Generators of ``SeedSequence(seed, spawn_key=key)``, one-word keys a block at a time."""
+    """Generators of ``SeedSequence(seed, spawn_key=(k,))``, keys a block at a time."""
 
     def __init__(self, seed: int):
         # SeedSequence(seed).pool is a keyed sequence's pool before its key, after 4
         # hashmixes per word of the seed, which is padded to the pool's 4 words.
-        self._seed, self._mixed = seed, SeedSequence(seed).pool
+        self._mixed = SeedSequence(seed).pool
         self._h = INIT_A * MULT_A ** (4 * max(4, (int(seed).bit_length() + 31) // 32)) % 2**32
         self._block = (0, ())
 
-    def generator(self, key: tuple) -> Generator:
-        if len(key) != 1 or not isinstance(key[0], int) or not 0 <= key[0] < 2**32:
-            return default_rng(SeedSequence(self._seed, spawn_key=key))
-        (k,) = key
+    def generator(self, k: int) -> Generator:
         start, state = self._block
         if not 0 <= k - start < len(state):
             start = k - k % BLOCK

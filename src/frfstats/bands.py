@@ -139,7 +139,7 @@ def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
 def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None):
     """The band bootstrap's ``cfg.replications`` replications, one at a time.
 
-    Replication b resamples the rows of `pirs` from stream (b,) of `streams`
+    Replication b resamples the rows of `pirs` from stream b of `streams`
     (None for ``IndexStreams(cfg.seed)``) under the `_draw_with_spread`
     rule, and yields ``(indices, mean, std, sq)``: the accepted resample,
     its mean and N-1 std over the rows, and the rows' squared deviations
@@ -281,9 +281,9 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     a miss checks the set as the bands do (`_checked_stats`) and draws
     them through `_replicates`, unrecorded.
     """
+    x = pir_from_frf(test, grid).values
     pool = _pool(frf_set, grid, cfg, streams)
     pirs = _checked_stats(frf_set, grid)[0] if pool is None else pool.pirs
-    x = pir_from_frf(test, grid).values
     if pool is not None and metric == "squared":
         return pool.distances, _squared_below(pool, x)
     if pool is None:

@@ -34,7 +34,7 @@ from .resampling import (
 )
 
 # Stream key layout (resampling.STREAM_LAYOUT 6): group g in {0, 1} draws
-# everything from one stream, (GROUP_KEY_OFFSET + g,).  Its first call is
+# everything from one stream, key GROUP_KEY_OFFSET + g.  Its first call is
 # the (Bs, n_g) block of sigma resamples; the outer replications then take
 # the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the
 # outer resample and rows 1..Bs nested positions into it.  A redraw takes
@@ -43,8 +43,8 @@ from .resampling import (
 # draws and weighs (`_weigh_blocks`) them all: the sigma block (the
 # identity row over the sigma resamples) first, then the replications'
 # blocks several per call (`_batch_blocks`); a call of k blocks yields the
-# same integers as k calls of one.  The group is always the last key
-# element, so swapping the groups is swapping the key tails.
+# same integers as k calls of one.  Swapping the groups swaps their keys,
+# 2 and 3, which differ only in the last bit.
 GROUP_KEY_OFFSET = 2
 
 #: Bytes of one group's batch: the int64 indices of its blocks plus their

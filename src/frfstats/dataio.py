@@ -228,13 +228,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _load_json(text: str, source: str) -> Dataset:
+def _json_object(text: str, source: str, keys: tuple, needed: tuple) -> dict:
+    """The JSON object in `text`, with every key of `needed` and none outside `keys`."""
     doc = json.loads(text, object_pairs_hook=_unique_keys)
-    if not isinstance(doc, dict) or "frequencies" not in doc or "groups" not in doc:
-        raise ParseError(f"{source}: need an object with frequencies and groups")
+    if not isinstance(doc, dict) or any(key not in doc for key in needed):
+        raise ParseError(f"{source}: need an object with {' and '.join(needed)}")
     for key in doc:
-        if key not in _JSON_KEYS:
-            raise ParseError(f"{source}: unknown key {key!r}; use {', '.join(_JSON_KEYS)}")
+        if key not in keys:
+            raise ParseError(f"{source}: unknown key {key!r}; use {', '.join(keys)}")
+    return doc
+
+
+def _load_json(text: str, source: str) -> Dataset:
+    doc = _json_object(text, source, _JSON_KEYS, ("frequencies", "groups"))
     if not isinstance(doc["frequencies"], list):
         raise ParseError(f"{source}: frequencies must be a list of numbers")
     freqs = [_number(f, f"{source}: frequencies") for f in doc["frequencies"]]
@@ -255,7 +261,6 @@ def _load_json(text: str, source: str) -> Dataset:
             for i, sample in enumerate(samples)
         ]
         groups[name] = FRFSet(np.array(rows))
-    metadata = {str(k): str(v) for k, v in metadata.items()}
     return Dataset(grid=grid, groups=groups, metadata=metadata)
 
 
@@ -318,17 +323,15 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_frf(path) -> FRF:
     """Read a single test FRF from a CSV or JSON file (format inferred by suffix).
 
-    JSON files hold ``{"values": [[re, im], ...]}``; CSV files hold one
-    ``re,im`` pair per line (blank lines and # comments ignored).  Any
-    malformed content raises `ParseError` naming the file.
+    JSON files hold ``{"values": [[re, im], ...]}`` and no other key; CSV
+    files hold one ``re,im`` pair per line (blank lines and # comments
+    ignored).  Any malformed content raises `ParseError` naming the file.
     """
     return _load(path, _load_frf_csv, _load_frf_json)
 
 
 def _load_frf_json(text: str, source: str) -> FRF:
-    doc = json.loads(text, object_pairs_hook=_unique_keys)
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise ParseError(f"{source}: need {{\"values\": [[re, im], ...]}}")
+    doc = _json_object(text, source, ("values",), ("values",))
     return FRF(_json_pairs(doc["values"], f"{source}: values"))
 
 

@@ -85,7 +85,7 @@ def estimate_density(
     """Estimate CDF and PDF of the test sample's distance from the mean.
 
     Per replication b: take resample b of the band bootstrap (the same
-    stream (b,) and the same redraw rule as `bootstrap_deviation_stats`),
+    stream b and the same redraw rule as `bootstrap_deviation_stats`),
     sort the resampled members' distances to its mean, and rank the test
     distance as the first position exceeding it (N when none does).
     `metric` is "squared" (sum of squared differences) or "max" (maximum
@@ -104,10 +104,10 @@ def estimate_density(
     "max" metric replays the resamples.  Every number is bit-identical to
     a fresh draw's.
 
-    Raises ZeroSpread when more than 20% of replications had a zero-width
-    distance window, and DegenerateSpread when the set has zero spread at
-    some time point (before any draw, as the bands) or a replication kept
-    zero spread through every redraw.
+    Raises GridMismatch first for a test that does not fit the grid, ZeroSpread
+    when over 20% of replications had a zero-width distance window, and
+    DegenerateSpread when the set has zero spread at some time point (before
+    any draw, as the bands) or a replication kept it through every redraw.
     """
     if numerator_mode not in NUMERATOR_MODES:
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")

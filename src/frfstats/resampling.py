@@ -2,9 +2,8 @@
 
 The bootstrap config, the keyed random streams (one per band or density
 replication, one per comparison group; each is numpy's SeedSequence
-generator for its key: numpy's SeedSequence hashes the seed once,
-`frfstats._seeding` hashes only a one-word key, and every other key
-gets numpy's own generator), the redraw rule for degenerate
+generator for its integer key: numpy's SeedSequence hashes the seed
+once, `frfstats._seeding` the key), the redraw rule for degenerate
 replications, and the empirical CDF of a statistic pool, whose exact
 order statistics convert between band scaling constants and confidence
 levels.  The band bootstrap's replicate loop, its record and the pool
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from operator import index
 
 import numpy as np
 
@@ -67,32 +67,30 @@ class BootstrapConfig:
 #: stream keys, bumped whenever fixed-seed results of some operation
 #: change; the README's "Stream layout" section records what each
 #: version changed.  Band and density replication b draw from stream
-#: (b,), through one loop in `frfstats.bands` that redraws a degenerate
+#: b, through one loop in `frfstats.bands` that redraws a degenerate
 #: resample for both.  Comparison group g draws everything from one
-#: stream, (GROUP_KEY_OFFSET + g,): the sigma resamples, then one block
+#: stream, GROUP_KEY_OFFSET + g: the sigma resamples, then one block
 #: of outer and nested rows per replication (see `frfstats.compare`).
 STREAM_LAYOUT = 6
 
 
 class IndexStreams:
-    """Deterministic family of random streams keyed by small integer tuples.
+    """Deterministic family of random streams, each keyed by one integer.
 
     ``stream(b)`` is the stream of band or density replication b, and
     ``stream(2 + g)`` the one stream of comparison group g; the full key
-    table is under `STREAM_LAYOUT`.  Each stream is numpy's generator
-    ``default_rng(SeedSequence(seed, spawn_key=key))``, bit for bit.
-    numpy's SeedSequence hashes the seed once, at construction;
-    `frfstats._seeding` hashes only a one-word key, the PCG64 seed words
-    of 256 consecutive keys in one pass, and every other key gets numpy's
-    own generator.  A seed numpy refuses is refused at construction: a
-    negative one with ValueError, a float with TypeError.  A negative key
-    element raises ValueError at `stream`.  Streams with different keys
-    are statistically independent and each key always yields the same
-    sequence for a given root seed.  A band or density replication's
-    draws therefore do not depend on the order in which replications
-    run.  A comparison replication's draws follow those of every
-    replication before it, redraws included, on its group's stream; the
-    engine runs serially, so they too depend only on the seed.
+    table is under `STREAM_LAYOUT`.  Stream k is numpy's generator
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, bit for bit,
+    hashed by `frfstats._seeding` 256 keys at a time.  A seed numpy refuses
+    is refused at construction: a negative one with ValueError, a float with
+    TypeError; `stream` refuses a key that is no integer with TypeError, and
+    one outside [0, 2**32) with ValueError.  Streams with different keys are
+    statistically independent and each key always yields the same sequence
+    for a given root seed.  A band or density replication's draws therefore
+    do not depend on the order in which replications run.  A comparison
+    replication's draws follow those of every replication before it, redraws
+    included, on its group's stream; the engine runs serially, so they too
+    depend only on the seed.
     """
 
     def __init__(self, seed: int):
@@ -101,8 +99,10 @@ class IndexStreams:
 
         self._seeds = KeyedSeeds(seed)
 
-    def stream(self, *key: int) -> np.random.Generator:
-        return self._seeds.generator(key)
+    def stream(self, k: int) -> np.random.Generator:
+        if not 0 <= (k := index(k)) < 2**32:
+            raise ValueError(f"stream key {k} is not in [0, 2**32)")
+        return self._seeds.generator(k)
 
 
 def _index_type(n: int) -> np.dtype:

@@ -485,3 +485,21 @@ def test_minimal_band_refuses_a_mismatched_test_before_drawing():
         minimal_prediction_band(test, group, grid, BootstrapConfig(replications=2000), streams)
     assert streams.built == 0
     assert group not in bands._LAST
+
+
+def test_density_and_minimal_band_refuse_a_mismatched_test_first():
+    # A 3-component test against a zero-spread 11-frequency set: the test
+    # is refused (GridMismatch) before the set's spread (DegenerateSpread)
+    # and before any stream is built, by both calls alike.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    flat = FRFSet(np.tile(lowpass_mean_frf(grid), (10, 1)))
+    test = FRF(np.ones(3, dtype=complex))
+    cfg = BootstrapConfig(replications=50)
+    for call in (minimal_prediction_band, estimate_density):
+        streams = CountingStreams(0)
+        with pytest.raises(GridMismatch):
+            call(test, flat, grid, cfg, streams=streams)
+        assert streams.built == 0
+        assert flat not in bands._LAST
+    with pytest.raises(DegenerateSpread):
+        estimate_density(FRF(lowpass_mean_frf(grid)), flat, grid, cfg)

@@ -25,6 +25,8 @@ from frfstats import cli
 from frfstats.cli import main
 from frfstats.density import METRICS, NUMERATOR_MODES
 
+from support import EXPERIMENT_FREQS
+
 
 def read_columns(path):
     header, *rows = path.read_text().splitlines()
@@ -356,6 +358,12 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert "test.json: key 'values' given twice" in capsys.readouterr().err
 
+    test.write_text('{"values": [[1, 0], [0.5, 0.1]], "valuse": 3}')
+    code = main(["minband", str(data), "--group", "synth", "--test", str(test),
+                 "--B", "20", "--out", str(tmp_path / "mb")])
+    assert code == 2
+    assert "test.json: unknown key 'valuse'" in capsys.readouterr().err
+
 
 def test_test_file_with_unknown_suffix_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path)
@@ -516,6 +524,21 @@ def test_degenerate_statistics_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "the sample set has zero spread at some time point" in err
+
+
+def test_mismatched_test_exits_2_before_the_set_is_checked(tmp_path, capsys):
+    # A zero-spread 11-frequency set would exit 3; the 3-component test is
+    # refused first, by density and minband alike.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    flat = tmp_path / "flat.json"
+    save_dataset(Dataset(grid, {"flat": FRFSet(np.tile(lowpass_mean_frf(grid), (10, 1)))}), flat)
+    test = tmp_path / "test.json"
+    test.write_text(json.dumps({"values": [[1.0, 0.0]] * 3}))
+    for command in (["density"], ["minband", "--out", str(tmp_path / "mb")]):
+        code = main([*command, str(flat), "--group", "flat", "--test", str(test), "--B", "20"])
+        assert code == 2
+        assert "FRF has 3 components but the grid has 11" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.json", "test.json"]
 
 
 def test_compare_with_zero_sigma_exits_3(tmp_path, capsys):

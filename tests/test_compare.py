@@ -471,8 +471,12 @@ def test_zero_spread_at_one_time_point_is_caught_exactly():
 
 def test_validation():
     cfg = BootstrapConfig(replications=5, nested_replications=4, seed=0)
-    with pytest.raises(ValueError):
-        compare_unpaired(group(1, n=2), group(2), GRID, 0.95, cfg)
+    # A group of two is refused in either position, before any draw.
+    for set1, set2 in [(group(1, n=2), group(2)), (group(1), group(2, n=2))]:
+        streams = CountingStreams(cfg.seed)
+        with pytest.raises(ValueError, match="^need at least three samples in each group$"):
+            compare_unpaired(set1, set2, GRID, 0.95, cfg, streams=streams)
+        assert streams.built == 0
     with pytest.raises(ValueError):
         compare_unpaired(group(1), group(2), GRID, 1.5, cfg)
     with pytest.raises(GridMismatch):

@@ -317,11 +317,19 @@ def test_json_ragged_sample_rejected(tmp_path):
         ({"sample_rte": 2.0, "groups": {"a": [[[1, 0], [0, 1]]]}},
          "unknown key 'sample_rte'; use frequencies, sample_rate, groups, metadata"),
         ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metdata": {"k": "v"}}, "unknown key 'metdata'"),
+        # A metadata value that is not text is refused, not turned into text.
+        ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metadata": {"k": "v", "a": None}},
+         "metadata entry 'a': .* is not text"),
+        ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metadata": {"b": {"x": 1}}},
+         "metadata entry 'b': .* is not text"),
+        ({"groups": {"a": [[[1, 0], [0, 1]]]}, "metadata": {"c": 1.0}},
+         "metadata entry 'c': .* is not text"),
     ],
     ids=[
         "group-not-list", "pair-not-number", "groups-not-object",
         "metadata-not-object", "frequencies-not-list", "rate-out-of-range",
-        "misspelled-rate", "misspelled-metadata",
+        "misspelled-rate", "misspelled-metadata", "metadata-null", "metadata-object",
+        "metadata-number",
     ],
 )
 def test_json_malformed_dataset_raises_parse_error(tmp_path, doc, where):
@@ -356,10 +364,13 @@ def test_load_frf_json_malformed_pair(tmp_path):
         ("data.json", b'{"frequencies": [0.3], "groups": {"g": [[[1, 0]]]},'
                       b' "metadata": {"k": "1", "k": "2"}}', "key 'k' given twice"),
         ("test.json", b'{"values": [[1, 0]], "values": [[2, 0]]}', "key 'values' given twice"),
+        # Any key beside values, so a misspelled one is not ignored.
+        ("test.json", b'{"values": [[1, 0], [0.5, 0.1]], "valuse": 3}',
+         "unknown key 'valuse'; use values"),
     ],
     ids=["not-utf8", "deep-json", "nan-value", "empty-group-name", "grid-too-large",
          "frf-inf", "frf-json-overflow", "rate-twice", "group-twice", "metadata-key-twice",
-         "frf-values-twice"],
+         "frf-values-twice", "frf-unknown-key"],
 )
 def test_content_errors_raise_parse_error(tmp_path, name, content, where):
     path = tmp_path / name

@@ -66,16 +66,16 @@ def test_streams_are_deterministic_and_distinct():
     a = IndexStreams(42)
     b = IndexStreams(42)
     same = [
-        s.stream(3, 1).integers(0, 100, size=100) for s in (a, b)
+        s.stream(3).integers(0, 100, size=100) for s in (a, b)
     ]
     np.testing.assert_array_equal(same[0], same[1])
 
     draws = {}
-    for key in [(0,), (1,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1)]:
-        draws[key] = tuple(a.stream(*key).integers(0, 50, size=50))
+    for key in [0, 1, 2, 3, 255, 256, 2**32 - 1]:
+        draws[key] = tuple(a.stream(key).integers(0, 50, size=50))
     assert len(set(draws.values())) == len(draws)
 
-    other_seed = IndexStreams(43).stream(3, 1).integers(0, 100, size=100)
+    other_seed = IndexStreams(43).stream(3).integers(0, 100, size=100)
     assert not np.array_equal(same[0], other_seed)
 
 
@@ -96,15 +96,13 @@ _STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128, 2**160 + 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_streams_are_seed_sequence_generators(seed):
     # Keys 0..600 ascending, descending and shuffled cross the 256-key
-    # blocks in every direction.  Of the rest, one-word keys below 2**32
-    # come from a block and the others from numpy's own generator.
-    ascending = [(k,) for k in range(601)]
+    # blocks in every direction; then the comparison's keys and the largest.
+    ascending = list(range(601))
     shuffled = [ascending[k] for k in np.random.default_rng(seed % 97).permutation(601)]
-    others = [(2,), (3,), (2**32 - 1,), (2**32,), (3, 1), (0, 0, 1), ()]
     pair = IndexStreams(seed), IndexStreams(seed)
-    for i, key in enumerate(ascending + ascending[::-1] + shuffled + others):
-        gen = pair[i % 2].stream(*key)
-        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    for i, key in enumerate(ascending + ascending[::-1] + shuffled + [2, 3, 2**32 - 1]):
+        gen = pair[i % 2].stream(key)
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
         assert gen.bit_generator.state == ref.bit_generator.state, key
         assert gen.integers(0, 2**63) == ref.integers(0, 2**63), key
 
@@ -112,9 +110,27 @@ def test_streams_are_seed_sequence_generators(seed):
 def test_negative_seed_or_key_is_refused():
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         IndexStreams(-1)
-    for key in [(-1,), (3, -1), (-(2**40),)]:
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            IndexStreams(0).stream(*key)
+    for key in [-1, -(2**40)]:
+        with pytest.raises(ValueError, match=rf"^stream key {key} is not in \[0, 2\*\*32\)$"):
+            IndexStreams(0).stream(key)
+
+
+def test_stream_key_is_one_integer_below_2_to_the_32():
+    # Several keys, a float or a key of 2**32 or more is refused before a
+    # stream is built, and the streams built after a refusal are numpy's.
+    streams = IndexStreams(5)
+    for key in [(3, 1), (0, 0, 1), ()]:
+        with pytest.raises(TypeError):
+            streams.stream(*key)
+    for key in [1.5, 2.0, np.float64(3.0), "3", None]:
+        with pytest.raises(TypeError):
+            streams.stream(key)
+    for key in [2**32, 2**40]:
+        with pytest.raises(ValueError, match=rf"^stream key {key} is not in \[0, 2\*\*32\)$"):
+            streams.stream(key)
+    for key in [np.int64(300), np.uint32(7), 2**32 - 1, 0]:
+        ref = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(int(key),)))
+        assert streams.stream(key).bit_generator.state == ref.bit_generator.state
 
 
 def test_seed_is_refused_or_seeded_as_numpy_does():
@@ -125,9 +141,9 @@ def test_seed_is_refused_or_seeded_as_numpy_does():
         IndexStreams(0).stream(1.5)
     for seed in [np.int64(7), np.uint32(2**32 - 1)]:
         streams = IndexStreams(seed)
-        for key in [(0,), (300,), (3, 1)]:
-            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-            assert streams.stream(*key).bit_generator.state == ref.bit_generator.state
+        for key in [0, 300, 3]:
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+            assert streams.stream(key).bit_generator.state == ref.bit_generator.state
 
 
 def test_import_leaves_numpy_random_unloaded():
