@@ -77,19 +77,16 @@ def _config(args: argparse.Namespace) -> BootstrapConfig:
 def _cmd_pir(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     frf_set = dataset.group(args.group)
-    times = dataset.grid.times
+    if args.sample is not None and not 0 <= args.sample < frf_set.n:
+        raise ValueError(
+            f"--sample {args.sample} out of range for group "
+            f"{args.group!r} with {frf_set.n} samples"
+        )
+    curves = pir_matrix(frf_set, dataset.grid)
+    header = ["t"] + [f"pir_{i}" for i in range(frf_set.n)]
     if args.sample is not None:
-        if not 0 <= args.sample < frf_set.n:
-            raise ValueError(
-                f"--sample {args.sample} out of range for group "
-                f"{args.group!r} with {frf_set.n} samples"
-            )
-        curves = pir_matrix(frf_set, dataset.grid)[args.sample : args.sample + 1]
-        header = ["t", "pir"]
-    else:
-        curves = pir_matrix(frf_set, dataset.grid)
-        header = ["t"] + [f"pir_{i}" for i in range(frf_set.n)]
-    _write_columns(args.out, header, [times, *curves])
+        curves, header = curves[args.sample : args.sample + 1], ["t", "pir"]
+    _write_columns(args.out, header, [dataset.grid.times, *curves])
     return 0
 
 

@@ -157,9 +157,7 @@ def _weigh_blocks(blocks: np.ndarray):
     counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(blocks.shape)
     del picks  # freed before the weights are made
     w = counts / n
-    # The two ufunc calls of ``.mean(axis=1, keepdims=True)``, without its
-    # wrapper.
-    w[:, 1:] -= w[:, 1:].sum(axis=1, keepdims=True) / (rows - 1)
+    w[:, 1:] -= w[:, 1:].mean(axis=1, keepdims=True)
     return zip(first, w)
 
 

@@ -13,9 +13,9 @@ EXPERIMENT_FREQS = [0.05, 0.15, 0.3, 0.4, 0.55, 0.7, 0.9, 1.1, 1.35, 1.75, 2.2]
 class FixedStreams:
     """Stand-in for IndexStreams that serves canned index vectors.
 
-    `table` maps a stream key (tuple) to a list of canned draws, each an
-    index vector or a 2-D block of index rows; each call to ``integers`` on
-    that stream pops the next draw and checks it has the requested shape.
+    `table` maps a stream key, one integer, to a list of canned draws, each
+    an index vector or a 2-D block of index rows; each call to ``integers``
+    on that stream pops the next draw and checks it has the requested shape.
     A request for a batch of k blocks, size ``(k, rows, n)``, pops the next
     k canned blocks and stacks them, as one call of k blocks yields the
     same integers as k calls of one.
@@ -26,8 +26,8 @@ class FixedStreams:
     def __init__(self, table):
         self._table = {key: list(draws) for key, draws in table.items()}
 
-    def stream(self, *key):
-        return _FixedStream(self._table[key])
+    def stream(self, k):
+        return _FixedStream(self._table[k])
 
 
 class _FixedStream:
@@ -57,26 +57,25 @@ class CountingStreams(IndexStreams):
         super().__init__(seed)
         self.built = 0
 
-    def stream(self, *key):
+    def stream(self, k):
         self.built += 1
-        return super().stream(*key)
+        return super().stream(k)
 
 
 class MirroredStreams:
-    """Stream family with the two groups' key tails swapped.
+    """Stream family that serves stream ``k ^ 1`` for key k.
 
-    The comparison assigns group 1 and group 2 the even/odd final key
-    element, so flipping that bit hands each group the draws the other
-    group would have received.  Feeding this to compare_unpaired with the
+    The comparison draws group 1 from key 2 and group 2 from key 3, so
+    flipping the last bit hands each group the draws the other group
+    would have received.  Feeding this to compare_unpaired with the
     groups swapped must reproduce the original run exactly, negated.
     """
 
     def __init__(self, inner):
         self._inner = inner
 
-    def stream(self, *key):
-        mirrored = key[:-1] + (key[-1] ^ 1,)
-        return self._inner.stream(*mirrored)
+    def stream(self, k):
+        return self._inner.stream(k ^ 1)
 
 
 def traced_peak(fn):

@@ -164,7 +164,7 @@ def test_criterion_5_density_oracles():
     frf_set = FRFSet(np.stack([levels, np.zeros(5)], axis=1).astype(complex))
     test = FRF(np.array([2.2 + 0.0j, 0.0 + 0.0j]))
     draws = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
-    streams = FixedStreams({(b,): [draw] for b, draw in enumerate(draws)})
+    streams = FixedStreams({b: [draw] for b, draw in enumerate(draws)})
     estimate = estimate_density(
         test, frf_set, grid, BootstrapConfig(replications=3), streams=streams
     )
@@ -360,7 +360,7 @@ def test_criterion_8_hand_oracles():
         )
     )
     band_draws = [[0, 1, 1], [2, 0, 2]]
-    table = {(b,): [draw] for b, draw in enumerate(band_draws)}
+    table = {b: [draw] for b, draw in enumerate(band_draws)}
     cfg = BootstrapConfig(replications=2, seed=0)
     alpha = 0.6
 
@@ -385,7 +385,7 @@ def test_criterion_8_hand_oracles():
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=FixedStreams(table))
     replicates = list(_replicates(pirs, cfg, FixedStreams(table)))
-    pool_ecdf = ecdf(draws.pool)
+    pool_ecdf = ecdf(draws.stats)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=FixedStreams(table))
     band_checks = [
         np.array_equal(draws.indices, band_draws),
@@ -425,8 +425,8 @@ def test_criterion_8_hand_oracles():
     nested_draws2 = [[[2, 0, 0], [0, 2, 1]], [[2, 2, 1], [1, 2, 0]]]
     # One stream per group: the sigma block, then one block per replication.
     table = {
-        (2,): [sigma_draws1, *([o, *d] for o, d in zip(outer_draws1, nested_draws1))],
-        (3,): [sigma_draws2, *([o, *d] for o, d in zip(outer_draws2, nested_draws2))],
+        2: [sigma_draws1, *([o, *d] for o, d in zip(outer_draws1, nested_draws1))],
+        3: [sigma_draws2, *([o, *d] for o, d in zip(outer_draws2, nested_draws2))],
     }
     cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
     alpha = 0.5

@@ -62,7 +62,7 @@ def test_band_geometry():
 def test_injected_indices_match_loop_arithmetic():
     grid = derive_grid([1.0])
     frfs = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
-    table = {(0,): [[0, 1, 1]], (1,): [[2, 0, 2]]}
+    table = {0: [[0, 1, 1]], 1: [[2, 0, 2]]}
     cfg = BootstrapConfig(replications=2, seed=0)
     draws = bootstrap_deviation_stats(frfs, grid, cfg, FixedStreams(table))
 
@@ -90,7 +90,7 @@ def test_full_alpha_band_covers_every_original():
     cfg = BootstrapConfig(replications=50, seed=11)
     band = prediction_band(frfs, grid, 1.0, cfg)
     draws = bootstrap_deviation_stats(frfs, grid, cfg, IndexStreams(cfg.seed))
-    assert band.scale == pytest.approx(draws.pool.max(), rel=1e-12)
+    assert band.scale == pytest.approx(draws.stats.max(), rel=1e-12)
     pirs = pir_matrix(frfs, grid)
     for row in pirs:
         assert band.contains(row)
@@ -211,11 +211,11 @@ def test_degenerate_replication_is_redrawn():
     grid = derive_grid([1.0])
     frfs = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     cfg = BootstrapConfig(replications=1, seed=0)
-    streams = FixedStreams({(0,): [[1, 1, 1], [0, 1, 2]]})
+    streams = FixedStreams({0: [[1, 1, 1], [0, 1, 2]]})
     draws = bootstrap_deviation_stats(frfs, grid, cfg, streams)
     np.testing.assert_array_equal(draws.indices, [[0, 1, 2]])
 
-    exhausted = FixedStreams({(0,): [[1, 1, 1]] * (MAX_REDRAWS + 1)})
+    exhausted = FixedStreams({0: [[1, 1, 1]] * (MAX_REDRAWS + 1)})
     message = f"a bootstrap replication kept zero spread after {MAX_REDRAWS} redraws"
     with pytest.raises(DegenerateSpread, match=message):
         bootstrap_deviation_stats(frfs, grid, cfg, exhausted)
@@ -358,6 +358,8 @@ def test_reused_bootstrap_matches_fresh_sets(rate, n, explicit):
         reused = score_calls(test, lambda: group, grid, cfg, streams)
         draws = bootstrap_deviation_stats(group, grid, cfg, streams)
         assert bootstrap_deviation_stats(group, grid, cfg, streams) is draws
+        # The minimal band's ECDF holds exactly the record's statistics, sorted.
+        assert np.array_equal(reused[3], np.sort(draws.stats, axis=None))
         fresh = score_calls(test, lambda: FRFSet(group.values), grid, cfg, streams)
         for a, b in zip(reused, fresh, strict=True):
             np.testing.assert_array_equal(a, b)

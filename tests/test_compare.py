@@ -125,8 +125,8 @@ def test_injected_indices_match_loop_arithmetic():
     # replication 0's (1 + Bs, n) block, the outer resample then nested
     # positions.
     table = {
-        (2,): [[[0, 1, 1], [1, 0, 2]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
-        (3,): [[[2, 2, 0], [0, 1, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+        2: [[[0, 1, 1], [1, 0, 2]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        3: [[[2, 2, 0], [0, 1, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=FixedStreams(table))
@@ -161,16 +161,16 @@ def test_degenerate_replication_is_redrawn():
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
-    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 2, 0], [0, 1, 2]]]}
+    sigma = {2: [[[0, 1, 1], [1, 0, 2]]], 3: [[[2, 2, 0], [0, 1, 2]]]}
     valid = {
-        (2,): [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
-        (3,): [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+        2: [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        3: [[[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     # An outer resample of one repeated member has zero nested spread in
     # both groups, so the replication must take each stream's next block.
     degenerate = {
-        (2,): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]],
-        (3,): [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]],
+        2: [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]],
+        3: [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]],
     }
 
     def streams(blocks):
@@ -247,14 +247,14 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j], [0.2 - 0.7j]]))
     cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
-    sigma = {(2,): [[[0, 1, 1], [1, 0, 2]]], (3,): [[[2, 3, 0, 1], [0, 1, 2, 3]]]}
+    sigma = {2: [[[0, 1, 1], [1, 0, 2]]], 3: [[[2, 3, 0, 1], [0, 1, 2, 3]]]}
     # Replication 0's first blocks have zero nested spread and are redrawn.
     blocks = {
-        (2,): [[[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
-               [[0, 2, 1], [2, 2, 0], [1, 0, 0]]],
-        (3,): [[[3, 3, 3, 3], [1, 2, 0, 3], [0, 0, 1, 2]],
-               [[0, 0, 1, 3], [2, 0, 1, 3], [1, 3, 0, 2]],
-               [[1, 2, 0, 3], [0, 3, 2, 1], [2, 1, 1, 0]]],
+        2: [[[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
+            [[0, 2, 1], [2, 2, 0], [1, 0, 0]]],
+        3: [[[3, 3, 3, 3], [1, 2, 0, 3], [0, 0, 1, 2]],
+            [[0, 0, 1, 3], [2, 0, 1, 3], [1, 3, 0, 2]],
+            [[1, 2, 0, 3], [0, 3, 2, 1], [2, 1, 1, 0]]],
     }
     streams = FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
@@ -266,14 +266,14 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     for g, (key, frfs) in enumerate(((2, a), (3, b))):
         # The group's calls, in order: its sigma block, then each batch.
         mine = [call for call in calls if call[0].shape[-1] == frfs.n]
-        np.testing.assert_array_equal(drawn[g], sigma[(key,)][0])
+        np.testing.assert_array_equal(drawn[g], sigma[key][0])
         identity = np.vstack([np.arange(frfs.n), drawn[g]])
         np.testing.assert_array_equal(mine[0][0], identity[None])
         ((outer, w),) = mine[0][1]
         np.testing.assert_array_equal(outer, np.arange(frfs.n))
         np.testing.assert_array_equal(w, weights(identity))
         pairs = [pair for _, batch in mine[1:] for pair in batch]
-        for (outer, w), block in zip(pairs, blocks[(key,)], strict=True):
+        for (outer, w), block in zip(pairs, blocks[key], strict=True):
             np.testing.assert_array_equal(outer, block[0])
             np.testing.assert_array_equal(w, weights(block))
         per_group.append(mine[0][1] + pairs)
@@ -376,12 +376,12 @@ def test_redraw_inside_a_batch_matches_one_call_per_block():
     # have zero nested spread; its redraw is the batch's third block, and
     # replication 2 takes a batch of one.
     table = {
-        (2,): [[[0, 1, 1], [1, 0, 2]],
-               [[2, 1, 0], [1, 1, 2], [0, 2, 2]], [[1, 1, 1], [0, 1, 2], [2, 0, 1]],
-               [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]]],
-        (3,): [[[2, 2, 0], [0, 1, 2]],
-               [[0, 0, 1], [2, 0, 1], [1, 1, 0]], [[2, 2, 2], [1, 2, 0], [0, 0, 1]],
-               [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]]],
+        2: [[[0, 1, 1], [1, 0, 2]],
+            [[2, 1, 0], [1, 1, 2], [0, 2, 2]], [[1, 1, 1], [0, 1, 2], [2, 0, 1]],
+            [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]]],
+        3: [[[2, 2, 0], [0, 1, 2]],
+            [[0, 0, 1], [2, 0, 1], [1, 1, 0]], [[2, 2, 2], [1, 2, 0], [0, 0, 1]],
+            [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]]],
     }
     streams = FixedStreams(table)
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
@@ -403,14 +403,14 @@ def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
     # replication 3's first blocks have zero nested spread, so one redraw
     # falls inside the first batch and the other takes a batch of its own.
     table = {
-        (2,): [[[0, 1, 1], [1, 0, 2]],
-               [[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
-               [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]],
-               [[0, 0, 0], [1, 2, 0], [2, 2, 1]], [[2, 0, 1], [0, 1, 1], [2, 2, 0]]],
-        (3,): [[[2, 2, 0], [0, 1, 2]],
-               [[2, 2, 2], [1, 2, 0], [0, 0, 1]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]],
-               [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]],
-               [[1, 1, 1], [0, 2, 1], [2, 1, 0]], [[0, 1, 2], [1, 2, 2], [0, 0, 1]]],
+        2: [[[0, 1, 1], [1, 0, 2]],
+            [[1, 1, 1], [0, 1, 2], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]],
+            [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]],
+            [[0, 0, 0], [1, 2, 0], [2, 2, 1]], [[2, 0, 1], [0, 1, 1], [2, 2, 0]]],
+        3: [[[2, 2, 0], [0, 1, 2]],
+            [[2, 2, 2], [1, 2, 0], [0, 0, 1]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]],
+            [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]],
+            [[1, 1, 1], [0, 2, 1], [2, 1, 0]], [[0, 1, 2], [1, 2, 2], [0, 0, 1]]],
     }
     streams = FixedStreams(table)
     result = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
@@ -432,16 +432,16 @@ def test_degenerate_groups_raise():
 
 
 def test_sigma_with_zero_spread_is_refused_before_any_replication():
-    # Group (2,)'s two sigma resamples hold the same members reordered and
-    # group (3,)'s are equal, so every nested mean difference is the same:
+    # Group 2's two sigma resamples hold the same members reordered and
+    # group 3's are equal, so every nested mean difference is the same:
     # sigma is zero and the band would have zero width.  The replication
     # blocks have spread, so only the sigma refusal can raise.
     grid = derive_grid([1.0])
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
     table = {
-        (2,): [[[2, 1, 0], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
-        (3,): [[[0, 0, 2], [0, 0, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
+        2: [[[2, 1, 0], [2, 0, 1]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        3: [[[0, 0, 2], [0, 0, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]],
     }
     cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
     streams = FixedStreams(table)

@@ -68,7 +68,7 @@ INJECTED = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
 
 
 def injected_streams():
-    return FixedStreams({(b,): [draw] for b, draw in enumerate(INJECTED)})
+    return FixedStreams({b: [draw] for b, draw in enumerate(INJECTED)})
 
 
 def test_injected_ranks_and_pdf_match_brute_force():
@@ -215,7 +215,7 @@ def test_max_metric():
     cfg = BootstrapConfig(replications=1, seed=0)
     picks = [1, 3, 3, 0, 2]
 
-    streams = FixedStreams({(0,): [picks]})
+    streams = FixedStreams({0: [picks]})
     est = estimate_density(test, frfs, GRID, cfg, metric="max", streams=streams)
     cdf, pdf = brute_force(
         pirs, picks, x_test, est.window, distance=lambda d: float(np.max(np.abs(d)))
@@ -235,7 +235,7 @@ def test_density_ranks_the_bands_redrawn_resample():
     test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
     x_test = pir_from_frf(test, GRID).values
     cfg = BootstrapConfig(replications=1, seed=0)
-    table = {(0,): [[2, 2, 2, 2, 2], [0, 0, 1, 2, 3]]}
+    table = {0: [[2, 2, 2, 2, 2], [0, 0, 1, 2, 3]]}
     draws = bootstrap_deviation_stats(frfs, GRID, cfg, FixedStreams(table))
     est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
 
@@ -257,14 +257,14 @@ def test_zero_spread_handling():
     coincident = [2, 2, 2, 3]
     fine = [0, 1, 2, 3]
 
-    table = {(0,): [coincident], (1,): [fine], (2,): [fine], (3,): [fine], (4,): [fine]}
+    table = {0: [coincident], 1: [fine], 2: [fine], 3: [fine], 4: [fine]}
     cfg = BootstrapConfig(replications=5, seed=0)
     est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
     assert est.skipped == 1
     assert np.isnan(est.pdf_stats[0])
     assert np.isfinite(est.pdf_mean)
 
-    table = {(0,): [coincident], (1,): [coincident], (2,): [fine], (3,): [fine], (4,): [fine]}
+    table = {0: [coincident], 1: [coincident], 2: [fine], 3: [fine], 4: [fine]}
     with pytest.raises(ZeroSpread):
         estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
 
@@ -326,8 +326,8 @@ def canned_density_case(test_at):
     picks = rng.integers(0, 40, size=(25, 40))
     # Replication 3's first draw repeats one row, has zero spread and is
     # redrawn: its accepted resample is the second canned draw.
-    table = {(b,): [idx] for b, idx in enumerate(picks)}
-    table[(3,)] = [np.full(40, 7), picks[3]]
+    table = {b: [idx] for b, idx in enumerate(picks)}
+    table[3] = [np.full(40, 7), picks[3]]
     return grid, frfs, test, picks, FixedStreams(table)
 
 
@@ -393,20 +393,22 @@ def scored_tests(group, grid, seed):
     return [FRF(held), FRF(group.values.mean(axis=0)), group.sample(3), FRF(1.5 * held)]
 
 
-def density_outcome(test, group, grid, cfg, numerator_mode):
+def density_outcome(test, group, grid, cfg, metric, numerator_mode):
     """The density's statistics as bytes, or its refusal as type and message."""
     try:
-        est = estimate_density(test, group, grid, cfg, numerator_mode=numerator_mode)
+        est = estimate_density(test, group, grid, cfg, metric, numerator_mode)
     except (ZeroSpread, DegenerateSpread) as err:
         return type(err).__name__, str(err)
     return est.cdf_stats.tobytes(), est.pdf_stats.tobytes()
 
 
+@pytest.mark.parametrize("metric", ["squared", "max"])
 @pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
-def test_pooled_squared_density_matches_a_fresh_draw(rate, n):
-    # Seeds 0-9 on the bench grids: a density on the pool (no replicate
-    # means) and one on a copy of the set (the replicate loop) agree bit
-    # for bit, refusals included.
+def test_pooled_density_matches_a_fresh_draw(rate, n, metric):
+    # Seeds 0-9 on the bench grids: a density on the pool (the squared
+    # metric forms no replicate mean, "max" replays the recorded resamples)
+    # and one on a copy of the set (the replicate loop) agree bit for bit,
+    # refusals included.
     grid = derive_grid(EXPERIMENT_FREQS, rate)
     refused = 0
     for seed in range(10):
@@ -417,8 +419,8 @@ def test_pooled_squared_density_matches_a_fresh_draw(rate, n):
         bootstrap_deviation_stats(group, grid, cfg)
         for test in scored_tests(group, grid, seed):
             for mode in NUMERATOR_MODES:
-                pooled = density_outcome(test, group, grid, cfg, mode)
-                fresh = density_outcome(test, FRFSet(group.values), grid, cfg, mode)
+                pooled = density_outcome(test, group, grid, cfg, metric, mode)
+                fresh = density_outcome(test, FRFSet(group.values), grid, cfg, metric, mode)
                 assert pooled == fresh, (seed, mode)
                 refused += pooled[0] == "ZeroSpread"
     # At N=20 (Ds = 1) one duplicate beside the rank empties the window, so
