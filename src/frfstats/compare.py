@@ -33,7 +33,7 @@ from .resampling import (
     ecdf,
 )
 
-# Stream key layout (resampling.STREAM_LAYOUT 6): group g in {0, 1} draws
+# Stream key layout (resampling.STREAM_LAYOUT 7): group g in {0, 1} draws
 # everything from one stream, key GROUP_KEY_OFFSET + g.  Its first call is
 # the (Bs, n_g) block of sigma resamples; the outer replications then take
 # the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the

@@ -1,13 +1,17 @@
 """FRF containers and the lossless FRF <-> pseudo-impulse-response transform.
 
-A frequency response function (FRF) is a complex vector over the grid
-frequencies.  Its pseudo impulse response (PIR) is the real time signal
+A frequency response function (FRF) is a complex vector H over the grid
+frequencies f_k = m_k / period, with m_k the integer harmonics.  Its pseudo
+impulse response (PIR) is the real signal
 
     x(t_n) = sum_k Re(H_k) cos(2 pi f_k t_n) + Im(H_k) sin(2 pi f_k t_n)
 
-sampled at t_n = n / sample_rate over one period.  On a commensurable grid
-the sampled sinusoids are exactly orthogonal, so the transform is invertible
-and the inverse is a plain projection with a 2/n_samples normalization.
+sampled at t_n = n / sample_rate over one period, which is the inverse real
+DFT of the spectrum holding conj(H_k) / 2 at bin m_k and zero elsewhere.
+Every m_k lies strictly below the Nyquist bin, so the forward real DFT reads
+each H_k back and the transform is invertible up to rounding.  Each row is
+transformed on its own, so a response's PIR has the same bits alone as in
+a set.
 """
 
 from __future__ import annotations
@@ -82,21 +86,6 @@ class PIR:
             raise ValueError("PIR values must be finite")
 
 
-def _basis(n_samples: int, harmonics: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled cosine/sine basis, shape (M, n_samples) each.
-
-    The phase 2 pi f_k t_n reduces to 2 pi (m_k n mod n_samples) / n_samples
-    with m_k the integer harmonic, so it is computed in exact integer
-    arithmetic before the single rounding step inside cos/sin.  That keeps
-    the basis exactly orthogonal in floating point up to ~1e-16 per sample.
-    """
-    n = np.arange(n_samples, dtype=np.int64)
-    m = np.asarray(harmonics, dtype=np.int64)
-    phase = (m[:, None] * n[None, :]) % n_samples
-    angle = (2.0 * np.pi / n_samples) * phase
-    return np.cos(angle), np.sin(angle)
-
-
 def _pirs(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """PIRs of FRF values whose last axis runs over the grid frequencies."""
     if values.shape[-1] != grid.m:
@@ -104,10 +93,11 @@ def _pirs(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
             f"FRF has {values.shape[-1]} components but the grid has "
             f"{grid.m} frequencies"
         )
-    cos, sin = _basis(grid.n_samples, grid.harmonics)
+    spectrum = np.zeros(values.shape[:-1] + (grid.n_samples // 2 + 1,), dtype=complex)
+    spectrum[..., list(grid.harmonics)] = values.conj() / 2
     # Huge finite FRF values can overflow: refuse once, never pass inf on.
     with np.errstate(over="ignore", invalid="ignore"):
-        pirs = values.real @ cos + values.imag @ sin
+        pirs = np.fft.irfft(spectrum, n=grid.n_samples, norm="forward")
     if not np.all(np.isfinite(pirs)):
         raise ValueError("FRF values are too large: their PIR overflows")
     return pirs
@@ -124,17 +114,13 @@ def pir_matrix(frf_set: FRFSet, grid: FrequencyGrid) -> np.ndarray:
 
 
 def frf_from_pir(pir: PIR) -> FRF:
-    """Project a PIR back onto its grid's sinusoids.
+    """Read a PIR's FRF off its grid's harmonic bins of the real DFT.
 
-    Re(H_k) and Im(H_k) are recovered with the 2/n_samples normalization,
-    so ``frf_from_pir(pir_from_frf(h, g))`` is h up to rounding.
+    H_k is twice the conjugate of bin m_k, normalized by 1/n_samples, so
+    ``frf_from_pir(pir_from_frf(h, g))`` is h up to rounding.
     """
-    grid = pir.grid
-    cos, sin = _basis(grid.n_samples, grid.harmonics)
-    scale = 2.0 / grid.n_samples
-    re = scale * (cos @ pir.values)
-    im = scale * (sin @ pir.values)
-    return FRF(values=re + 1j * im)
+    spectrum = np.fft.rfft(pir.values, norm="forward")
+    return FRF(values=2 * spectrum[list(pir.grid.harmonics)].conj())
 
 
 def _refuse_overflowing_stats(pirs: np.ndarray, nested: int = 0) -> None:

@@ -385,6 +385,22 @@ def test_pooled_density_replays_only_the_max_metric(metric, replays, monkeypatch
     assert rows.calls == replays
 
 
+def test_member_test_ties_with_its_member():
+    # A test equal to member 3 has exactly member 3's squared distance to
+    # the replicate mean in every replication that resamples member 3.
+    grid = derive_grid(EXPERIMENT_FREQS, 22.0)
+    group = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=20), seed=1)
+    x = pir_from_frf(group.sample(3), grid).values
+    distance = bands._METRICS["squared"]
+    cfg = BootstrapConfig(replications=300, seed=1)
+    drew = 0
+    for idx, mean, _, sq in bands._replicates(pir_matrix(group, grid), cfg, None):
+        if np.any(idx == 3):
+            drew += 1
+            assert np.all(distance(sq[idx == 3]) == distance(np.square(x - mean)))
+    assert drew > 0
+
+
 def scored_tests(group, grid, seed):
     """A held-out draw, the set mean, a set member and 1.5x the draw."""
     mean = lowpass_mean_frf(grid)

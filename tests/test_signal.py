@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frfstats import GridMismatch, derive_grid
+from frfstats import GridMismatch, SyntheticSpec, derive_grid, generate_synthetic, lowpass_mean_frf
 from frfstats.pir import FRF, FRFSet, PIR, frf_from_pir, pir_from_frf, pir_matrix, pir_stats
 
 from support import EXPERIMENT_FREQS
@@ -64,6 +64,21 @@ def test_roundtrip_independent_of_sample_rate():
     for grid in (coarse, fine):
         back = frf_from_pir(pir_from_frf(h, grid))
         np.testing.assert_allclose(back.values, h.values, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "freqs, rate, n",
+    [(EXPERIMENT_FREQS, 22.0, 20), (EXPERIMENT_FREQS, 4.5, 200), ([0.3, 0.5], 2.1, 7)],
+    ids=["T440-N20", "T90-N200", "T21-N7"],
+)
+def test_single_pir_equals_its_set_row_bit_for_bit(freqs, rate, n):
+    # A response transformed alone has the bits of its row in the set, so
+    # a test equal to a set member ties exactly with that member.
+    grid = derive_grid(freqs, rate)
+    frfs = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=1)
+    pirs = pir_matrix(frfs, grid)
+    for i in range(frfs.n):
+        assert np.array_equal(pir_from_frf(frfs.sample(i), grid).values, pirs[i]), i
 
 
 def test_transform_is_linear():
