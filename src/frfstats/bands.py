@@ -272,21 +272,21 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
 
     Returns ``(es, below)``: row b of `es` holds the `metric` distances of
     replication b's resampled rows to its mean, sorted, and ``below[b]``
-    counts those at or below the test PIR's distance to that mean.  A
-    squared-metric call on a pool reads them off the pool
-    (`_squared_below`); any other call replays the pool's resamples, or on
-    a miss checks the set as the bands do (`_checked_stats`) and draws
-    them through `_replicates`, unrecorded.
+    counts those at or below the test PIR's distance to that mean.  A miss
+    checks the set as the bands do (`_checked_stats`) and draws the
+    resamples through `_replicates`, unrecorded; on a pool, the squared
+    metric reads them off it (`_squared_below`) and "max" replays its
+    resamples.
     """
     x = pir_from_frf(test, grid).values
     pool = _pool(frf_set, grid, cfg, streams)
-    pirs = _checked_stats(frf_set, grid)[0] if pool is None else pool.pirs
-    if pool is not None and metric == "squared":
-        return pool.distances, _squared_below(pool, x)
     if pool is None:
+        pirs = _checked_stats(frf_set, grid)[0]
         replicates = ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
+    elif metric == "squared":
+        return pool.distances, _squared_below(pool, x)
     else:
-        replicates = (_resample_rows(pirs, idx) for idx in pool.draws.indices)
+        replicates = (_resample_rows(pool.pirs, idx) for idx in pool.draws.indices)
 
     distance = _METRICS[metric]
     es = np.empty((cfg.replications, frf_set.n))

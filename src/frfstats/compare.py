@@ -33,18 +33,12 @@ from .resampling import (
     ecdf,
 )
 
-# Stream key layout (resampling.STREAM_LAYOUT 7): group g in {0, 1} draws
-# everything from one stream, key GROUP_KEY_OFFSET + g.  Its first call is
-# the (Bs, n_g) block of sigma resamples; the outer replications then take
-# the stream's next (1 + Bs, n_g) blocks in turn, each block's row 0 the
-# outer resample and rows 1..Bs nested positions into it.  A redraw takes
-# the next block, so a replication's block follows every block drawn
-# before it, redraws included; the loop is serial.  One reader per group
-# draws and weighs (`_weigh_blocks`) them all: the sigma block (the
-# identity row over the sigma resamples) first, then the replications'
-# blocks several per call (`_batch_blocks`); a call of k blocks yields the
-# same integers as k calls of one.  Swapping the groups swaps their keys,
-# 2 and 3, which differ only in the last bit.
+# Group g draws everything from stream GROUP_KEY_OFFSET + g (the layout is
+# under `resampling.STREAM_LAYOUT`).  A replication's block follows every
+# block drawn before it on that stream, redraws included, so the
+# replications run serially.  The two keys, 2 and 3, differ only in the
+# last bit: swapping the groups flips it, which the tests' MirroredStreams
+# relies on.
 GROUP_KEY_OFFSET = 2
 
 #: Bytes of one group's batch: the int64 indices of its blocks plus their
@@ -196,8 +190,7 @@ def compare_unpaired(
         raise ValueError("alpha must lie in [0, 1]")
     if set1.n < 3 or set2.n < 3:
         raise ValueError("need at least three samples in each group")
-    if streams is None:
-        streams = IndexStreams(cfg.seed)
+    streams = IndexStreams(cfg.seed) if streams is None else streams
     sets, bs, B = (set1, set2), cfg.nested_replications, cfg.replications
     pirs = [pir_matrix(s, grid) for s in sets]
     for p in pirs:

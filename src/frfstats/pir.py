@@ -38,10 +38,6 @@ class FRF:
         if not np.all(np.isfinite(vals)):
             raise ValueError("FRF values must be finite")
 
-    @property
-    def m(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True, eq=False)
 class FRFSet:
@@ -63,9 +59,6 @@ class FRFSet:
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    def sample(self, i: int) -> FRF:
-        return FRF(self.values[i])
 
 
 @dataclass(frozen=True, eq=False)

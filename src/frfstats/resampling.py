@@ -1,9 +1,7 @@
 """Seeded bootstrap plumbing shared by the band and the comparison.
 
-The bootstrap config, the keyed random streams (one per band or density
-replication, one per comparison group; each is numpy's SeedSequence
-generator for its integer key: numpy's SeedSequence hashes the seed
-once, `frfstats._seeding` the key), the redraw rule for degenerate
+The bootstrap config, the keyed random streams (which draw reads which
+key is under `STREAM_LAYOUT`), the redraw rule for degenerate
 replications, and the empirical CDF of a statistic pool, whose exact
 order statistics convert between band scaling constants and confidence
 levels.  The band bootstrap's replicate loop, its record and the pool
@@ -77,20 +75,14 @@ STREAM_LAYOUT = 7
 class IndexStreams:
     """Deterministic family of random streams, each keyed by one integer.
 
-    ``stream(b)`` is the stream of band or density replication b, and
-    ``stream(2 + g)`` the one stream of comparison group g; the full key
-    table is under `STREAM_LAYOUT`.  Stream k is numpy's generator
-    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, bit for bit,
-    hashed by `frfstats._seeding` 256 keys at a time.  A seed numpy refuses
-    is refused at construction: a negative one with ValueError, a float with
+    Which draw reads which key is under `STREAM_LAYOUT`.  Stream k is
+    numpy's generator ``default_rng(SeedSequence(seed, spawn_key=(k,)))``,
+    bit for bit, hashed by `frfstats._seeding` 256 keys at a time: each key
+    always yields the same sequence for a given root seed, and streams with
+    different keys are statistically independent.  A seed numpy refuses is
+    refused at construction: a negative one with ValueError, a float with
     TypeError; `stream` refuses a key that is no integer with TypeError, and
-    one outside [0, 2**32) with ValueError.  Streams with different keys are
-    statistically independent and each key always yields the same sequence
-    for a given root seed.  A band or density replication's draws therefore
-    do not depend on the order in which replications run.  A comparison
-    replication's draws follow those of every replication before it, redraws
-    included, on its group's stream; the engine runs serially, so they too
-    depend only on the seed.
+    one outside [0, 2**32) with ValueError.
     """
 
     def __init__(self, seed: int):

@@ -30,6 +30,19 @@ class FixedStreams:
         return _FixedStream(self._table[k])
 
 
+def band_streams(*replications):
+    """FixedStreams serving the band bootstrap's replications in order.
+
+    Each replication is its one draw, an index vector, or its first draw
+    followed by its redraws, a sequence of index vectors.  The table keys
+    them as the stream layout does: replication b reads stream b.
+    """
+    return FixedStreams({
+        b: [draws] if np.ndim(draws) == 1 else list(draws)
+        for b, draws in enumerate(replications)
+    })
+
+
 class _FixedStream:
     def __init__(self, draws):
         self._draws = draws

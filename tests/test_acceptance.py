@@ -36,7 +36,7 @@ from frfstats import (
 
 from frfstats.bands import _replicates
 
-from support import EXPERIMENT_FREQS, FixedStreams
+from support import EXPERIMENT_FREQS, FixedStreams, band_streams
 
 
 def report(number: int | str, name: str, ok: bool, detail: str = "") -> None:
@@ -164,7 +164,7 @@ def test_criterion_5_density_oracles():
     frf_set = FRFSet(np.stack([levels, np.zeros(5)], axis=1).astype(complex))
     test = FRF(np.array([2.2 + 0.0j, 0.0 + 0.0j]))
     draws = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
-    streams = FixedStreams({b: [draw] for b, draw in enumerate(draws)})
+    streams = band_streams(*draws)
     estimate = estimate_density(
         test, frf_set, grid, BootstrapConfig(replications=3), streams=streams
     )
@@ -360,7 +360,6 @@ def test_criterion_8_hand_oracles():
         )
     )
     band_draws = [[0, 1, 1], [2, 0, 2]]
-    table = {b: [draw] for b, draw in enumerate(band_draws)}
     cfg = BootstrapConfig(replications=2, seed=0)
     alpha = 0.6
 
@@ -383,10 +382,10 @@ def test_criterion_8_hand_oracles():
     hand_upper = [m + hand_cp * s for m, s in zip(orig_mean, orig_std)]
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
-    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=FixedStreams(table))
-    replicates = list(_replicates(pirs, cfg, FixedStreams(table)))
+    draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=band_streams(*band_draws))
+    replicates = list(_replicates(pirs, cfg, band_streams(*band_draws)))
     pool_ecdf = ecdf(draws.stats)
-    band = prediction_band(frf_set, grid, alpha, cfg, streams=FixedStreams(table))
+    band = prediction_band(frf_set, grid, alpha, cfg, streams=band_streams(*band_draws))
     band_checks = [
         np.array_equal(draws.indices, band_draws),
         np.allclose([mean for _, mean, _, _ in replicates], hand_means, **tol),

@@ -36,7 +36,7 @@ from frfstats.resampling import (
     alpha_at,
 )
 
-from support import EXPERIMENT_FREQS, CountingStreams, FixedStreams
+from support import EXPERIMENT_FREQS, CountingStreams, band_streams
 
 
 def small_set(seed=1, n=8, m=2, spread=0.5):
@@ -62,18 +62,16 @@ def test_band_geometry():
 def test_injected_indices_match_loop_arithmetic():
     grid = derive_grid([1.0])
     frfs = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
-    table = {0: [[0, 1, 1]], 1: [[2, 0, 2]]}
+    picks = [[0, 1, 1], [2, 0, 2]]
     cfg = BootstrapConfig(replications=2, seed=0)
-    draws = bootstrap_deviation_stats(frfs, grid, cfg, FixedStreams(table))
+    draws = bootstrap_deviation_stats(frfs, grid, cfg, band_streams(*picks))
 
-    np.testing.assert_array_equal(draws.indices, [[0, 1, 1], [2, 0, 2]])
+    np.testing.assert_array_equal(draws.indices, picks)
     pirs = pir_matrix(frfs, grid)
     # The record keeps no replicate curves; the loop that computes them does.
-    replicates = _replicates(pirs, cfg, FixedStreams(table))
-    for b, (picks, (_, rep_mean, rep_std, _)) in enumerate(
-        zip([[0, 1, 1], [2, 0, 2]], replicates)
-    ):
-        rows = [pirs[i] for i in picks]
+    replicates = _replicates(pirs, cfg, band_streams(*picks))
+    for b, (drawn, (_, rep_mean, rep_std, _)) in enumerate(zip(picks, replicates)):
+        rows = [pirs[i] for i in drawn]
         mean = sum(rows) / 3.0
         var = sum((r - mean) ** 2 for r in rows) / 2.0
         std = np.sqrt(var)
@@ -211,11 +209,11 @@ def test_degenerate_replication_is_redrawn():
     grid = derive_grid([1.0])
     frfs = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     cfg = BootstrapConfig(replications=1, seed=0)
-    streams = FixedStreams({0: [[1, 1, 1], [0, 1, 2]]})
+    streams = band_streams([[1, 1, 1], [0, 1, 2]])
     draws = bootstrap_deviation_stats(frfs, grid, cfg, streams)
     np.testing.assert_array_equal(draws.indices, [[0, 1, 2]])
 
-    exhausted = FixedStreams({0: [[1, 1, 1]] * (MAX_REDRAWS + 1)})
+    exhausted = band_streams([[1, 1, 1]] * (MAX_REDRAWS + 1))
     message = f"a bootstrap replication kept zero spread after {MAX_REDRAWS} redraws"
     with pytest.raises(DegenerateSpread, match=message):
         bootstrap_deviation_stats(frfs, grid, cfg, exhausted)

@@ -19,7 +19,7 @@ from frfstats.density import NUMERATOR_MODES, estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
-from support import EXPERIMENT_FREQS, CountingStreams, FixedStreams
+from support import EXPERIMENT_FREQS, CountingStreams, band_streams
 
 GRID = derive_grid([1.0])
 
@@ -67,17 +67,13 @@ class CountingRows:
 INJECTED = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
 
 
-def injected_streams():
-    return FixedStreams({b: [draw] for b, draw in enumerate(INJECTED)})
-
-
 def test_injected_ranks_and_pdf_match_brute_force():
     frfs = five_frfs()
     pirs = pir_matrix(frfs, GRID)
     test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
     x_test = pir_from_frf(test, GRID).values
     cfg = BootstrapConfig(replications=3, seed=0)
-    est = estimate_density(test, frfs, GRID, cfg, streams=injected_streams())
+    est = estimate_density(test, frfs, GRID, cfg, streams=band_streams(*INJECTED))
 
     assert est.window == 1
     for b, picks in enumerate(INJECTED):
@@ -92,9 +88,9 @@ def test_numerator_modes_interior_and_edge():
     frfs = five_frfs()
     test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
     cfg = BootstrapConfig(replications=3, seed=0)
-    code = estimate_density(test, frfs, GRID, cfg, streams=injected_streams())
+    code = estimate_density(test, frfs, GRID, cfg, streams=band_streams(*INJECTED))
     span = estimate_density(
-        test, frfs, GRID, cfg, numerator_mode="index-span", streams=injected_streams()
+        test, frfs, GRID, cfg, numerator_mode="index-span", streams=band_streams(*INJECTED)
     )
     # Interior windows span 2*Ds indices, so the index-span statistic is
     # exactly twice the reference one; edge-clamped windows span Ds and
@@ -215,8 +211,7 @@ def test_max_metric():
     cfg = BootstrapConfig(replications=1, seed=0)
     picks = [1, 3, 3, 0, 2]
 
-    streams = FixedStreams({0: [picks]})
-    est = estimate_density(test, frfs, GRID, cfg, metric="max", streams=streams)
+    est = estimate_density(test, frfs, GRID, cfg, metric="max", streams=band_streams(picks))
     cdf, pdf = brute_force(
         pirs, picks, x_test, est.window, distance=lambda d: float(np.max(np.abs(d)))
     )
@@ -235,9 +230,9 @@ def test_density_ranks_the_bands_redrawn_resample():
     test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
     x_test = pir_from_frf(test, GRID).values
     cfg = BootstrapConfig(replications=1, seed=0)
-    table = {0: [[2, 2, 2, 2, 2], [0, 0, 1, 2, 3]]}
-    draws = bootstrap_deviation_stats(frfs, GRID, cfg, FixedStreams(table))
-    est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
+    redrawn = [[2, 2, 2, 2, 2], [0, 0, 1, 2, 3]]
+    draws = bootstrap_deviation_stats(frfs, GRID, cfg, band_streams(redrawn))
+    est = estimate_density(test, frfs, GRID, cfg, streams=band_streams(redrawn))
 
     np.testing.assert_array_equal(draws.indices[0], [0, 0, 1, 2, 3])
     mean = pirs[draws.indices[0]].mean(axis=0)
@@ -257,16 +252,16 @@ def test_zero_spread_handling():
     coincident = [2, 2, 2, 3]
     fine = [0, 1, 2, 3]
 
-    table = {0: [coincident], 1: [fine], 2: [fine], 3: [fine], 4: [fine]}
     cfg = BootstrapConfig(replications=5, seed=0)
-    est = estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
+    streams = band_streams(coincident, fine, fine, fine, fine)
+    est = estimate_density(test, frfs, GRID, cfg, streams=streams)
     assert est.skipped == 1
     assert np.isnan(est.pdf_stats[0])
     assert np.isfinite(est.pdf_mean)
 
-    table = {0: [coincident], 1: [coincident], 2: [fine], 3: [fine], 4: [fine]}
+    streams = band_streams(coincident, coincident, fine, fine, fine)
     with pytest.raises(ZeroSpread):
-        estimate_density(test, frfs, GRID, cfg, streams=FixedStreams(table))
+        estimate_density(test, frfs, GRID, cfg, streams=streams)
 
 
 def test_all_identical_rows_raise_degenerate_spread():
@@ -322,13 +317,13 @@ def canned_density_case(test_at):
     grid = derive_grid(EXPERIMENT_FREQS)
     rng = np.random.default_rng(23)
     frfs = FRFSet(rng.standard_normal((40, grid.m)) + 1j * rng.standard_normal((40, grid.m)))
-    test = frfs.sample(7) if test_at == "member" else FRF(frfs.values.mean(axis=0) + 0.2 - 0.1j)
+    member = frfs.values[7] if test_at == "member" else frfs.values.mean(axis=0) + 0.2 - 0.1j
+    test = FRF(member)
     picks = rng.integers(0, 40, size=(25, 40))
     # Replication 3's first draw repeats one row, has zero spread and is
     # redrawn: its accepted resample is the second canned draw.
-    table = {b: [idx] for b, idx in enumerate(picks)}
-    table[3] = [np.full(40, 7), picks[3]]
-    return grid, frfs, test, picks, FixedStreams(table)
+    streams = band_streams(*picks[:3], [np.full(40, 7), picks[3]], *picks[4:])
+    return grid, frfs, test, picks, streams
 
 
 @pytest.mark.parametrize("replayed", [False, True], ids=["drawn", "replayed"])
@@ -390,7 +385,7 @@ def test_member_test_ties_with_its_member():
     # the replicate mean in every replication that resamples member 3.
     grid = derive_grid(EXPERIMENT_FREQS, 22.0)
     group = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=20), seed=1)
-    x = pir_from_frf(group.sample(3), grid).values
+    x = pir_from_frf(FRF(group.values[3]), grid).values
     distance = bands._METRICS["squared"]
     cfg = BootstrapConfig(replications=300, seed=1)
     drew = 0
@@ -406,7 +401,7 @@ def scored_tests(group, grid, seed):
     mean = lowpass_mean_frf(grid)
     rng = np.random.default_rng([seed, 7])
     held = mean + 0.1 * (rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m))
-    return [FRF(held), FRF(group.values.mean(axis=0)), group.sample(3), FRF(1.5 * held)]
+    return [FRF(held), FRF(group.values.mean(axis=0)), FRF(group.values[3]), FRF(1.5 * held)]
 
 
 def density_outcome(test, group, grid, cfg, metric, numerator_mode):

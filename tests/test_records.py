@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frfstats
 from frfstats import (
     FRF,
     PIR,
@@ -205,6 +206,23 @@ def test_only_bands_names_the_band_bootstrap():
                           r"|_resample_rows|_Pool|_pool)\b")
     users = sorted(path.name for path in package.glob("*.py") if internal.search(path.read_text()))
     assert users == ["bands.py"]
+
+
+def test_public_surface_is_pinned():
+    # A public name is added or removed on purpose, by editing this list.
+    assert sorted(frfstats.__all__) == [
+        "Band", "BandContainment", "BootstrapConfig", "ComparisonResult", "Dataset",
+        "DegenerateSpread", "DensityEstimate", "DifferenceDraws", "FRF", "FRFSet",
+        "FrequencyGrid", "FrfStatsError", "GridError", "GridMismatch", "IndexStreams",
+        "MinimalBand", "NonCommensurableFrequencies", "NyquistViolation", "PIR",
+        "ParseError", "ReplicateDraws", "StatEcdf", "SyntheticSpec", "ZeroSpread",
+        "alpha_at", "bootstrap_deviation_stats", "c_at", "compare_unpaired",
+        "derive_grid", "ecdf", "estimate_density", "frf_from_pir", "generate_synthetic",
+        "load_dataset", "load_frf", "lowpass_mean_frf", "minimal_prediction_band",
+        "pir_from_frf", "pir_matrix", "pir_stats", "prediction_band", "residual_frf",
+        "residuals", "save_dataset",
+    ]
+    assert all(hasattr(frfstats, name) for name in frfstats.__all__)
 
 
 def test_readme_quickstart_finds_a_difference():
