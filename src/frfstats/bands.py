@@ -18,10 +18,9 @@ level is read off the same statistic pool at that scale.
 One band bootstrap of a set serves every band, minimal band and density
 call under the reuse rule of `bootstrap_deviation_stats`: its pool
 (`_Pool`) holds the set's PIR matrix, mean and std, the record of the
-draws, the sorted statistic pool and each replication's sorted squared
-member distances.  The density ranks a test's squared distance against
-those distances without gathering the resamples again (`_ranked`); the
-"max" metric replays them.
+draws and the sorted statistic pool.  The density ranks a test's squared
+distance from pick counts and the set's Gram matrix, on a pool or a fresh
+draw (`_ranked`); the "max" metric gathers each replication's rows.
 """
 
 from __future__ import annotations
@@ -108,18 +107,6 @@ class ReplicateDraws:
         fix(self, **vars(self))
 
 
-# Distance of a row from the replicate mean, as a function of its squared
-# deviations over the time points: "squared" is the discrete sum of squared
-# differences (no time-step factor, so rescale when comparing across sample
-# rates) and "max" the maximum absolute difference.  In binary floating
-# point sqrt(x * x) == |x| exactly while x * x neither underflows nor
-# overflows, so "max" needs no second pass over the unsquared rows.
-_METRICS = {
-    "squared": lambda sq: sq.sum(axis=-1),
-    "max": lambda sq: np.sqrt(sq.max(axis=-1)),
-}
-
-
 def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
     """Mean of rows `idx` of `pirs` and their squared deviations from it."""
     sq = pirs[idx]
@@ -164,9 +151,7 @@ class _Pool:
     `key` is what its draws read (`_key`), under the reuse rule of
     `bootstrap_deviation_stats`.  `pirs` is the set's PIR matrix and
     `mean` and `std` its pointwise statistics, as `pir_stats` computes
-    them.  `draws` is the record, `stat_ecdf` its sorted statistic pool,
-    and row b of `distances` replication b's squared member distances to
-    its mean, sorted.
+    them.  `draws` is the record and `stat_ecdf` its sorted statistic pool.
     """
 
     key: tuple
@@ -175,7 +160,6 @@ class _Pool:
     std: np.ndarray
     draws: ReplicateDraws
     stat_ecdf: StatEcdf
-    distances: np.ndarray
 
     def __post_init__(self) -> None:
         fix(self, **vars(self))
@@ -221,8 +205,8 @@ def bootstrap_deviation_stats(
     identity (None stands for ``IndexStreams(cfg.seed)``, and a streams
     object must yield the same draws per key on every call).  Any other
     call drops the pool first, so one pool at most is held: at N=200,
-    B=1000 its B x N statistics, sorted statistics and squared member
-    distances take 1.6 MB each and its indices 0.2 MB.
+    B=1000 its B x N statistics and sorted statistics take 1.6 MB each and
+    its indices 0.2 MB.
     """
     return _band_pool(frf_set, grid, cfg, streams).draws
 
@@ -254,15 +238,11 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
     stats = np.empty((B, n))
-    distances = np.empty((B, n))
-    for b, (idx, rep_mean, rep_std, sq) in enumerate(_replicates(pirs, cfg, streams)):
+    for b, (idx, rep_mean, rep_std, _) in enumerate(_replicates(pirs, cfg, streams)):
         indices[b] = idx
         stats[b] = (np.abs(pirs - rep_mean) / rep_std).max(axis=1)
-        distances[b] = _METRICS["squared"](sq)
-    distances.sort(axis=1)
-    draws = ReplicateDraws(indices=indices, stats=stats)
-    pool = _Pool(key=_key(grid, cfg, streams), pirs=pirs, mean=mean, std=std, draws=draws,
-                 stat_ecdf=ecdf(stats), distances=distances)
+    pool = _Pool(key=_key(grid, cfg, streams), pirs=pirs, mean=mean, std=std,
+                 draws=ReplicateDraws(indices=indices, stats=stats), stat_ecdf=ecdf(stats))
     _LAST[frf_set] = pool
     return pool
 
@@ -273,84 +253,77 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     Returns ``(es, below)``: row b of `es` holds the `metric` distances of
     replication b's resampled rows to its mean, sorted, and ``below[b]``
     counts those at or below the test PIR's distance to that mean.  A miss
-    checks the set as the bands do (`_checked_stats`) and draws the
-    resamples through `_replicates`, unrecorded; on a pool, the squared
-    metric reads them off it (`_squared_below`) and "max" replays its
-    resamples.
+    checks the set as the bands do (`_checked_stats`) and draws through
+    `_replicates`, unrecorded.  The squared metric ranks from the indices
+    (`_squared_ranked`); "max" takes the rows, drawn or replayed.
     """
     x = pir_from_frf(test, grid).values
     pool = _pool(frf_set, grid, cfg, streams)
     if pool is None:
-        pirs = _checked_stats(frf_set, grid)[0]
-        replicates = ((mean, sq) for _, mean, _, sq in _replicates(pirs, cfg, streams))
-    elif metric == "squared":
-        return pool.distances, _squared_below(pool, x)
+        pirs, mean, _ = _checked_stats(frf_set, grid)
+        drawn = ((idx, m, sq) for idx, m, _, sq in _replicates(pirs, cfg, streams))
     else:
-        replicates = (_resample_rows(pool.pirs, idx) for idx in pool.draws.indices)
+        pirs, mean = pool.pirs, pool.mean
+        drawn = ((idx, *_resample_rows(pirs, idx)) for idx in pool.draws.indices)
+    if metric == "squared":
+        indices = pool.draws.indices if pool is not None else np.fromiter(
+            (idx for idx, _, _ in drawn), (_index_type(frf_set.n), frf_set.n), cfg.replications)
+        return _squared_ranked(pirs, mean, indices, x)
 
-    distance = _METRICS[metric]
-    es = np.empty((cfg.replications, frf_set.n))
-    et = np.empty(cfg.replications)
-    # A huge test response's distance overflows to +inf: it ranks last.
-    # Only the test distance can overflow here, because PIRs too large for
-    # finite member statistics are refused up front.
+    # The maximum absolute difference: sqrt(x * x) == |x| exactly while x * x
+    # neither underflows nor overflows.  Only a huge test's distance can
+    # overflow (finite member statistics are checked up front): it ranks last.
+    es, et = np.empty((cfg.replications, frf_set.n)), np.empty(cfg.replications)
     with np.errstate(over="ignore"):
-        for b, (mean, sq) in enumerate(replicates):
-            es[b] = distance(sq)
-            et[b] = distance(np.square(x - mean))
+        for b, (_, rep_mean, sq) in enumerate(drawn):
+            es[b] = np.sqrt(sq.max(axis=1))
+            et[b] = np.sqrt(np.square(x - rep_mean).max())
     es.sort(axis=1)
     return es, np.count_nonzero(es <= et[:, None], axis=1)
 
 
-# `_squared_below` counts, for each replication b, the member distances at
-# or below the loop's test distance et = fl(sum_t (x_t - m^_t)^2), where m^
-# is the rounded mean of the resampled rows y_1..y_n.  It forms no mean.
-# For any centre mu, with d = x - mu, p_j = y_j - mu, m their exact mean,
-# c the resample's counts over the set's rows P_i, g_i = (P_i - mu) . d,
-# r_i = |P_i - mu|^2 and Q = sum_j |y_j - m|^2, in real arithmetic
-#     |x - m|^2 = |d|^2 + (c . (r - 2 g) - Q) / n,
-# because sum_j |p_j|^2 = c . r = Q + n |m - mu|^2 (parallel axes).  The
-# sum of the recorded distances stands in for Q.
-#
-# Rounding bound (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2002, §3.1: a sum or dot product of k terms errs by at most
-# g_k = k u / (1 - k u) times the sum of the terms' magnitudes, u = 2^-53).
-# Let R = max_i |P_i - mu|, so |m - mu| <= R and Q <= n R^2, L = |d| + R,
-# and A_t = max_i |P_it|.  The rounded mean is m^ = m + delta with
-# |delta| <= g_n |A|.  The recorded distances sum to Q + n |delta|^2 within
-# g_{n+T+2} of themselves, so the product form lies within
-# g_{n+T+8} 2 L^2 + 2 |delta|^2 of |x - m|^2, and the loop's et within
-# g_{T+2} (L + |delta|)^2 + 2 L |delta| + |delta|^2.  Both together lie
-# within 3 g_{n+T+8} (L + |A|)^2 of each other.  The margin takes twice
-# that and more, 8 (n + T + 8) u (L + |A|)^2, which also covers rounding
-# in L and |A|, plus (n + T + 8)^2 subnormal spacings for underflow.  No
-# recorded distance inside the margin means the count is the loop's; a
-# replication with one inside, or a non-finite product distance, gets
-# the loop's et from its recorded resample.
-def _squared_below(pool: _Pool, x: np.ndarray) -> np.ndarray:
-    """Per replication, the squared member distances at or below the test's."""
-    pirs, es, idx = pool.pirs, pool.distances, pool.draws.indices
-    n, t = pirs.shape
-    pc = pirs - pool.mean
-    a = np.abs(pirs).max(axis=0)
-    # A huge test overflows here to a non-finite distance or margin.
+#: Replications per Gram product of `_squared_ranked`, zero-padded: BLAS
+#: rounds a row alike only at one product shape, and B must not matter.
+_GRAM_ROWS = 64
+
+
+def _squared_ranked(pirs: np.ndarray, mean: np.ndarray, indices: np.ndarray, x: np.ndarray):
+    """`_ranked` for the squared metric (the sum of squared differences over
+    the time points), from the set's Gram matrix G = pc pc^T, pc the centred
+    PIRs scaled by a power of two (exact, so no product overflows).  With
+    c_b replication b's pick counts and d = x - mean, member i's distance to
+    replication b's mean is G_ii - 2 (c_b G)_i / N + q_b, with
+    q_b = c_b G c_b^T / N^2, and the test's |d|^2 - 2 c_b.(pc d) / N + q_b.
+    Ties stay exact: equal rows share one Gram row, in first-occurrence
+    order (kept by negation and power-of-two scaling), and a test equal to a
+    row takes its distances; a NaN test distance (inf - inf) ranks last.
+    """
+    n, B = pirs.shape[0], len(indices)
+    e = int(np.frexp(np.max(np.abs(pirs - mean)))[1])
+    centred = np.ldexp(pirs - mean, -e)
+    _, first, inverse = np.unique(centred, axis=0, return_index=True, return_inverse=True)
+    kept = np.sort(first)
+    pc = centred[kept]
+    picks = np.searchsorted(kept, first[inverse.reshape(-1)]).astype(_index_type(n))[indices]
+    gram = pc @ pc.T
     with np.errstate(over="ignore", invalid="ignore"):
-        d = x - pool.mean
-        dd = d @ d
-        r = np.square(pc).sum(axis=1)
-        approx = dd + ((r - 2.0 * (pc @ d))[idx].sum(axis=1) - es.sum(axis=1)) / n
-        root = np.sqrt(dd) + np.sqrt(r.max()) + np.sqrt(a @ a)
-        margin = (4 * (n + t + 8) * np.finfo(float).eps * root**2
-                  + (n + t + 8) ** 2 * np.finfo(float).smallest_subnormal)
-        lo, hi = approx - margin, approx + margin
-    below = np.count_nonzero(es < lo[:, None], axis=1)
-    unsure = (np.count_nonzero(es <= hi[:, None], axis=1) > below) | ~np.isfinite(hi)
-    for b in np.flatnonzero(unsure):
-        mean, _ = _resample_rows(pirs, idx[b])
-        with np.errstate(over="ignore"):
-            et = _METRICS["squared"](np.square(x - mean))
-        below[b] = np.count_nonzero(es[b] <= et)
-    return below
+        d = np.ldexp(x - mean, -e)
+        g, dd = (pc @ d)[:, None], d @ d
+    same = np.flatnonzero((pc == d).all(axis=1))[:1]
+    es, below = np.empty((B, n)), np.empty(B, dtype=np.intp)
+    for rows in np.split(np.arange(B), np.arange(_GRAM_ROWS, B, _GRAM_ROWS)):
+        counts = np.zeros((_GRAM_ROWS, kept.size))
+        np.add.at(counts, (np.arange(rows.size)[:, None], picks[rows]), 1.0)
+        dist = counts @ gram
+        q = np.einsum("bk,bk->b", counts, dist)[: rows.size, None] / n**2
+        # Members and test alike: (-2 / N) * products + squared norm + q_b.
+        with np.errstate(over="ignore", invalid="ignore"):
+            et = (-2.0 / n) * (counts @ g)[: rows.size] + dd + q
+        dist = (-2.0 / n) * dist[: rows.size] + gram.diagonal() + q
+        et = dist[:, same] if same.size else np.where(np.isnan(et), np.inf, et)
+        block = np.sort(np.take_along_axis(dist, picks[rows], axis=1), axis=1)
+        es[rows], below[rows] = block, np.count_nonzero(block <= et, axis=1)
+    return np.ldexp(es, 2 * e, out=es), below
 
 
 def prediction_band(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import fix
-from .bands import _METRICS, _ranked
+from .bands import _ranked
 from .errors import ZeroSpread
 from .grid import FrequencyGrid
 from .pir import FRF, FRFSet
@@ -25,7 +25,7 @@ from .resampling import BootstrapConfig, IndexStreams
 MAX_SKIPPED_FRACTION = 0.2
 
 NUMERATOR_MODES = ("code-compatible", "index-span")
-METRICS = tuple(_METRICS)
+METRICS = ("squared", "max")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +97,10 @@ def estimate_density(
     the numerator for every window, "index-span" uses the actual span.
 
     Where `bootstrap_deviation_stats`' reuse rule finds a pool for these
-    inputs, its accepted resamples are read, not redrawn.  The
-    squared metric then ranks the test from the pool's member distances
-    and one product of the set's centred PIRs with the test, and forms a
-    replicate mean only where rounding could move the test's rank; the
-    "max" metric replays the resamples.  Every number is bit-identical to
-    a fresh draw's.
+    inputs, its accepted resamples are read, not redrawn, and every number
+    is bit-identical to a fresh draw's.  The squared metric ranks the test
+    from the set's Gram matrix and pick counts (ranks and member ties exact,
+    distances up to rounding); "max" takes each replicate mean.
 
     Raises GridMismatch first for a test that does not fit the grid, ZeroSpread
     when over 20% of replications had a zero-width distance window, and

@@ -69,7 +69,7 @@ class BootstrapConfig:
 #: resample for both.  Comparison group g draws everything from one
 #: stream, GROUP_KEY_OFFSET + g: the sigma resamples, then one block
 #: of outer and nested rows per replication (see `frfstats.compare`).
-STREAM_LAYOUT = 7
+STREAM_LAYOUT = 8
 
 
 class IndexStreams:

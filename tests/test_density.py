@@ -9,11 +9,14 @@ from frfstats import (
     DegenerateSpread,
     SyntheticSpec,
     ZeroSpread,
+    compare_unpaired,
     derive_grid,
     generate_synthetic,
     lowpass_mean_frf,
+    minimal_prediction_band,
+    prediction_band,
 )
-from frfstats import bands
+from frfstats import bands, density
 from frfstats.bands import _resample_rows, bootstrap_deviation_stats
 from frfstats.density import NUMERATOR_MODES, estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
@@ -139,20 +142,23 @@ def test_overflowing_test_distance_ranks_last(metric):
 
 
 def test_pooled_overflowing_test_distance_ranks_last(monkeypatch):
-    # On a pool the squared product distance overflows too; every
-    # replication then takes the loop's distance, +inf, and ranks last.
+    # The Gram form's test distance overflows to inf (a test at 1e200), or
+    # to NaN from inf - inf (at 1e308); either ranks last, on a pool
+    # without one replicate mean and on a miss alike.
     frfs = forty_frfs()
     cfg = BootstrapConfig(replications=60, seed=1)
     far = FRF(frfs.values.mean(axis=0) + 50.0 + 50.0j)
-    huge = FRF(np.array([1e200 + 1e200j]))
     drawn = estimate_density(far, FRFSet(frfs.values), GRID, cfg)
+    huge = [FRF(np.array([value + value * 1j])) for value in (1e200, 1e308)]
+    missed = [estimate_density(test, FRFSet(frfs.values), GRID, cfg) for test in huge]
     bootstrap_deviation_stats(frfs, GRID, cfg)
     rows = CountingRows()
     monkeypatch.setattr(bands, "_resample_rows", rows)
-    est = estimate_density(huge, frfs, GRID, cfg)
-    assert rows.calls == cfg.replications
-    assert np.all(est.cdf_stats == 1.0)
-    np.testing.assert_array_equal(est.pdf_stats, drawn.pdf_stats)
+    pooled = [estimate_density(test, frfs, GRID, cfg) for test in huge]
+    assert rows.calls == 0
+    for est in pooled + missed:
+        assert np.all(est.cdf_stats == 1.0)
+        np.testing.assert_array_equal(est.pdf_stats, drawn.pdf_stats)
 
 
 def test_mean_test_ranks_low():
@@ -172,16 +178,44 @@ def test_cdf_monotone_in_distance():
     assert near.cdf_mean <= far.cdf_mean
 
 
+def scaled_answers(rate, n, factor):
+    """Every bootstrap answer on one bench grid, all curves times `factor`."""
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    mean = lowpass_mean_frf(grid)
+    spec = SyntheticSpec(mean, noise_std=0.1, n=n)
+    controls, effect = generate_synthetic(spec, seed=5), generate_synthetic(spec, seed=6)
+    test = generate_synthetic(SyntheticSpec(mean, noise_std=0.1, n=1), seed=7).values[0]
+    cfg = BootstrapConfig(replications=200, nested_replications=20, seed=4)
+    group, x = FRFSet(factor * controls.values), FRF(factor * test)
+    minband = minimal_prediction_band(x, group, grid, cfg)
+    comparison = compare_unpaired(group, FRFSet(factor * effect.values), grid, 0.95, cfg)
+    return {
+        "scale": prediction_band(group, grid, 0.95, cfg).scale,
+        "alpha": minband.alpha, "C_p": minband.band.scale,
+        "C_u": comparison.band.scale, "reject_null": comparison.reject_null,
+        "sigma": comparison.sigma,
+        **{metric: estimate_density(x, group, grid, cfg, metric=metric)
+           for metric in ("squared", "max")},
+    }
+
+
 def test_scaling_preserves_ranks_and_rescales_pdf():
-    frfs = forty_frfs()
-    test = FRF(frfs.values.mean(axis=0) + 0.3 - 0.1j)
-    cfg = BootstrapConfig(replications=30, seed=4)
-    base = estimate_density(test, frfs, GRID, cfg)
-    scaled = estimate_density(
-        FRF(2.0 * test.values), FRFSet(2.0 * frfs.values), GRID, cfg
-    )
-    np.testing.assert_array_equal(base.cdf_stats, scaled.cdf_stats)
-    np.testing.assert_allclose(scaled.pdf_stats, base.pdf_stats / 4.0, rtol=1e-13)
+    # Scaling every curve by 2**k, or negating it, is exact in binary
+    # floating point, so on both bench grids every bootstrap answer follows
+    # it bit for bit: levels, ranks and decisions stay, sigma scales by
+    # |2**k|, the squared PDF by 2**-2k and the "max" PDF by 2**-k.
+    for rate, n in [(22.0, 20), (4.5, 200)]:
+        base = scaled_answers(rate, n, 1.0)
+        for factor in (2.0**-7, 2.0**5, -1.0, -8.0):
+            k = np.log2(abs(factor))
+            got = scaled_answers(rate, n, factor)
+            for name in ("scale", "alpha", "C_p", "C_u", "reject_null"):
+                assert got[name] == base[name], (n, factor, name)
+            assert got["sigma"].tobytes() == (abs(factor) * base["sigma"]).tobytes()
+            for metric, power in (("squared", -2 * k), ("max", -k)):
+                assert got[metric].cdf_stats.tobytes() == base[metric].cdf_stats.tobytes()
+                want = 2.0**power * base[metric].pdf_stats
+                assert got[metric].pdf_stats.tobytes() == want.tobytes(), (n, factor, metric)
 
 
 def test_tiny_scale_summaries_stay_finite():
@@ -326,10 +360,30 @@ def canned_density_case(test_at):
     return grid, frfs, test, picks, streams
 
 
+# The Gram form rounds its squared distances differently from the loop,
+# by about (N + T) u |pc|^2 (u the unit roundoff, pc the centred PIRs).
+# Ranks and zero-width windows stay the loop's; a PDF statistic divides by
+# a window width, which can magnify that error: on both bench grids with
+# B = 1000 it moved at most 1.3e-9 relative.
+PDF_RTOL = 1e-8
+
+
+def assert_matches_per_row_loop(est, cdf, pdf, metric="squared"):
+    """The loop's ranks and skipped windows exactly; its PDF up to rounding
+    for the squared metric, bit for bit for "max"."""
+    assert est.cdf_stats.tobytes() == cdf.tobytes()
+    np.testing.assert_array_equal(np.isnan(est.pdf_stats), np.isnan(pdf))
+    if metric == "max":
+        assert est.pdf_stats.tobytes() == pdf.tobytes()
+    else:
+        np.testing.assert_allclose(est.pdf_stats, pdf, rtol=PDF_RTOL)
+
+
 @pytest.mark.parametrize("replayed", [False, True], ids=["drawn", "replayed"])
 @pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
 @pytest.mark.parametrize("metric", ["squared", "max"])
 def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replayed, monkeypatch):
+    # Ranks bit for bit for both metrics; the squared PDF up to PDF_RTOL.
     grid, frfs, test, picks, streams = canned_density_case("offset")
     cfg = BootstrapConfig(replications=25, seed=0)
     if replayed:
@@ -339,18 +393,17 @@ def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replay
     est = estimate_density(test, frfs, grid, cfg, metric=metric,
                            numerator_mode=numerator_mode, streams=streams)
     cdf, pdf = per_row_density(test, frfs, grid, picks, metric, numerator_mode)
-    assert est.cdf_stats.tobytes() == cdf.tobytes()
-    assert est.pdf_stats.tobytes() == pdf.tobytes()
+    assert_matches_per_row_loop(est, cdf, pdf, metric)
     if replayed:
         # On the pool the squared metric forms no replicate mean at all.
         assert rows.calls == (0 if metric == "squared" else 25)
 
 
 @pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
-def test_pooled_member_ties_are_recomputed_bit_for_bit(numerator_mode, monkeypatch):
-    # A set member's distance ties exactly with its own member distance in
-    # every replication that resamples it; only those recompute the test's
-    # distance the loop's way.
+def test_pooled_member_ties_match_the_per_row_loop(numerator_mode, monkeypatch):
+    # A test equal to set member 7 takes member 7's own distances, so it
+    # ties with it exactly in every replication that resamples it, as in
+    # the loop, and no replication forms a replicate mean.
     grid, frfs, test, picks, streams = canned_density_case("member")
     cfg = BootstrapConfig(replications=25, seed=0)
     bootstrap_deviation_stats(frfs, grid, cfg, streams)
@@ -359,9 +412,59 @@ def test_pooled_member_ties_are_recomputed_bit_for_bit(numerator_mode, monkeypat
     est = estimate_density(test, frfs, grid, cfg, numerator_mode=numerator_mode,
                            streams=streams)
     cdf, pdf = per_row_density(test, frfs, grid, picks, "squared", numerator_mode)
-    assert est.cdf_stats.tobytes() == cdf.tobytes()
-    assert est.pdf_stats.tobytes() == pdf.tobytes()
-    assert rows.calls == sum(7 in idx for idx in picks) > 0
+    assert_matches_per_row_loop(est, cdf, pdf)
+    assert rows.calls == 0
+
+
+@pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
+def test_duplicated_members_match_the_per_row_loop(rate, n, monkeypatch):
+    # Every third member repeats the next one.  Equal members tie exactly
+    # in the loop, and a test equal to one of them ties with both; on a
+    # pool and on a miss the Gram form keeps every such tie, so member
+    # ties, ranks and zero-width windows are the loop's.  Refusals are
+    # lifted to compare every replication.
+    monkeypatch.setattr(density, "MAX_SKIPPED_FRACTION", 1.0)
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    values = generate_synthetic(
+        SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=8).values.copy()
+    values[0::3] = values[1::3][: len(values[0::3])]
+    group = FRFSet(values)
+    cfg = BootstrapConfig(replications=200, seed=9)
+    picks = bootstrap_deviation_stats(group, grid, cfg).indices
+    pirs = pir_matrix(group, grid)
+    loop_ties = np.array([
+        np.diff(np.sort(np.square(pirs[idx] - pirs[idx].mean(axis=0)).sum(axis=1))) == 0
+        for idx in picks
+    ])
+    assert any(np.isin([0, 1], idx).all() for idx in picks)
+    for test in (FRF(values[0]), FRF(values.mean(axis=0))):
+        cdf, pdf = per_row_density(test, group, grid, picks, "squared", "code-compatible")
+        es, _ = bands._ranked(test, group, grid, cfg, "squared", None)
+        np.testing.assert_array_equal(np.diff(es) == 0, loop_ties)
+        for frf_set in (group, FRFSet(values)):
+            assert_matches_per_row_loop(estimate_density(test, frf_set, grid, cfg), cdf, pdf)
+
+
+def test_set_at_the_overflow_refusal_matches_the_per_row_loop():
+    # Two clusters of 100 members near +-1 at every frequency, scaled by a
+    # power of two to just inside the refusal of PIRs too large for finite
+    # statistics, and a resample of 199 copies of one member and 1 of the
+    # other cluster's.  Its mean lies far from the set mean, so the Gram
+    # products (q_b = N^2 |m_b - mean|^2) would overflow unscaled; the
+    # ranks and windows must still be the loop's.
+    grid = derive_grid(EXPERIMENT_FREQS)
+    rng = np.random.default_rng(25)
+    sign = np.repeat([1.0, -1.0], 100)[:, None]
+    values = sign * (1 + 1j) + 0.1 * (rng.standard_normal((200, grid.m))
+                                      + 1j * rng.standard_normal((200, grid.m)))
+    limit = np.sqrt(np.finfo(float).max / (128 * grid.n_samples))
+    values *= 2.0 ** np.floor(np.log2(limit / np.abs(pir_matrix(FRFSet(values), grid)).max()))
+    frfs, test = FRFSet(values), FRF(values[:100].mean(axis=0))
+    picks = [[0] * 199 + [100], rng.permutation(200)]
+    cfg = BootstrapConfig(replications=2, seed=0)
+    est = estimate_density(test, frfs, grid, cfg, streams=band_streams(*picks))
+    cdf, pdf = per_row_density(test, frfs, grid, picks, "squared", "code-compatible")
+    assert_matches_per_row_loop(est, cdf, pdf)
 
 
 @pytest.mark.parametrize("metric, replays", [("squared", 0), ("max", 50)])
@@ -382,17 +485,21 @@ def test_pooled_density_replays_only_the_max_metric(metric, replays, monkeypatch
 
 def test_member_test_ties_with_its_member():
     # A test equal to member 3 has exactly member 3's squared distance to
-    # the replicate mean in every replication that resamples member 3.
+    # the replicate mean in every replication that resamples member 3: it
+    # ranks at the top of a run of at least that many equal distances.
     grid = derive_grid(EXPERIMENT_FREQS, 22.0)
     group = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=20), seed=1)
     x = pir_from_frf(FRF(group.values[3]), grid).values
-    distance = bands._METRICS["squared"]
     cfg = BootstrapConfig(replications=300, seed=1)
+    indices = bootstrap_deviation_stats(group, grid, cfg).indices
+    pirs = pir_matrix(group, grid)
+    es, below = bands._squared_ranked(pirs, pirs.mean(axis=0), indices, x)
     drew = 0
-    for idx, mean, _, sq in bands._replicates(pir_matrix(group, grid), cfg, None):
+    for idx, row, k in zip(indices, es, below):
         if np.any(idx == 3):
             drew += 1
-            assert np.all(distance(sq[idx == 3]) == distance(np.square(x - mean)))
+            run = row[k - np.count_nonzero(idx == 3):k]
+            assert np.all(run == row[k - 1]) and (k == 20 or row[k] > row[k - 1])
     assert drew > 0
 
 

@@ -250,6 +250,7 @@ def test_lookups_are_exact_order_statistics(pool, alphas):
 def test_readme_states_the_stream_layout():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert f"STREAM_LAYOUT = {STREAM_LAYOUT}" in readme
+    assert f"\n| {STREAM_LAYOUT} |" in readme
 
 
 def _seeded_runs(replications):
