@@ -41,6 +41,7 @@ from .resampling import (
     StatEcdf,
     _draw_with_spread,
     _index_type,
+    _per_batch,
     alpha_at,
     c_at,
     ecdf,
@@ -107,41 +108,88 @@ class ReplicateDraws:
         fix(self, **vars(self))
 
 
-def _resample_rows(pirs: np.ndarray, idx: np.ndarray):
-    """Mean of rows `idx` of `pirs` and their squared deviations from it."""
-    sq = pirs[idx]
-    # The two ufunc calls of ``sq.mean(axis=0)``, without its wrapper: this
-    # runs once per replication, and the wrapper's ~1.5 us each is ~2% of a
-    # pool build at T=440, N=20.
-    mean = sq.sum(axis=0)
-    mean /= len(idx)
-    sq -= mean
+def _resample_rows(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
+    """Means of the resampled rows of `pirs`, and their squared deviations.
+
+    `idx` is one resample, shape (N,), or a block of k, shape (k, N).  The
+    rows are gathered into `out`, of shape ``idx.shape + (T,)``, which then
+    holds their squared deviations from their resample's mean and is
+    returned after the means, shape ``idx.shape[:-1] + (T,)``.
+    """
+    # mode="clip" gathers without numpy's buffered copy (every index drawn
+    # or recorded is in range); it is about 2x faster than mode="raise".
+    sq = np.take(pirs, idx, axis=0, out=out, mode="clip")
+    # The two ufunc calls of ``sq.mean(axis=-2)``, without its wrapper.
+    mean = sq.sum(axis=-2)
+    mean /= idx.shape[-1]
+    sq -= mean[..., None, :]
     sq *= sq
     return mean, sq
 
 
-def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None):
-    """The band bootstrap's ``cfg.replications`` replications, one at a time.
+def _block_buffer(pirs: np.ndarray) -> np.ndarray:
+    """A block's gathered rows: as many replications as `_per_batch` fits."""
+    return np.empty((_per_batch(pirs.nbytes), *pirs.shape))
 
-    Replication b resamples the rows of `pirs` from stream b of `streams`
-    (None for ``IndexStreams(cfg.seed)``) under the `_draw_with_spread`
-    rule, and yields ``(indices, mean, std, sq)``: the accepted resample,
-    its mean and N-1 std over the rows, and the rows' squared deviations
-    from that mean.  Callers check the set first (`_checked_stats`).
+
+def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None):
+    """The band bootstrap's ``cfg.replications`` replications, in blocks of k.
+
+    k is as many replications as fit their gathered rows, N*T doubles
+    each, in `resampling._BATCH_BYTES`, and at least one.  Replication b
+    resamples the rows of `pirs` from stream b of `streams` (None for
+    ``IndexStreams(cfg.seed)``): first in its block's draw, then, while
+    its std is zero somewhere, alone under the `_draw_with_spread` rule.
+    Each block yields ``(indices, means, stds, sq)``: its accepted
+    resamples (k, N), their means and N-1 stds over the rows (k, T), and
+    the rows' squared deviations from their means (k, N, T).  `sq` is one
+    buffer that the next block overwrites, so a caller may use it as
+    scratch and keeps nothing in it.  Callers check the set first
+    (`_checked_stats`).
     """
     streams = IndexStreams(cfg.seed) if streams is None else streams
-    n = pirs.shape[0]
+    n, B = pirs.shape[0], cfg.replications
+    buf = _block_buffer(pirs)
 
-    def draw(gen):
-        idx = gen.integers(0, n, size=n)
-        mean, sq = _resample_rows(pirs, idx)
-        return (idx, mean, sq), np.sqrt(sq.sum(axis=0) / (n - 1))
+    def redraws(first, j, gen):
+        # A replication's draws: `first`, its row of the block draw, then
+        # redraws from its own stream, each gathered into row j of `buf`.
+        yield first
+        while True:
+            idx = gen.integers(0, n, size=n)
+            mean, sq = _resample_rows(pirs, idx, buf[j])
+            yield (idx, mean), np.sqrt(sq.sum(axis=0) / (n - 1))
 
-    for b in range(cfg.replications):
-        (idx, mean, sq), std = _draw_with_spread(
-            "a bootstrap replication kept zero spread", draw, streams.stream(b)
-        )
-        yield idx, mean, std, sq
+    for start in range(0, B, len(buf)):
+        gens = [streams.stream(b) for b in range(start, min(start + len(buf), B))]
+        idx = np.array([gen.integers(0, n, size=n) for gen in gens])
+        means, sq = _resample_rows(pirs, idx, buf[: len(gens)])
+        stds = np.sqrt(sq.sum(axis=1) / (n - 1))
+        if not (stds > 0.0).all():
+            for j in np.flatnonzero(~(stds > 0.0).all(axis=1)):
+                (idx[j], means[j]), stds[j] = _draw_with_spread(
+                    "a bootstrap replication kept zero spread",
+                    next, redraws(((idx[j], means[j]), stds[j]), j, gens[j]),
+                )
+        yield idx, means, stds, sq
+
+
+def _replayed(pirs: np.ndarray, indices: np.ndarray):
+    """The recorded resamples `indices` in `_replicates`' blocks, as
+    ``(indices, means, sq)``; `sq` is again one buffer, overwritten."""
+    buf = _block_buffer(pirs)
+    for start in range(0, len(indices), len(buf)):
+        idx = indices[start : start + len(buf)]
+        yield idx, *_resample_rows(pirs, idx, buf[: len(idx)])
+
+
+def _spans(blocks):
+    """Each block of replications after its rows of the record, a slice."""
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block[0]))
+        start = rows.stop
+        yield rows, *block
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +276,10 @@ def _checked_stats(frf_set: FRFSet, grid):
 
 
 def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
-    """The pool for these inputs, checked (`_checked_stats`), drawn and kept on a miss."""
+    """The pool for these inputs, checked (`_checked_stats`), drawn and kept on a miss.
+
+    A miss scores each block of `_replicates` at once, in the block's buffer.
+    """
     pool = _pool(frf_set, grid, cfg, streams)
     if pool is not None:
         return pool
@@ -238,9 +289,14 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
     stats = np.empty((B, n))
-    for b, (idx, rep_mean, rep_std, _) in enumerate(_replicates(pirs, cfg, streams)):
-        indices[b] = idx
-        stats[b] = (np.abs(pirs - rep_mean) / rep_std).max(axis=1)
+    for rows, idx, rep_mean, rep_std, dev in _spans(_replicates(pirs, cfg, streams)):
+        # The block's statistics, in its own buffer: dev[j, i, t] is row i's
+        # standardized deviation at t from replication j's mean.
+        indices[rows] = idx
+        np.subtract(pirs, rep_mean[:, None, :], out=dev)
+        np.abs(dev, out=dev)
+        dev /= rep_std[:, None, :]
+        dev.max(axis=2, out=stats[rows])
     pool = _Pool(key=_key(grid, cfg, streams), pirs=pirs, mean=mean, std=std,
                  draws=ReplicateDraws(indices=indices, stats=stats), stat_ecdf=ecdf(stats))
     _LAST[frf_set] = pool
@@ -255,7 +311,8 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     counts those at or below the test PIR's distance to that mean.  A miss
     checks the set as the bands do (`_checked_stats`) and draws through
     `_replicates`, unrecorded.  The squared metric ranks from the indices
-    (`_squared_ranked`); "max" takes the rows, drawn or replayed.
+    (`_squared_ranked`); "max" takes the rows, drawn or replayed
+    (`_replayed`), a block of replications at a time.
     """
     x = pir_from_frf(test, grid).values
     pool = _pool(frf_set, grid, cfg, streams)
@@ -263,21 +320,23 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
         pirs, mean, _ = _checked_stats(frf_set, grid)
         drawn = ((idx, m, sq) for idx, m, _, sq in _replicates(pirs, cfg, streams))
     else:
-        pirs, mean = pool.pirs, pool.mean
-        drawn = ((idx, *_resample_rows(pirs, idx)) for idx in pool.draws.indices)
+        pirs, mean, recorded = pool.pirs, pool.mean, pool.draws.indices
+        drawn = _replayed(pirs, recorded)
     if metric == "squared":
-        indices = pool.draws.indices if pool is not None else np.fromiter(
-            (idx for idx, _, _ in drawn), (_index_type(frf_set.n), frf_set.n), cfg.replications)
-        return _squared_ranked(pirs, mean, indices, x)
+        if pool is None:
+            recorded = np.empty((cfg.replications, frf_set.n), dtype=_index_type(frf_set.n))
+            for rows, idx, _, _ in _spans(drawn):
+                recorded[rows] = idx
+        return _squared_ranked(pirs, mean, recorded, x)
 
     # The maximum absolute difference: sqrt(x * x) == |x| exactly while x * x
     # neither underflows nor overflows.  Only a huge test's distance can
     # overflow (finite member statistics are checked up front): it ranks last.
     es, et = np.empty((cfg.replications, frf_set.n)), np.empty(cfg.replications)
     with np.errstate(over="ignore"):
-        for b, (_, rep_mean, sq) in enumerate(drawn):
-            es[b] = np.sqrt(sq.max(axis=1))
-            et[b] = np.sqrt(np.square(x - rep_mean).max())
+        for rows, _, rep_mean, sq in _spans(drawn):
+            np.sqrt(sq.max(axis=2), out=es[rows])
+            np.sqrt(np.square(x - rep_mean).max(axis=1), out=et[rows])
     es.sort(axis=1)
     return es, np.count_nonzero(es <= et[:, None], axis=1)
 
@@ -301,19 +360,24 @@ def _squared_ranked(pirs: np.ndarray, mean: np.ndarray, indices: np.ndarray, x: 
     n, B = pirs.shape[0], len(indices)
     e = int(np.frexp(np.max(np.abs(pirs - mean)))[1])
     centred = np.ldexp(pirs - mean, -e)
-    _, first, inverse = np.unique(centred, axis=0, return_index=True, return_inverse=True)
+    # Rows compared as bytes, one void item each, once -0.0 is +0.0.
+    keys = (centred + 0.0).view(np.dtype((np.void, centred[0].nbytes)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     kept = np.sort(first)
     pc = centred[kept]
-    picks = np.searchsorted(kept, first[inverse.reshape(-1)]).astype(_index_type(n))[indices]
+    picks = np.searchsorted(kept, first[inverse]).astype(_index_type(n))[indices]
     gram = pc @ pc.T
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.ldexp(x - mean, -e)
         g, dd = (pc @ d)[:, None], d @ d
     same = np.flatnonzero((pc == d).all(axis=1))[:1]
     es, below = np.empty((B, n)), np.empty(B, dtype=np.intp)
+    # Row r of a product's counts starts at cell r * kept.size.
+    cells = np.arange(0, _GRAM_ROWS * kept.size, kept.size)[:, None]
     for rows in np.split(np.arange(B), np.arange(_GRAM_ROWS, B, _GRAM_ROWS)):
-        counts = np.zeros((_GRAM_ROWS, kept.size))
-        np.add.at(counts, (np.arange(rows.size)[:, None], picks[rows]), 1.0)
+        counts = np.bincount((picks[rows] + cells[: rows.size]).ravel(),
+                             minlength=cells.size * kept.size)
+        counts = counts.reshape(_GRAM_ROWS, kept.size).astype(float)
         dist = counts @ gram
         q = np.einsum("bk,bk->b", counts, dist)[: rows.size, None] / n**2
         # Members and test alike: (-2 / N) * products + squared norm + q_b.

@@ -29,6 +29,7 @@ from .resampling import (
     StatEcdf,
     _draw_with_spread,
     _index_type,
+    _per_batch,
     c_at,
     ecdf,
 )
@@ -41,20 +42,17 @@ from .resampling import (
 # relies on.
 GROUP_KEY_OFFSET = 2
 
-#: Bytes of one group's batch: the int64 indices of its blocks plus their
-#: float64 weights.  Weighing a batch briefly takes two more arrays the
-#: size of its indices.
-_BATCH_BYTES = 256 * 1024
-
 
 def _batch_blocks(n: int, bs: int) -> int:
     """Most (1 + Bs, n) blocks that one call draws for a group of n.
 
-    As many as fit, 16 bytes an index with its weight, in `_BATCH_BYTES`,
-    and at least one.  A call also never draws more than the replications
-    still to accept, so every block drawn is read.
+    As many as fit in `resampling._BATCH_BYTES`, 16 bytes an index with its
+    weight (the int64 index and its float64 weight), and at least one.
+    Weighing a batch briefly takes two more arrays the size of its indices.
+    A call also never draws more than the replications still to accept, so
+    every block drawn is read.
     """
-    return max(1, _BATCH_BYTES // ((1 + bs) * n * 16))
+    return _per_batch((1 + bs) * n * 16)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,11 @@ replications, and the empirical CDF of a statistic pool, whose exact
 order statistics convert between band scaling constants and confidence
 levels.  The band bootstrap's replicate loop, its record and the pool
 that the bands and the density read live in `frfstats.bands`.  Every
-bootstrap loop runs serially, one replication at a time (the comparison
-draws its index blocks several per call, which changes no draw);
-results depend only on the seed.
+bootstrap loop runs serially, in batches of replications that fit
+`_BATCH_BYTES` (`_per_batch`): the band forms a block's statistics at
+once, and the comparison draws several index blocks per call.  Each
+replication still reads its own draws, so results depend only on the
+seed, not on the batch size.
 """
 
 from __future__ import annotations
@@ -95,6 +97,17 @@ class IndexStreams:
         if not 0 <= (k := index(k)) < 2**32:
             raise ValueError(f"stream key {k} is not in [0, 2**32)")
         return self._seeds.generator(k)
+
+
+#: Bytes of one batch of a bootstrap loop: the band's gathered rows of a
+#: block of replications, or one comparison group's index blocks with
+#: their weights.
+_BATCH_BYTES = 256 * 1024
+
+
+def _per_batch(item_bytes: int) -> int:
+    """Most items of `item_bytes` that fit in `_BATCH_BYTES`, and at least one."""
+    return max(1, _BATCH_BYTES // item_bytes)
 
 
 def _index_type(n: int) -> np.dtype:

@@ -383,13 +383,13 @@ def test_criterion_8_hand_oracles():
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=band_streams(*band_draws))
-    replicates = list(_replicates(pirs, cfg, band_streams(*band_draws)))
+    blocks = list(_replicates(pirs, cfg, band_streams(*band_draws)))
     pool_ecdf = ecdf(draws.stats)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=band_streams(*band_draws))
     band_checks = [
         np.array_equal(draws.indices, band_draws),
-        np.allclose([mean for _, mean, _, _ in replicates], hand_means, **tol),
-        np.allclose([std for _, _, std, _ in replicates], hand_stds, **tol),
+        np.allclose(np.concatenate([means for _, means, _, _ in blocks]), hand_means, **tol),
+        np.allclose(np.concatenate([stds for _, _, stds, _ in blocks]), hand_stds, **tol),
         np.allclose(draws.stats, hand_stats, **tol),
         np.allclose(pool_ecdf.pool, hand_sorted, **tol),
         np.isclose(band.scale, hand_cp, **tol),

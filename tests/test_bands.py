@@ -20,7 +20,7 @@ from frfstats import (
     generate_synthetic,
     lowpass_mean_frf,
 )
-from frfstats import bands, pir
+from frfstats import bands, pir, resampling
 from frfstats.bands import (
     Band,
     _replicates,
@@ -68,9 +68,12 @@ def test_injected_indices_match_loop_arithmetic():
 
     np.testing.assert_array_equal(draws.indices, picks)
     pirs = pir_matrix(frfs, grid)
-    # The record keeps no replicate curves; the loop that computes them does.
-    replicates = _replicates(pirs, cfg, band_streams(*picks))
-    for b, (drawn, (_, rep_mean, rep_std, _)) in enumerate(zip(picks, replicates)):
+    # The record keeps no replicate curves; the loop that computes them
+    # does, a block of replications at a time.
+    blocks = list(_replicates(pirs, cfg, band_streams(*picks)))
+    rep_means = np.concatenate([means for _, means, _, _ in blocks])
+    rep_stds = np.concatenate([stds for _, _, stds, _ in blocks])
+    for b, (drawn, rep_mean, rep_std) in enumerate(zip(picks, rep_means, rep_stds, strict=True)):
         rows = [pirs[i] for i in drawn]
         mean = sum(rows) / 3.0
         var = sum((r - mean) ** 2 for r in rows) / 2.0
@@ -226,7 +229,8 @@ def test_record_indices_take_the_narrowest_unsigned_type(n, dtype):
     cfg = BootstrapConfig(replications=4, nested_replications=3, seed=0)
     draws = bootstrap_deviation_stats(frfs, grid, cfg)
     assert draws.indices.dtype == dtype
-    drawn = [idx for idx, _, _, _ in _replicates(pir_matrix(frfs, grid), cfg, None)]
+    blocks = _replicates(pir_matrix(frfs, grid), cfg, None)
+    drawn = np.concatenate([idx for idx, _, _, _ in blocks])
     np.testing.assert_array_equal(draws.indices, drawn)
     # The comparison's record follows the same rule, group by group.
     other = small_set(seed=2, n=5)
@@ -361,6 +365,54 @@ def test_reused_bootstrap_matches_fresh_sets(rate, n, explicit):
         fresh = score_calls(test, lambda: FRFSet(group.values), grid, cfg, streams)
         for a, b in zip(reused, fresh, strict=True):
             np.testing.assert_array_equal(a, b)
+
+
+def block_outcomes(test, values, grid, cfg, streams_for):
+    """The record of a fresh set, its minimal band's alpha, and both
+    densities on its pool and on a copy of the set (a miss), which reads
+    ``streams_for()``; a refused density stands as its message."""
+    group, streams = FRFSet(values), streams_for()
+    draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+    out = [draws.indices, draws.stats,
+           minimal_prediction_band(test, group, grid, cfg, streams).alpha]
+    for metric in ("squared", "max"):
+        for frf_set, streams_ in ((group, streams), (FRFSet(values), streams_for())):
+            try:
+                d = estimate_density(test, frf_set, grid, cfg, metric, streams=streams_)
+                out += [d.cdf_stats, d.pdf_stats]
+            except ZeroSpread as err:
+                out.append(str(err))
+    return out
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # Blocks of 1, 3 and all B replications give the same record, minimal
+    # band and densities, on a pool and on a miss, bit for bit; so does a
+    # canned table whose replications 1 and 3 are redrawn inside a block.
+    grid, group, scaled = scored_group(22.0, 20, 4)
+    small = small_set(n=5)
+    table = [[0, 1, 2, 3, 4], [[2, 2, 2, 2, 2], [0, 0, 1, 3, 4]], [4, 3, 1, 1, 0],
+             [[1, 1, 1, 1, 1], [3, 3, 3, 3, 3], [2, 4, 0, 1, 3]], [0, 2, 2, 4, 1]]
+    cases = [
+        (grid, group, FRF(scaled.values / 1.5), BootstrapConfig(replications=50, seed=4),
+         lambda: None),
+        (derive_grid([0.3, 0.5]), small, FRF(small.values.mean(axis=0) + 0.2),
+         BootstrapConfig(replications=len(table), seed=0), lambda: band_streams(*table)),
+    ]
+    for grid, group, test, cfg, streams_for in cases:
+        rows = pir_matrix(group, grid)
+        results = []
+        for k in (1, 3, cfg.replications):
+            monkeypatch.setattr(resampling, "_BATCH_BYTES", k * rows.nbytes)
+            assert len(bands._block_buffer(rows)) == k
+            results.append(block_outcomes(test, group.values, grid, cfg, streams_for))
+        assert not any(isinstance(a, str) for a in results[0])  # no density refused
+        for other in results[1:]:
+            for a, b in zip(results[0], other, strict=True):
+                np.testing.assert_array_equal(a, b)
+    # The canned table's accepted resamples, its degenerate draws redrawn.
+    np.testing.assert_array_equal(results[0][0], [
+        [0, 1, 2, 3, 4], [0, 0, 1, 3, 4], [4, 3, 1, 1, 0], [2, 4, 0, 1, 3], [0, 2, 2, 4, 1]])
 
 
 def test_any_key_change_rebuilds():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frfstats import DegenerateSpread, GridMismatch, derive_grid
-from frfstats import compare
+from frfstats import compare, resampling
 from frfstats.bands import Band
 from frfstats.compare import compare_unpaired, residual_frf, residuals
 from frfstats.pir import FRFSet, pir_matrix
@@ -396,7 +396,7 @@ def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
     grid = derive_grid([1.0])
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
-    monkeypatch.setattr(compare, "_BATCH_BYTES", 2 * (1 + 2) * 3 * 16)
+    monkeypatch.setattr(resampling, "_BATCH_BYTES", 2 * (1 + 2) * 3 * 16)
     assert compare._batch_blocks(3, 2) == 2
     cfg = BootstrapConfig(replications=4, nested_replications=2, seed=0)
     # Batches of 2, 2, 1 and 1 blocks: replication 0's first blocks and
@@ -507,9 +507,9 @@ def test_comparison_memory_is_one_replication_deep():
 
 
 def test_comparison_memory_is_bounded_in_replications():
-    # The blocks are drawn in batches of at most `_BATCH_BYTES` per group,
-    # so ten times the replications add only the record's rows: B x N
-    # indices and B statistics.
+    # The blocks are drawn in batches of at most `resampling._BATCH_BYTES`
+    # per group, so ten times the replications add only the record's rows:
+    # B x N indices and B statistics.
     a, b = group(33, n=20), group(34, n=20)
     peaks = {}
     for replications in (200, 2000):

@@ -57,14 +57,15 @@ def brute_force(pirs, picks, x_test, ds, numerator=None, distance=squared_distan
 
 
 class CountingRows:
-    """Stand-in for `bands._resample_rows` that counts its calls."""
+    """Stand-in for `bands._resample_rows` that counts the replicate means
+    it forms, one per resample, whether it gets one or a block of them."""
 
     def __init__(self):
-        self.calls = 0
+        self.means = 0
 
-    def __call__(self, pirs, idx):
-        self.calls += 1
-        return _resample_rows(pirs, idx)
+    def __call__(self, pirs, idx, out):
+        self.means += len(np.atleast_2d(idx))
+        return _resample_rows(pirs, idx, out)
 
 
 INJECTED = [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [4, 4, 4, 2, 2]]
@@ -155,7 +156,7 @@ def test_pooled_overflowing_test_distance_ranks_last(monkeypatch):
     rows = CountingRows()
     monkeypatch.setattr(bands, "_resample_rows", rows)
     pooled = [estimate_density(test, frfs, GRID, cfg) for test in huge]
-    assert rows.calls == 0
+    assert rows.means == 0
     for est in pooled + missed:
         assert np.all(est.cdf_stats == 1.0)
         np.testing.assert_array_equal(est.pdf_stats, drawn.pdf_stats)
@@ -396,7 +397,7 @@ def test_density_matches_per_row_loop_bit_for_bit(metric, numerator_mode, replay
     assert_matches_per_row_loop(est, cdf, pdf, metric)
     if replayed:
         # On the pool the squared metric forms no replicate mean at all.
-        assert rows.calls == (0 if metric == "squared" else 25)
+        assert rows.means == (0 if metric == "squared" else 25)
 
 
 @pytest.mark.parametrize("numerator_mode", ["code-compatible", "index-span"])
@@ -413,7 +414,7 @@ def test_pooled_member_ties_match_the_per_row_loop(numerator_mode, monkeypatch):
                            streams=streams)
     cdf, pdf = per_row_density(test, frfs, grid, picks, "squared", numerator_mode)
     assert_matches_per_row_loop(est, cdf, pdf)
-    assert rows.calls == 0
+    assert rows.means == 0
 
 
 @pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
@@ -480,7 +481,7 @@ def test_pooled_density_replays_only_the_max_metric(metric, replays, monkeypatch
     rows = CountingRows()
     monkeypatch.setattr(bands, "_resample_rows", rows)
     estimate_density(test, frfs, grid, cfg, metric=metric)
-    assert rows.calls == replays
+    assert rows.means == replays
 
 
 def test_member_test_ties_with_its_member():
@@ -501,6 +502,23 @@ def test_member_test_ties_with_its_member():
             run = row[k - np.count_nonzero(idx == 3):k]
             assert np.all(run == row[k - 1]) and (k == 20 or row[k] > row[k - 1])
     assert drew > 0
+
+
+def test_rows_equal_up_to_signed_zeros_share_one_gram_row():
+    # Rows 0 and 1 differ only in the sign of a zero, so they are equal rows
+    # and must share one Gram row: the ranks and distances are those of the
+    # set with that zero positive.
+    rng = np.random.default_rng(1)
+    pirs = 3.3 * rng.standard_normal((7, 5))
+    pirs[:, 0] = 0.0
+    pirs[1] = pirs[0]
+    pirs[1, 0] = -0.0
+    indices = rng.integers(0, 7, size=(40, 7))
+    indices[:, :2] = [0, 1]
+    x, mean = rng.standard_normal(5), np.zeros(5)
+    signed = bands._squared_ranked(pirs, mean, indices, x)
+    for a, b in zip(signed, bands._squared_ranked(pirs + 0.0, mean, indices, x)):
+        np.testing.assert_array_equal(a, b)
 
 
 def scored_tests(group, grid, seed):
