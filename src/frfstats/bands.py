@@ -18,14 +18,17 @@ level is read off the same statistic pool at that scale.
 One band bootstrap of a set serves every band, minimal band and density
 call under the reuse rule of `bootstrap_deviation_stats`: its pool
 (`_Pool`) holds the set's PIR matrix, mean and std, the record of the
-draws and the sorted statistic pool.  The density ranks a test's squared
-distance from pick counts and the set's Gram matrix, on a pool or a fresh
-draw (`_ranked`); the "max" metric gathers each replication's rows.
+draws and the sorted statistic pool.  One loop draws the replications
+and writes the record (`_replicates`), a block at a time on one walk
+(`_blocks`).  The density ranks a test's squared distance from pick counts
+and the set's Gram matrix, on a pool's record or a fresh one (`_ranked`);
+the "max" metric gathers each replication's rows.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -127,69 +130,64 @@ def _resample_rows(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
     return mean, sq
 
 
-def _block_buffer(pirs: np.ndarray) -> np.ndarray:
-    """A block's gathered rows: as many replications as `_per_batch` fits."""
-    return np.empty((_per_batch(pirs.nbytes), *pirs.shape))
+def _blocks(pirs: np.ndarray, count: int):
+    """The band walk: `count` replications in blocks of k, each yielding
+    ``(rows, out)``, its slice of a (count, N) record and its (k', N, T)
+    slice of one buffer, which the next block overwrites.  k is as many
+    replications as fit their gathered rows, N*T doubles each, in
+    `resampling._BATCH_BYTES`, and at least one; the last block may be
+    shorter."""
+    buf = np.empty((_per_batch(pirs.nbytes), *pirs.shape))
+    for start in range(0, count, len(buf)):
+        rows = slice(start, min(start + len(buf), count))
+        yield rows, buf[: rows.stop - start]
 
 
-def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None):
-    """The band bootstrap's ``cfg.replications`` replications, in blocks of k.
+def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | None,
+                indices: np.ndarray):
+    """The band bootstrap's ``cfg.replications`` replications, on `_blocks`' walk.
 
-    k is as many replications as fit their gathered rows, N*T doubles
-    each, in `resampling._BATCH_BYTES`, and at least one.  Replication b
-    resamples the rows of `pirs` from stream b of `streams` (None for
-    ``IndexStreams(cfg.seed)``): first in its block's draw, then, while
-    its std is zero somewhere, alone under the `_draw_with_spread` rule.
-    Each block yields ``(indices, means, stds, sq)``: its accepted
-    resamples (k, N), their means and N-1 stds over the rows (k, T), and
-    the rows' squared deviations from their means (k, N, T).  `sq` is one
-    buffer that the next block overwrites, so a caller may use it as
-    scratch and keeps nothing in it.  Callers check the set first
-    (`_checked_stats`).
+    Replication b resamples the rows of `pirs` from stream b of `streams`
+    (None for ``IndexStreams(cfg.seed)``): first in its block's draw, then,
+    while its std is zero somewhere, alone under the `_draw_with_spread`
+    rule; row b of the record `indices` gets the accepted resample.  Each
+    block yields ``(rows, means, stds, sq)``: its rows of the record, the
+    means and N-1 stds of its resamples (k, T), and their rows' squared
+    deviations from those means (k, N, T) in the walk's buffer, which a
+    caller may use as scratch.  Callers check the set first (`_checked_stats`).
     """
     streams = IndexStreams(cfg.seed) if streams is None else streams
-    n, B = pirs.shape[0], cfg.replications
-    buf = _block_buffer(pirs)
+    n = pirs.shape[0]
 
-    def redraws(first, j, gen):
+    def redraws(first, gen, out):
         # A replication's draws: `first`, its row of the block draw, then
-        # redraws from its own stream, each gathered into row j of `buf`.
+        # redraws from its own stream, each gathered into its buffer row `out`.
         yield first
         while True:
             idx = gen.integers(0, n, size=n)
-            mean, sq = _resample_rows(pirs, idx, buf[j])
+            mean, sq = _resample_rows(pirs, idx, out)
             yield (idx, mean), np.sqrt(sq.sum(axis=0) / (n - 1))
 
-    for start in range(0, B, len(buf)):
-        gens = [streams.stream(b) for b in range(start, min(start + len(buf), B))]
+    for rows, out in _blocks(pirs, cfg.replications):
+        gens = [streams.stream(b) for b in range(rows.start, rows.stop)]
         idx = np.array([gen.integers(0, n, size=n) for gen in gens])
-        means, sq = _resample_rows(pirs, idx, buf[: len(gens)])
+        means, sq = _resample_rows(pirs, idx, out)
         stds = np.sqrt(sq.sum(axis=1) / (n - 1))
         if not (stds > 0.0).all():
             for j in np.flatnonzero(~(stds > 0.0).all(axis=1)):
                 (idx[j], means[j]), stds[j] = _draw_with_spread(
                     "a bootstrap replication kept zero spread",
-                    next, redraws(((idx[j], means[j]), stds[j]), j, gens[j]),
+                    next, redraws(((idx[j], means[j]), stds[j]), gens[j], out[j]),
                 )
-        yield idx, means, stds, sq
+        indices[rows] = idx
+        yield rows, means, stds, sq
 
 
 def _replayed(pirs: np.ndarray, indices: np.ndarray):
-    """The recorded resamples `indices` in `_replicates`' blocks, as
-    ``(indices, means, sq)``; `sq` is again one buffer, overwritten."""
-    buf = _block_buffer(pirs)
-    for start in range(0, len(indices), len(buf)):
-        idx = indices[start : start + len(buf)]
-        yield idx, *_resample_rows(pirs, idx, buf[: len(idx)])
-
-
-def _spans(blocks):
-    """Each block of replications after its rows of the record, a slice."""
-    start = 0
-    for block in blocks:
-        rows = slice(start, start + len(block[0]))
-        start = rows.stop
-        yield rows, *block
+    """The recorded resamples `indices` on `_blocks`' walk, as
+    ``(rows, means, sq)``; `sq` is again the walk's buffer."""
+    for rows, out in _blocks(pirs, len(indices)):
+        yield rows, *_resample_rows(pirs, indices[rows], out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,10 +287,9 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
     stats = np.empty((B, n))
-    for rows, idx, rep_mean, rep_std, dev in _spans(_replicates(pirs, cfg, streams)):
+    for rows, rep_mean, rep_std, dev in _replicates(pirs, cfg, streams, indices):
         # The block's statistics, in its own buffer: dev[j, i, t] is row i's
         # standardized deviation at t from replication j's mean.
-        indices[rows] = idx
         np.subtract(pirs, rep_mean[:, None, :], out=dev)
         np.abs(dev, out=dev)
         dev /= rep_std[:, None, :]
@@ -310,23 +307,23 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     replication b's resampled rows to its mean, sorted, and ``below[b]``
     counts those at or below the test PIR's distance to that mean.  A miss
     checks the set as the bands do (`_checked_stats`) and draws through
-    `_replicates`, unrecorded.  The squared metric ranks from the indices
-    (`_squared_ranked`); "max" takes the rows, drawn or replayed
-    (`_replayed`), a block of replications at a time.
+    `_replicates` into one record of its own, which no pool keeps; a pool
+    lends its record.  The squared metric ranks that record
+    (`_squared_ranked`); "max" reads the walk's blocks, drawn or replayed
+    (`_replayed`).
     """
     x = pir_from_frf(test, grid).values
     pool = _pool(frf_set, grid, cfg, streams)
     if pool is None:
         pirs, mean, _ = _checked_stats(frf_set, grid)
-        drawn = ((idx, m, sq) for idx, m, _, sq in _replicates(pirs, cfg, streams))
+        recorded = np.empty((cfg.replications, frf_set.n), dtype=_index_type(frf_set.n))
+        drawn = ((rows, m, sq) for rows, m, _, sq in _replicates(pirs, cfg, streams, recorded))
     else:
         pirs, mean, recorded = pool.pirs, pool.mean, pool.draws.indices
         drawn = _replayed(pirs, recorded)
     if metric == "squared":
         if pool is None:
-            recorded = np.empty((cfg.replications, frf_set.n), dtype=_index_type(frf_set.n))
-            for rows, idx, _, _ in _spans(drawn):
-                recorded[rows] = idx
+            deque(drawn, maxlen=0)  # runs the draw, which writes `recorded`
         return _squared_ranked(pirs, mean, recorded, x)
 
     # The maximum absolute difference: sqrt(x * x) == |x| exactly while x * x
@@ -334,7 +331,7 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     # overflow (finite member statistics are checked up front): it ranks last.
     es, et = np.empty((cfg.replications, frf_set.n)), np.empty(cfg.replications)
     with np.errstate(over="ignore"):
-        for rows, _, rep_mean, sq in _spans(drawn):
+        for rows, rep_mean, sq in drawn:
             np.sqrt(sq.max(axis=2), out=es[rows])
             np.sqrt(np.square(x - rep_mean).max(axis=1), out=et[rows])
     es.sort(axis=1)

@@ -383,7 +383,7 @@ def test_criterion_8_hand_oracles():
     hand_lower = [m - hand_cp * s for m, s in zip(orig_mean, orig_std)]
 
     draws = bootstrap_deviation_stats(frf_set, grid, cfg, streams=band_streams(*band_draws))
-    blocks = list(_replicates(pirs, cfg, band_streams(*band_draws)))
+    blocks = list(_replicates(pirs, cfg, band_streams(*band_draws), np.empty_like(draws.indices)))
     pool_ecdf = ecdf(draws.stats)
     band = prediction_band(frf_set, grid, alpha, cfg, streams=band_streams(*band_draws))
     band_checks = [

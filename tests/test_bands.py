@@ -70,7 +70,9 @@ def test_injected_indices_match_loop_arithmetic():
     pirs = pir_matrix(frfs, grid)
     # The record keeps no replicate curves; the loop that computes them
     # does, a block of replications at a time.
-    blocks = list(_replicates(pirs, cfg, band_streams(*picks)))
+    recorded = np.empty_like(draws.indices)
+    blocks = list(_replicates(pirs, cfg, band_streams(*picks), recorded))
+    np.testing.assert_array_equal(recorded, picks)
     rep_means = np.concatenate([means for _, means, _, _ in blocks])
     rep_stds = np.concatenate([stds for _, _, stds, _ in blocks])
     for b, (drawn, rep_mean, rep_std) in enumerate(zip(picks, rep_means, rep_stds, strict=True)):
@@ -229,8 +231,9 @@ def test_record_indices_take_the_narrowest_unsigned_type(n, dtype):
     cfg = BootstrapConfig(replications=4, nested_replications=3, seed=0)
     draws = bootstrap_deviation_stats(frfs, grid, cfg)
     assert draws.indices.dtype == dtype
-    blocks = _replicates(pir_matrix(frfs, grid), cfg, None)
-    drawn = np.concatenate([idx for idx, _, _, _ in blocks])
+    drawn = np.empty_like(draws.indices)
+    for _ in _replicates(pir_matrix(frfs, grid), cfg, None, drawn):
+        pass
     np.testing.assert_array_equal(draws.indices, drawn)
     # The comparison's record follows the same rule, group by group.
     other = small_set(seed=2, n=5)
@@ -404,7 +407,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         results = []
         for k in (1, 3, cfg.replications):
             monkeypatch.setattr(resampling, "_BATCH_BYTES", k * rows.nbytes)
-            assert len(bands._block_buffer(rows)) == k
+            assert len(next(bands._blocks(rows, cfg.replications))[1]) == k
             results.append(block_outcomes(test, group.values, grid, cfg, streams_for))
         assert not any(isinstance(a, str) for a in results[0])  # no density refused
         for other in results[1:]:
@@ -413,6 +416,21 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     # The canned table's accepted resamples, its degenerate draws redrawn.
     np.testing.assert_array_equal(results[0][0], [
         [0, 1, 2, 3, 4], [0, 0, 1, 3, 4], [4, 3, 1, 1, 0], [2, 4, 0, 1, 3], [0, 2, 2, 4, 1]])
+
+
+def test_blocks_tile_the_walk_in_one_buffer(monkeypatch):
+    # k = 3 replications a block; every count is cut into consecutive slices
+    # of at most k rows, each lent a slice of its length of one buffer.
+    k, pirs = 3, np.zeros((4, 5))
+    monkeypatch.setattr(resampling, "_BATCH_BYTES", k * pirs.nbytes)
+    for count in (1, k - 1, k, k + 1, 3 * k):
+        blocks = list(bands._blocks(pirs, count))
+        starts = [rows.start for rows, _ in blocks]
+        assert starts == list(range(0, count, k))
+        assert [rows.stop for rows, _ in blocks] == starts[1:] + [count]
+        for rows, out in blocks:
+            assert out.shape == (rows.stop - rows.start, *pirs.shape)
+        assert all(np.shares_memory(out, blocks[0][1]) for _, out in blocks)
 
 
 def test_any_key_change_rebuilds():
@@ -505,9 +523,9 @@ def test_alpha_bisection_builds_one_pool(monkeypatch):
     # Criterion 4's bisection: a minimal band, then 30 bands on one group.
     calls = []
 
-    def counted(pirs, cfg, streams):
+    def counted(pirs, cfg, streams, indices):
         calls.append(cfg.replications)
-        return _replicates(pirs, cfg, streams)
+        return _replicates(pirs, cfg, streams, indices)
 
     monkeypatch.setattr(bands, "_replicates", counted)
     grid, train, test = scored_group(4.5, 20, 3)

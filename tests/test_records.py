@@ -203,7 +203,7 @@ def test_only_bands_names_the_band_bootstrap():
     # density's ranking call.
     package = Path(__file__).parents[1] / "src" / "frfstats"
     internal = re.compile(r"\b(_LAST|_band_pool|_checked_stats|_squared_ranked|_replicates"
-                          r"|_resample_rows|_Pool|_pool)\b")
+                          r"|_replayed|_blocks|_resample_rows|_Pool|_pool)\b")
     users = sorted(path.name for path in package.glob("*.py") if internal.search(path.read_text()))
     assert users == ["bands.py"]
 
