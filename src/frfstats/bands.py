@@ -15,19 +15,19 @@ by the test sample's own deviation from the set mean (raised by a few ulp
 where rounding would leave the test outside the band) and the confidence
 level is read off the same statistic pool at that scale.
 
-One band bootstrap of a set serves every band, minimal band and density
-call under the reuse rule of `bootstrap_deviation_stats`: its pool
-(`_Pool`) holds the set's PIR matrix, mean and std, the record of the
-draws and the sorted statistic pool.  One loop draws the replications
-and writes the record (`_replicates`), a block at a time on one walk
-(`_blocks`).  The density ranks a test's squared distance from pick counts
-and the set's Gram matrix, on a pool's record or a fresh one (`_ranked`);
-the "max" metric gathers each replication's rows.
+One band bootstrap serves every band, minimal band and density call on
+the same PIR values under the reuse rule of `bootstrap_deviation_stats`:
+its pool (`_Pool`) holds the set's PIR matrix, mean and std, the record
+of the draws and the sorted statistic pool.  One loop draws the
+replications and writes the record (`_replicates`), a block at a time on
+one walk (`_blocks`).  The density ranks a test's squared distance from
+pick counts and the set's Gram matrix, on a pool's record or a fresh one
+(`_ranked`), a block of replications at a time; the "max" metric gathers
+each replication's rows.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -194,10 +194,11 @@ def _replayed(pirs: np.ndarray, indices: np.ndarray):
 class _Pool:
     """One band bootstrap of a set, with everything its readers reuse.
 
-    `key` is what its draws read (`_key`), under the reuse rule of
-    `bootstrap_deviation_stats`.  `pirs` is the set's PIR matrix and
-    `mean` and `std` its pointwise statistics, as `pir_stats` computes
-    them.  `draws` is the record and `stat_ecdf` its sorted statistic pool.
+    `key` and `pirs` are what its draws read, under the reuse rule of
+    `bootstrap_deviation_stats`: `key` is everything but the PIRs (`_key`)
+    and `pirs` the set's PIR matrix.  `mean` and `std` are its pointwise
+    statistics, as `pir_stats` computes them.  `draws` is the record and
+    `stat_ecdf` its sorted statistic pool.
     """
 
     key: tuple
@@ -211,21 +212,32 @@ class _Pool:
         fix(self, **vars(self))
 
 
-# The last band bootstrap's pool, ``set -> _Pool``, dropped with its set;
-# each miss clears it first.  `_band_pool` returns the pool it built, so a
-# concurrent call that replaces the entry costs a rebuild, not a result.
-_LAST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# The last band bootstrap's pool, held until a miss drops it before
+# drawing, so one pool at most.  `_band_pool` returns the pool it built, so
+# a concurrent call that replaces the slot costs a rebuild, not a result.
+_LAST: _Pool | None = None
 
 
-def _key(grid, cfg, streams) -> tuple:
-    """A pool's reuse key: every input of the draws but the set."""
-    return grid, streams, cfg.replications, cfg.seed
+def _key(cfg, streams) -> tuple:
+    """A pool's reuse key: every input of the draws but the set's PIRs."""
+    return streams, cfg.replications, cfg.seed
 
 
-def _pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool | None:
-    """The set's pool if its band bootstrap read exactly these inputs."""
-    pool = _LAST.get(frf_set)
-    return pool if pool is not None and pool.key == _key(grid, cfg, streams) else None
+def _pool(frf_set: FRFSet, grid, cfg, streams) -> tuple[np.ndarray, _Pool | None]:
+    """The set's PIR matrix, and the held pool if its draws read exactly
+    these inputs: an equal key and the same PIR bits (-0.0 is not +0.0).
+
+    Refuses fewer than three samples first; nothing else is checked here,
+    as a pool's PIRs passed `_checked_stats` when it was drawn.
+    """
+    if frf_set.n < 3:
+        raise ValueError("need at least three samples to bootstrap")
+    pirs = pir_matrix(frf_set, grid)
+    pool = _LAST
+    if (pool is None or pool.key != _key(cfg, streams) or pool.pirs.shape != pirs.shape
+            or not np.array_equal(pool.pirs.view(np.uint64), pirs.view(np.uint64))):
+        return pirs, None
+    return pirs, pool
 
 
 def bootstrap_deviation_stats(
@@ -244,45 +256,45 @@ def bootstrap_deviation_stats(
     spread at some time point is refused first (DegenerateSpread).  The
     record keeps the B x N indices and statistics, no replicate mean or std.
 
-    The last bootstrap is kept while its set lives, keyed by what the draws
-    read, ``(grid, streams, cfg.replications, cfg.seed)``.  A call on that
-    set with an equal key returns its record, and the bands and
-    `estimate_density` read its pool.  Grids and `IndexStreams` compare by
-    identity (None stands for ``IndexStreams(cfg.seed)``, and a streams
-    object must yield the same draws per key on every call).  Any other
-    call drops the pool first, so one pool at most is held: at N=200,
-    B=1000 its B x N statistics and sorted statistics take 1.6 MB each and
-    its indices 0.2 MB.
+    The last bootstrap is held, keyed by what the draws read: the set's
+    PIR matrix, bit for bit, and ``(streams, cfg.replications, cfg.seed)``.
+    A call whose PIRs and key are equal returns its record, whatever set
+    or grid object it was given, and the bands and `estimate_density` read
+    its pool.  `IndexStreams` compare by identity (None stands for
+    ``IndexStreams(cfg.seed)``, and a streams object must yield the same
+    draws per key on every call).  Any other call drops the pool first, so
+    one pool at most is held, until a call on other inputs replaces it: at
+    N=200, B=1000 its B x N statistics and sorted statistics take 1.6 MB
+    each and its indices 0.2 MB.
     """
     return _band_pool(frf_set, grid, cfg, streams).draws
 
 
-def _checked_stats(frf_set: FRFSet, grid):
-    """The set's PIR matrix, mean and std, checked before any draw.
+def _checked_stats(pirs: np.ndarray):
+    """A set's PIR mean and std, checked before any draw.
 
-    Refuses fewer than three samples, PIRs too large for finite statistics
-    and zero spread at some time point, which every replication would keep.
+    Refuses PIRs too large for finite statistics and zero spread at some
+    time point, which every replication would keep.
     """
-    if frf_set.n < 3:
-        raise ValueError("need at least three samples to bootstrap")
-    pirs = pir_matrix(frf_set, grid)
     _refuse_overflowing_stats(pirs)
     mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
     if np.any(std == 0.0):
         raise DegenerateSpread("the sample set has zero spread at some time point")
-    return pirs, mean, std
+    return mean, std
 
 
 def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
-    """The pool for these inputs, checked (`_checked_stats`), drawn and kept on a miss.
+    """The pool for these inputs (`_pool`), or on a miss the set checked
+    (`_checked_stats`), drawn and held.
 
     A miss scores each block of `_replicates` at once, in the block's buffer.
     """
-    pool = _pool(frf_set, grid, cfg, streams)
+    global _LAST
+    pirs, pool = _pool(frf_set, grid, cfg, streams)
     if pool is not None:
         return pool
-    _LAST.clear()
-    pirs, mean, std = _checked_stats(frf_set, grid)
+    _LAST = None
+    mean, std = _checked_stats(pirs)
 
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
@@ -294,48 +306,58 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
         np.abs(dev, out=dev)
         dev /= rep_std[:, None, :]
         dev.max(axis=2, out=stats[rows])
-    pool = _Pool(key=_key(grid, cfg, streams), pirs=pirs, mean=mean, std=std,
+    pool = _Pool(key=_key(cfg, streams), pirs=pirs, mean=mean, std=std,
                  draws=ReplicateDraws(indices=indices, stats=stats), stat_ecdf=ecdf(stats))
-    _LAST[frf_set] = pool
+    _LAST = pool
     return pool
 
 
 def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     """Each band replication's sorted member distances, and the test's place.
 
-    Returns ``(es, below)``: row b of `es` holds the `metric` distances of
-    replication b's resampled rows to its mean, sorted, and ``below[b]``
-    counts those at or below the test PIR's distance to that mean.  A miss
-    checks the set as the bands do (`_checked_stats`) and draws through
-    `_replicates` into one record of its own, which no pool keeps; a pool
-    lends its record.  The squared metric ranks that record
+    Checks its inputs and returns the ranking as blocks of replications,
+    ``(rows, es, below)``: row j of `es` holds the `metric` distances of
+    replication ``rows[j]``'s resampled rows to its mean, sorted, and
+    ``below[j]`` counts those at or below the test PIR's distance to that
+    mean.  A miss checks the set as the bands do (`_checked_stats`) and
+    draws through `_replicates` into one record of its own, which no pool
+    keeps; a pool lends its record.  The squared metric ranks that record
     (`_squared_ranked`); "max" reads the walk's blocks, drawn or replayed
     (`_replayed`).
     """
     x = pir_from_frf(test, grid).values
-    pool = _pool(frf_set, grid, cfg, streams)
+    pirs, pool = _pool(frf_set, grid, cfg, streams)
     if pool is None:
-        pirs, mean, _ = _checked_stats(frf_set, grid)
+        mean, _ = _checked_stats(pirs)
         recorded = np.empty((cfg.replications, frf_set.n), dtype=_index_type(frf_set.n))
         drawn = ((rows, m, sq) for rows, m, _, sq in _replicates(pirs, cfg, streams, recorded))
     else:
-        pirs, mean, recorded = pool.pirs, pool.mean, pool.draws.indices
+        mean, recorded = pool.mean, pool.draws.indices
         drawn = _replayed(pirs, recorded)
     if metric == "squared":
         if pool is None:
             deque(drawn, maxlen=0)  # runs the draw, which writes `recorded`
         return _squared_ranked(pirs, mean, recorded, x)
+    return _max_ranked(drawn, x, cfg.replications)
 
-    # The maximum absolute difference: sqrt(x * x) == |x| exactly while x * x
-    # neither underflows nor overflows.  Only a huge test's distance can
-    # overflow (finite member statistics are checked up front): it ranks last.
-    es, et = np.empty((cfg.replications, frf_set.n)), np.empty(cfg.replications)
-    with np.errstate(over="ignore"):
-        for rows, rep_mean, sq in drawn:
-            np.sqrt(sq.max(axis=2), out=es[rows])
-            np.sqrt(np.square(x - rep_mean).max(axis=1), out=et[rows])
-    es.sort(axis=1)
-    return es, np.count_nonzero(es <= et[:, None], axis=1)
+
+def _max_ranked(drawn, x: np.ndarray, count: int):
+    """`_ranked` for the maximum absolute difference, from the walk's
+    blocks gathered until they hold `_GRAM_ROWS` replications or the walk's
+    `count` ends (a walk block can hold a single replication)."""
+    es, et, start = [], [], 0
+    for rows, rep_mean, sq in drawn:
+        # sqrt(x * x) == |x| exactly while x * x neither underflows nor
+        # overflows.  Only a huge test's distance can overflow (finite member
+        # statistics are checked up front): it ranks last.
+        with np.errstate(over="ignore"):
+            es.append(np.sqrt(sq.max(axis=2)))
+            et.append(np.sqrt(np.square(x - rep_mean).max(axis=1)))
+        if rows.stop - start >= _GRAM_ROWS or rows.stop == count:
+            block, test = np.concatenate(es), np.concatenate(et)
+            block.sort(axis=1)
+            yield slice(start, rows.stop), block, np.count_nonzero(block <= test[:, None], axis=1)
+            es, et, start = [], [], rows.stop
 
 
 #: Replications per Gram product of `_squared_ranked`, zero-padded: BLAS
@@ -345,11 +367,12 @@ _GRAM_ROWS = 64
 
 def _squared_ranked(pirs: np.ndarray, mean: np.ndarray, indices: np.ndarray, x: np.ndarray):
     """`_ranked` for the squared metric (the sum of squared differences over
-    the time points), from the set's Gram matrix G = pc pc^T, pc the centred
-    PIRs scaled by a power of two (exact, so no product overflows).  With
-    c_b replication b's pick counts and d = x - mean, member i's distance to
-    replication b's mean is G_ii - 2 (c_b G)_i / N + q_b, with
-    q_b = c_b G c_b^T / N^2, and the test's |d|^2 - 2 c_b.(pc d) / N + q_b.
+    the time points), a block of `_GRAM_ROWS` replications at a time, from
+    the set's Gram matrix G = pc pc^T, pc the centred PIRs scaled by a power
+    of two (exact, so no product overflows).  With c_b replication b's pick
+    counts and d = x - mean, member i's distance to replication b's mean is
+    G_ii - 2 (c_b G)_i / N + q_b, with q_b = c_b G c_b^T / N^2, and the
+    test's |d|^2 - 2 c_b.(pc d) / N + q_b.
     Ties stay exact: equal rows share one Gram row, in first-occurrence
     order (kept by negation and power-of-two scaling), and a test equal to a
     row takes its distances; a NaN test distance (inf - inf) ranks last.
@@ -362,17 +385,19 @@ def _squared_ranked(pirs: np.ndarray, mean: np.ndarray, indices: np.ndarray, x: 
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     kept = np.sort(first)
     pc = centred[kept]
-    picks = np.searchsorted(kept, first[inverse]).astype(_index_type(n))[indices]
+    # Row i's Gram row; a block's picks are looked up as they are ranked,
+    # as the index conversion of B x N picks at once would take B x N intp.
+    gram_row = np.searchsorted(kept, first[inverse])
     gram = pc @ pc.T
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.ldexp(x - mean, -e)
         g, dd = (pc @ d)[:, None], d @ d
     same = np.flatnonzero((pc == d).all(axis=1))[:1]
-    es, below = np.empty((B, n)), np.empty(B, dtype=np.intp)
     # Row r of a product's counts starts at cell r * kept.size.
     cells = np.arange(0, _GRAM_ROWS * kept.size, kept.size)[:, None]
     for rows in np.split(np.arange(B), np.arange(_GRAM_ROWS, B, _GRAM_ROWS)):
-        counts = np.bincount((picks[rows] + cells[: rows.size]).ravel(),
+        picks = gram_row[indices[rows]]
+        counts = np.bincount((picks + cells[: rows.size]).ravel(),
                              minlength=cells.size * kept.size)
         counts = counts.reshape(_GRAM_ROWS, kept.size).astype(float)
         dist = counts @ gram
@@ -382,9 +407,9 @@ def _squared_ranked(pirs: np.ndarray, mean: np.ndarray, indices: np.ndarray, x: 
             et = (-2.0 / n) * (counts @ g)[: rows.size] + dd + q
         dist = (-2.0 / n) * dist[: rows.size] + gram.diagonal() + q
         et = dist[:, same] if same.size else np.where(np.isnan(et), np.inf, et)
-        block = np.sort(np.take_along_axis(dist, picks[rows], axis=1), axis=1)
-        es[rows], below[rows] = block, np.count_nonzero(block <= et, axis=1)
-    return np.ldexp(es, 2 * e, out=es), below
+        block = np.sort(np.take_along_axis(dist, picks, axis=1), axis=1)
+        below = np.count_nonzero(block <= et, axis=1)
+        yield rows, np.ldexp(block, 2 * e, out=block), below
 
 
 def prediction_band(

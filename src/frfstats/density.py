@@ -73,6 +73,15 @@ def _summary(values: np.ndarray) -> tuple[float, float]:
     return float(np.ldexp(scaled.mean(), k)), float(std)
 
 
+def _window(rank: np.ndarray, n: int, ds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based ends ``(i1, i2)`` of each rank's window, in its three
+    cases: low, high and interior."""
+    low, high = rank - ds < 1, rank + ds > n
+    i1 = np.where(low, 1, np.where(high, n - ds, rank - ds))
+    i2 = np.where(low, 1 + ds, np.where(high, n, rank + ds))
+    return i1, i2
+
+
 def estimate_density(
     test: FRF,
     frf_set: FRFSet,
@@ -111,21 +120,21 @@ def estimate_density(
         raise ValueError(f"numerator_mode must be one of {NUMERATOR_MODES}")
     if not isinstance(metric, str) or metric not in METRICS:
         raise ValueError(f"{metric!r} is not a valid metric")
-    es, below = _ranked(test, frf_set, grid, cfg, metric, streams)
     n, B = frf_set.n, cfg.replications
     ds = max(1, n // 20)
 
     # 1-based rank of the test distance among the sorted member
-    # distances: first position strictly above it, N when none is.
-    rank = np.minimum(below + 1, n)
+    # distances, first position strictly above it (N when none is), and
+    # the distances at its window's ends, read off each block of the ranking.
+    rank, lo, hi = np.empty(B, dtype=np.intp), np.empty(B), np.empty(B)
+    for rows, es, below in _ranked(test, frf_set, grid, cfg, metric, streams):
+        r = np.minimum(below + 1, n)
+        i1, i2 = _window(r, n, ds)
+        j = np.arange(len(es))
+        rank[rows], lo[rows], hi[rows] = r, es[j, i1 - 1], es[j, i2 - 1]
     cdf_stats = rank / n
-
-    # The rank window's three cases: low, high and interior.
-    low, high = rank - ds < 1, rank + ds > n
-    i1 = np.where(low, 1, np.where(high, n - ds, rank - ds))
-    i2 = np.where(low, 1 + ds, np.where(high, n, rank + ds))
-    rows = np.arange(B)
-    width = es[rows, i2 - 1] - es[rows, i1 - 1]
+    i1, i2 = _window(rank, n, ds)
+    width = hi - lo
     numer = float(ds) if numerator_mode == "code-compatible" else (i2 - i1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pdf_stats = np.where(width > 0.0, numer / (n * width), np.nan)

@@ -4,10 +4,20 @@ import tracemalloc
 
 import numpy as np
 
+from frfstats import bands
 from frfstats.resampling import IndexStreams
 
 # The frequency vector used throughout the posture-control experiments.
 EXPERIMENT_FREQS = [0.05, 0.15, 0.3, 0.4, 0.55, 0.7, 0.9, 1.1, 1.35, 1.75, 2.2]
+
+
+def drop_pool():
+    """Drop the held band pool, so the next band call draws afresh.
+
+    The pool keys on PIR values, not on the set object: a copy of a set
+    reads the pool of the original unless it is dropped first.
+    """
+    bands._LAST = None
 
 
 class FixedStreams:

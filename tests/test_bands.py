@@ -36,7 +36,7 @@ from frfstats.resampling import (
     alpha_at,
 )
 
-from support import EXPERIMENT_FREQS, CountingStreams, band_streams
+from support import EXPERIMENT_FREQS, CountingStreams, band_streams, drop_pool
 
 
 def small_set(seed=1, n=8, m=2, spread=0.5):
@@ -256,9 +256,13 @@ def test_band_miss_transforms_the_set_once(monkeypatch):
     cfg = BootstrapConfig(replications=20, seed=4)
     prediction_band(group, grid, 0.9, cfg)
     assert calls == [group]
+    drop_pool()
     fresh = FRFSet(group.values)
     minimal_prediction_band(test, fresh, grid, cfg)
     assert calls == [group, fresh]
+    # A hit transforms the set once too: its PIRs are the pool's key.
+    prediction_band(group, grid, 0.5, cfg)
+    assert calls == [group, fresh, group]
 
 
 def test_too_few_samples_rejected():
@@ -296,11 +300,13 @@ def test_pool_holds_one_key():
     cfg = BootstrapConfig(replications=10, seed=3)
     streams = CountingStreams(3)
     bootstrap_deviation_stats(group, grid, cfg, streams)
-    assert bands._LAST[group].key == (grid, streams, 10, 3)
+    assert bands._LAST.key == (streams, 10, 3)
+    assert bands._LAST.pirs.tobytes() == pir_matrix(group, grid).tobytes()
     bootstrap_deviation_stats(group, grid, cfg)
-    assert bands._LAST[group].key == (grid, None, 10, 3)
+    assert bands._LAST.key == (None, 10, 3)
+    # The PIRs are the rest of the key; the pool keeps no set or grid.
     names = [f.name for f in dataclasses.fields(bands._Pool)]
-    assert not {"grid", "streams", "replications", "seed"} & set(names)
+    assert names == ["key", "pirs", "mean", "std", "draws", "stat_ecdf"]
 
 
 def test_fresh_draw_coverage_sane():
@@ -353,42 +359,59 @@ def score_calls(test, group_for, grid, cfg, streams):
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
 @pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
-def test_reused_bootstrap_matches_fresh_sets(rate, n, explicit):
+def test_reused_bootstrap_matches_fresh_sets(rate, n, explicit, walks):
     # One set object scores with one band bootstrap; every call on a fresh
-    # copy of the set draws its own.  The numbers must not tell them apart.
+    # copy of the set, its pool dropped, draws its own.  The numbers must
+    # not tell them apart.
     for seed in range(10):
         grid, group, test = scored_group(rate, n, seed)
         cfg = BootstrapConfig(replications=100, seed=seed)
         streams = IndexStreams(seed) if explicit else None
+        walks.clear()
         reused = score_calls(test, lambda: group, grid, cfg, streams)
         draws = bootstrap_deviation_stats(group, grid, cfg, streams)
         assert bootstrap_deviation_stats(group, grid, cfg, streams) is draws
+        assert walks == [100]
         # The minimal band's ECDF holds exactly the record's statistics, sorted.
         assert np.array_equal(reused[3], np.sort(draws.stats, axis=None))
-        fresh = score_calls(test, lambda: FRFSet(group.values), grid, cfg, streams)
+
+        def fresh_copy():
+            drop_pool()
+            return FRFSet(group.values)
+
+        fresh = score_calls(test, fresh_copy, grid, cfg, streams)
+        assert walks == [100] * 7  # the minimal band, four densities and the band
         for a, b in zip(reused, fresh, strict=True):
             np.testing.assert_array_equal(a, b)
 
 
-def block_outcomes(test, values, grid, cfg, streams_for):
+def block_outcomes(test, values, grid, cfg, streams_for, walks):
     """The record of a fresh set, its minimal band's alpha, and both
-    densities on its pool and on a copy of the set (a miss), which reads
-    ``streams_for()``; a refused density stands as its message."""
+    densities on its pool and then on a copy of the set with the pool
+    dropped (a miss), which reads ``streams_for()``; a refused density
+    stands as its message.  Three band walks start: the record's and the
+    two misses'."""
+    drop_pool()
+    walks.clear()
     group, streams = FRFSet(values), streams_for()
     draws = bootstrap_deviation_stats(group, grid, cfg, streams)
     out = [draws.indices, draws.stats,
            minimal_prediction_band(test, group, grid, cfg, streams).alpha]
-    for metric in ("squared", "max"):
-        for frf_set, streams_ in ((group, streams), (FRFSet(values), streams_for())):
+    for pooled in (True, False):
+        if not pooled:
+            drop_pool()
+        for metric in ("squared", "max"):
+            frf_set, streams_ = (group, streams) if pooled else (FRFSet(values), streams_for())
             try:
                 d = estimate_density(test, frf_set, grid, cfg, metric, streams=streams_)
                 out += [d.cdf_stats, d.pdf_stats]
             except ZeroSpread as err:
                 out.append(str(err))
+    assert walks == [cfg.replications] * 3
     return out
 
 
-def test_results_do_not_depend_on_the_block_size(monkeypatch):
+def test_results_do_not_depend_on_the_block_size(monkeypatch, walks):
     # Blocks of 1, 3 and all B replications give the same record, minimal
     # band and densities, on a pool and on a miss, bit for bit; so does a
     # canned table whose replications 1 and 3 are redrawn inside a block.
@@ -408,7 +431,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         for k in (1, 3, cfg.replications):
             monkeypatch.setattr(resampling, "_BATCH_BYTES", k * rows.nbytes)
             assert len(next(bands._blocks(rows, cfg.replications))[1]) == k
-            results.append(block_outcomes(test, group.values, grid, cfg, streams_for))
+            results.append(block_outcomes(test, group.values, grid, cfg, streams_for, walks))
         assert not any(isinstance(a, str) for a in results[0])  # no density refused
         for other in results[1:]:
             for a, b in zip(results[0], other, strict=True):
@@ -433,16 +456,29 @@ def test_blocks_tile_the_walk_in_one_buffer(monkeypatch):
         assert all(np.shares_memory(out, blocks[0][1]) for _, out in blocks)
 
 
-def test_any_key_change_rebuilds():
+def test_any_key_change_rebuilds(monkeypatch):
     grid, group, test = scored_group(4.5, 20, 0)
     cfg = BootstrapConfig(replications=30, seed=5)
     streams = CountingStreams(5)
     draws = bootstrap_deviation_stats(group, grid, cfg, streams)
-    assert bootstrap_deviation_stats(group, grid, BootstrapConfig(replications=30, seed=5),
-                                     streams) is draws
-    variants = {
+    # The pool keys on values: an equal config, a copy of the set and a grid
+    # built again read it, and build no stream.
+    hits = {
+        "config": (group, grid, BootstrapConfig(replications=30, seed=5)),
         "set": (FRFSet(group.values), grid, cfg),
         "grid": (group, FrequencyGrid(EXPERIMENT_FREQS, 4.5), cfg),
+    }
+    for name, (group_, grid_, cfg_) in hits.items():
+        before = streams.built
+        assert bootstrap_deviation_stats(group_, grid_, cfg_, streams) is draws, name
+        estimate_density(test, group_, grid_, cfg_, streams=streams)
+        assert streams.built == before, name
+    # One ulp of one FRF value moves the PIR bits, so it draws again.
+    nudged = group.values.copy()
+    nudged[3, 2] = complex(np.nextafter(nudged[3, 2].real, np.inf), nudged[3, 2].imag)
+    assert not np.array_equal(pir_matrix(FRFSet(nudged), grid), pir_matrix(group, grid))
+    variants = {
+        "ulp": (FRFSet(nudged), grid, cfg),
         "seed": (group, grid, BootstrapConfig(replications=30, seed=6)),
         "replications": (group, grid, BootstrapConfig(replications=31, seed=5)),
     }
@@ -464,6 +500,16 @@ def test_any_key_change_rebuilds():
     rebuilt = bootstrap_deviation_stats(group, grid, cfg, streams)
     assert rebuilt is not draws
     np.testing.assert_array_equal(rebuilt.indices, draws.indices)
+    # PIRs compare as bits: a zero of the other sign is another key.
+    zeroed = pir_matrix(group, grid).copy()
+    zeroed[0, 0] = 0.0
+    monkeypatch.setattr(bands, "pir_matrix", lambda frf_set, grid: zeroed.copy())
+    draws = bootstrap_deviation_stats(group, grid, cfg, streams)
+    assert bootstrap_deviation_stats(group, grid, cfg, streams) is draws
+    zeroed[0, 0] = -0.0
+    before = streams.built
+    assert bootstrap_deviation_stats(group, grid, cfg, streams) is not draws
+    assert streams.built - before == cfg.replications
 
 
 @pytest.mark.parametrize("change", [{"bins": 500}, {"nested_replications": 7}],
@@ -483,30 +529,33 @@ def test_fields_no_draw_reads_reuse_the_record(change):
     assert streams.built == cfg.replications
 
 
-def test_record_lives_with_its_set_alone():
+def test_one_pool_is_held_until_a_miss_replaces_it(monkeypatch):
     grid, group, _ = scored_group(4.5, 20, 1)
     cfg = BootstrapConfig(replications=20, seed=1)
     set_ref = weakref.ref(group)
     draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
-    assert list(bands._LAST) == [group]
-    pool_ref = weakref.ref(bands._LAST[group])
+    pool_ref = weakref.ref(bands._LAST)
 
-    # A call on another set drops the first set's pool before drawing.
-    other = FRFSet(group.values)
-    bootstrap_deviation_stats(other, grid, cfg)
-    assert list(bands._LAST) == [other]
-    gc.collect()
-    assert draws_ref() is None and pool_ref() is None
-
-    del other
-    gc.collect()
-    assert len(bands._LAST) == 0
-    draws_ref = weakref.ref(bootstrap_deviation_stats(group, grid, cfg))
-    pool_ref = weakref.ref(bands._LAST[group])
+    # The pool outlives its set, and a set of the same values reads it.
+    values = group.values
     del group
     gc.collect()
-    assert set_ref() is None and draws_ref() is None and pool_ref() is None
-    assert len(bands._LAST) == 0
+    assert set_ref() is None and pool_ref() is bands._LAST
+    assert bootstrap_deviation_stats(FRFSet(values), grid, cfg) is draws_ref()
+
+    # A call on other values drops the pool before it draws, so one pool at
+    # most is held: the old one is gone when the new walk starts.
+    held = []
+    replicates = bands._replicates
+
+    def counted(*args):
+        held.append((bands._LAST, pool_ref(), draws_ref()))
+        return replicates(*args)
+
+    monkeypatch.setattr(bands, "_replicates", counted)
+    bootstrap_deviation_stats(FRFSet(2.0 * values), grid, cfg)
+    assert held == [(None, None, None)]
+    assert bands._LAST.pirs.tobytes() == pir_matrix(FRFSet(2.0 * values), grid).tobytes()
 
 
 def test_scoring_builds_b_streams_not_three_b():
@@ -519,15 +568,8 @@ def test_scoring_builds_b_streams_not_three_b():
     assert streams.built == cfg.replications
 
 
-def test_alpha_bisection_builds_one_pool(monkeypatch):
+def test_alpha_bisection_builds_one_pool(walks):
     # Criterion 4's bisection: a minimal band, then 30 bands on one group.
-    calls = []
-
-    def counted(pirs, cfg, streams, indices):
-        calls.append(cfg.replications)
-        return _replicates(pirs, cfg, streams, indices)
-
-    monkeypatch.setattr(bands, "_replicates", counted)
     grid, train, test = scored_group(4.5, 20, 3)
     cfg = BootstrapConfig(replications=1000, seed=7)
     minimal = minimal_prediction_band(test, train, grid, cfg)
@@ -539,7 +581,7 @@ def test_alpha_bisection_builds_one_pool(monkeypatch):
             hi = mid
         else:
             lo = mid
-    assert calls == [1000]
+    assert walks == [1000]
     assert abs(minimal.alpha - hi) <= 0.001
 
 
@@ -554,7 +596,7 @@ def test_minimal_band_refuses_a_mismatched_test_before_drawing():
     with pytest.raises(GridMismatch):
         minimal_prediction_band(test, group, grid, BootstrapConfig(replications=2000), streams)
     assert streams.built == 0
-    assert group not in bands._LAST
+    assert bands._LAST is None
 
 
 def test_density_and_minimal_band_refuse_a_mismatched_test_first():
@@ -570,6 +612,6 @@ def test_density_and_minimal_band_refuse_a_mismatched_test_first():
         with pytest.raises(GridMismatch):
             call(test, flat, grid, cfg, streams=streams)
         assert streams.built == 0
-        assert flat not in bands._LAST
+        assert bands._LAST is None
     with pytest.raises(DegenerateSpread):
         estimate_density(FRF(lowpass_mean_frf(grid)), flat, grid, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from frfstats import cli
 from frfstats.cli import main
 from frfstats.density import METRICS, NUMERATOR_MODES
 
-from support import EXPERIMENT_FREQS
+from support import EXPERIMENT_FREQS, drop_pool
 
 
 def read_columns(path):
@@ -308,6 +309,48 @@ def test_cli_output_is_byte_identical(tmp_path, capsys):
         ))
     assert outputs[0] == outputs[1]
     assert files[0] == files[1]
+
+
+def test_commands_in_one_process_share_one_band_walk(tmp_path, capsys, walks):
+    # band, minband and both densities on one data file and seed, in one
+    # process, run the band walk once: each loads its own set, and the pool
+    # keys on the PIR values.  Each prints, exits and writes exactly what it
+    # does on a cleared pool.
+    data = make_dataset(tmp_path, n=40, noise=0.4, seed=5)
+    test = write_test_frf(tmp_path)
+    boot = ["--B", "40", "--seed", "6"]
+    commands = {
+        "band": ["band", str(data), "--group", "synth", "--alpha", "0.9", *boot,
+                 "--out", "{out}.csv"],
+        "minband": ["minband", str(data), "--group", "synth", "--test", str(test), *boot,
+                    "--out", "{out}"],
+        "squared": ["density", str(data), "--group", "synth", "--test", str(test), *boot],
+        "max": ["density", str(data), "--group", "synth", "--test", str(test), *boot,
+                "--metric", "max"],
+    }
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def run(name, argv, where):
+        out = tmp_path / where / name
+        out.mkdir(parents=True)
+        code = main([arg.replace("{out}", str(out / "out")) for arg in argv])
+        printed = capsys.readouterr()
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(out.iterdir())}
+        return code, digest(printed.out), digest(printed.err), files
+
+    shared = {name: run(name, argv, "shared") for name, argv in commands.items()}
+    assert walks == [40]
+    cleared = {}
+    for name, argv in commands.items():
+        drop_pool()
+        cleared[name] = run(name, argv, "cleared")
+    assert walks == [40] * 5
+    assert [code for code, *_ in shared.values()] == [0] * 4
+    assert [len(files) for *_, files in shared.values()] == [1, 2, 0, 0]
+    assert shared == cleared
 
 
 def test_missing_group_exits_2(tmp_path, capsys):

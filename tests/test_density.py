@@ -22,7 +22,7 @@ from frfstats.density import NUMERATOR_MODES, estimate_density
 from frfstats.pir import FRF, FRFSet, pir_from_frf, pir_matrix
 from frfstats.resampling import BootstrapConfig, IndexStreams
 
-from support import EXPERIMENT_FREQS, CountingStreams, band_streams
+from support import EXPERIMENT_FREQS, CountingStreams, band_streams, drop_pool
 
 GRID = derive_grid([1.0])
 
@@ -54,6 +54,15 @@ def brute_force(pirs, picks, x_test, ds, numerator=None, distance=squared_distan
     width = es[i2 - 1] - es[i1 - 1]
     numer = ds if numerator is None else (i2 - i1)
     return idx / n, numer / (n * width)
+
+
+def ranked_table(blocks):
+    """``(es, below)`` of a ranking's blocks, stacked in replication order."""
+    blocks = list(blocks)
+    rows = np.concatenate([np.r_[rows] for rows, _, _ in blocks])
+    assert np.array_equal(rows, np.arange(len(rows)))
+    return (np.concatenate([es for _, es, _ in blocks]),
+            np.concatenate([below for _, _, below in blocks]))
 
 
 class CountingRows:
@@ -142,16 +151,18 @@ def test_overflowing_test_distance_ranks_last(metric):
     )
 
 
-def test_pooled_overflowing_test_distance_ranks_last(monkeypatch):
+def test_pooled_overflowing_test_distance_ranks_last(monkeypatch, walks):
     # The Gram form's test distance overflows to inf (a test at 1e200), or
     # to NaN from inf - inf (at 1e308); either ranks last, on a pool
     # without one replicate mean and on a miss alike.
     frfs = forty_frfs()
     cfg = BootstrapConfig(replications=60, seed=1)
     far = FRF(frfs.values.mean(axis=0) + 50.0 + 50.0j)
+    drop_pool()
     drawn = estimate_density(far, FRFSet(frfs.values), GRID, cfg)
     huge = [FRF(np.array([value + value * 1j])) for value in (1e200, 1e308)]
     missed = [estimate_density(test, FRFSet(frfs.values), GRID, cfg) for test in huge]
+    assert walks == [60] * 3
     bootstrap_deviation_stats(frfs, GRID, cfg)
     rows = CountingRows()
     monkeypatch.setattr(bands, "_resample_rows", rows)
@@ -418,7 +429,7 @@ def test_pooled_member_ties_match_the_per_row_loop(numerator_mode, monkeypatch):
 
 
 @pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
-def test_duplicated_members_match_the_per_row_loop(rate, n, monkeypatch):
+def test_duplicated_members_match_the_per_row_loop(rate, n, monkeypatch, walks):
     # Every third member repeats the next one.  Equal members tie exactly
     # in the loop, and a test equal to one of them ties with both; on a
     # pool and on a miss the Gram form keeps every such tie, so member
@@ -438,12 +449,18 @@ def test_duplicated_members_match_the_per_row_loop(rate, n, monkeypatch):
         for idx in picks
     ])
     assert any(np.isin([0, 1], idx).all() for idx in picks)
-    for test in (FRF(values[0]), FRF(values.mean(axis=0))):
-        cdf, pdf = per_row_density(test, group, grid, picks, "squared", "code-compatible")
-        es, _ = bands._ranked(test, group, grid, cfg, "squared", None)
+    tests = (FRF(values[0]), FRF(values.mean(axis=0)))
+    loops = [per_row_density(test, group, grid, picks, "squared", "code-compatible")
+             for test in tests]
+    for test, (cdf, pdf) in zip(tests, loops):
+        es, _ = ranked_table(bands._ranked(test, group, grid, cfg, "squared", None))
         np.testing.assert_array_equal(np.diff(es) == 0, loop_ties)
-        for frf_set in (group, FRFSet(values)):
-            assert_matches_per_row_loop(estimate_density(test, frf_set, grid, cfg), cdf, pdf)
+        assert_matches_per_row_loop(estimate_density(test, group, grid, cfg), cdf, pdf)
+    # And on a copy of the set with the pool dropped: a fresh draw each.
+    drop_pool()
+    for test, (cdf, pdf) in zip(tests, loops):
+        assert_matches_per_row_loop(estimate_density(test, FRFSet(values), grid, cfg), cdf, pdf)
+    assert walks == [200] * 3
 
 
 def test_set_at_the_overflow_refusal_matches_the_per_row_loop():
@@ -494,7 +511,7 @@ def test_member_test_ties_with_its_member():
     cfg = BootstrapConfig(replications=300, seed=1)
     indices = bootstrap_deviation_stats(group, grid, cfg).indices
     pirs = pir_matrix(group, grid)
-    es, below = bands._squared_ranked(pirs, pirs.mean(axis=0), indices, x)
+    es, below = ranked_table(bands._squared_ranked(pirs, pirs.mean(axis=0), indices, x))
     drew = 0
     for idx, row, k in zip(indices, es, below):
         if np.any(idx == 3):
@@ -516,8 +533,8 @@ def test_rows_equal_up_to_signed_zeros_share_one_gram_row():
     indices = rng.integers(0, 7, size=(40, 7))
     indices[:, :2] = [0, 1]
     x, mean = rng.standard_normal(5), np.zeros(5)
-    signed = bands._squared_ranked(pirs, mean, indices, x)
-    for a, b in zip(signed, bands._squared_ranked(pirs + 0.0, mean, indices, x)):
+    signed = ranked_table(bands._squared_ranked(pirs, mean, indices, x))
+    for a, b in zip(signed, ranked_table(bands._squared_ranked(pirs + 0.0, mean, indices, x))):
         np.testing.assert_array_equal(a, b)
 
 
@@ -540,11 +557,11 @@ def density_outcome(test, group, grid, cfg, metric, numerator_mode):
 
 @pytest.mark.parametrize("metric", ["squared", "max"])
 @pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
-def test_pooled_density_matches_a_fresh_draw(rate, n, metric):
+def test_pooled_density_matches_a_fresh_draw(rate, n, metric, walks):
     # Seeds 0-9 on the bench grids: a density on the pool (the squared
     # metric forms no replicate mean, "max" replays the recorded resamples)
-    # and one on a copy of the set (the replicate loop) agree bit for bit,
-    # refusals included.
+    # and one on a copy of the set with the pool dropped (the replicate
+    # loop) agree bit for bit, refusals included.
     grid = derive_grid(EXPERIMENT_FREQS, rate)
     refused = 0
     for seed in range(10):
@@ -552,13 +569,17 @@ def test_pooled_density_matches_a_fresh_draw(rate, n, metric):
             SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=10 * seed
         )
         cfg = BootstrapConfig(replications=100, seed=seed)
+        walks.clear()
         bootstrap_deviation_stats(group, grid, cfg)
-        for test in scored_tests(group, grid, seed):
-            for mode in NUMERATOR_MODES:
-                pooled = density_outcome(test, group, grid, cfg, metric, mode)
-                fresh = density_outcome(test, FRFSet(group.values), grid, cfg, metric, mode)
-                assert pooled == fresh, (seed, mode)
-                refused += pooled[0] == "ZeroSpread"
+        cases = [(test, mode) for test in scored_tests(group, grid, seed)
+                 for mode in NUMERATOR_MODES]
+        pooled = [density_outcome(test, group, grid, cfg, metric, mode) for test, mode in cases]
+        drop_pool()
+        fresh = [density_outcome(test, FRFSet(group.values), grid, cfg, metric, mode)
+                 for test, mode in cases]
+        assert walks == [100] * (1 + len(cases))
+        assert pooled == fresh, seed
+        refused += sum(outcome[0] == "ZeroSpread" for outcome in pooled)
     # At N=20 (Ds = 1) one duplicate beside the rank empties the window, so
     # some of these densities refuse; at N=200 (Ds = 10) none does.
     assert (refused > 0) == (n == 20)

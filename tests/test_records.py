@@ -189,10 +189,12 @@ def test_only_the_frozen_helper_sets_record_fields():
 
 
 def test_only_bands_memoises():
-    # The band bootstrap's one record is the library's only memo; an
-    # unbounded cache elsewhere would hold results past their inputs.
+    # The band bootstrap's one held pool, the module slot `_LAST`, is the
+    # library's only memo of results; an unbounded cache elsewhere would
+    # hold results past their inputs.
     package = Path(__file__).parents[1] / "src" / "frfstats"
-    memo = re.compile(r"weakref|lru_cache|functools\.cache|from functools import .*\bcache\b")
+    memo = re.compile(r"weakref|lru_cache|functools\.cache|from functools import .*\bcache\b"
+                      r"|^_LAST\b", re.MULTILINE)
     users = sorted(path.name for path in package.glob("*.py") if memo.search(path.read_text()))
     assert users == ["bands.py"]
 

@@ -25,7 +25,7 @@ from frfstats.resampling import (
     ecdf,
 )
 
-from support import EXPERIMENT_FREQS, traced_peak
+from support import EXPERIMENT_FREQS, drop_pool, traced_peak
 
 
 def test_config_defaults_and_validation():
@@ -289,7 +289,7 @@ def test_short_run_is_prefix_of_long_run(short):
     )
 
 
-def test_bootstrap_memory_is_one_replication_deep():
+def test_bootstrap_memory_is_one_replication_deep(walks):
     # T = 440 and N = 200: a replication's rows are 88,000 doubles, and
     # 64 of them at once would take 45 MB.
     grid = derive_grid(EXPERIMENT_FREQS)
@@ -303,11 +303,15 @@ def test_bootstrap_memory_is_one_replication_deep():
     outputs = draws.indices.nbytes + draws.stats.nbytes
     assert peak < outputs + allowance
 
-    # The density replays the band's resamples on `frfs` and draws its own
-    # on a copy of the set.
-    for group in (frfs, FRFSet(frfs.values)):
+    # The density ranks on the band's pool for `frfs` (no walk), and draws
+    # its own on a copy of the set once the pool is dropped (one walk).
+    walks.clear()
+    for group, drawn in ((frfs, []), (FRFSet(frfs.values), [64])):
+        if drawn:
+            drop_pool()
         density, peak = traced_peak(lambda: estimate_density(test, group, grid, cfg))
         assert peak < density.cdf_stats.nbytes + density.pdf_stats.nbytes + allowance
+        assert walks == drawn
 
 
 @pytest.mark.parametrize("method", ["band", "comparison"])
