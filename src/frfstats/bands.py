@@ -20,10 +20,11 @@ the same PIR values under the reuse rule of `bootstrap_deviation_stats`:
 its pool (`_Pool`) holds the set's PIR matrix, mean and std, the record
 of the draws and the sorted statistic pool.  One loop draws the
 replications and writes the record (`_replicates`), a block at a time on
-one walk (`_blocks`).  The density ranks a test's squared distance from
+one walk (`_blocks`), from pick counts, gathering no resampled row
+(`_resample_rows`).  The density ranks a test's squared distance from
 pick counts and the set's Gram matrix, on a pool's record or a fresh one
-(`_ranked`), a block of replications at a time; the "max" metric gathers
-each replication's rows.
+(`_ranked`), a block of replications at a time; the "max" metric reads
+the walk's rows.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class ReplicateDraws:
     `indices` holds each replication's accepted resample, in the narrowest
     unsigned integer type that holds N-1, and `stats` the per-sample
     max-deviation statistics whose pool calibrates the band.  A replicate
-    mean is recomputed from its resample:
-    ``pir_matrix(frf_set, grid)[draws.indices[b]].mean(axis=0)``.
+    mean is recomputed from its resample's pick counts, as the walk forms it:
+    ``np.bincount(draws.indices[b], minlength=N) @ pir_matrix(frf_set, grid) / N``.
     """
 
     indices: np.ndarray
@@ -112,29 +113,29 @@ class ReplicateDraws:
 
 
 def _resample_rows(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
-    """Means of the resampled rows of `pirs`, and their squared deviations.
+    """Means and N-1 variances of k resamples `idx` (k, N) of the rows of `pirs`.
 
-    `idx` is one resample, shape (N,), or a block of k, shape (k, N).  The
-    rows are gathered into `out`, of shape ``idx.shape + (T,)``, which then
-    holds their squared deviations from their resample's mean and is
-    returned after the means, shape ``idx.shape[:-1] + (T,)``.
+    With c a resample's pick counts, its mean is ``c @ pirs / N``, `out`
+    (k, N, T) gets every row's squared deviation from it, and its variance
+    is ``c @ out / (N - 1)``; returns the means and variances (k, T) and
+    `out`.  Each product is a replication's own (1, N) @ (N, T): one
+    (k, N) @ (N, T) product would round a row differently with k.
     """
-    # mode="clip" gathers without numpy's buffered copy (every index drawn
-    # or recorded is in range); it is about 2x faster than mode="raise".
-    sq = np.take(pirs, idx, axis=0, out=out, mode="clip")
-    # The two ufunc calls of ``sq.mean(axis=-2)``, without its wrapper.
-    mean = sq.sum(axis=-2)
-    mean /= idx.shape[-1]
-    sq -= mean[..., None, :]
+    k, n = idx.shape
+    counts = np.bincount((idx + np.arange(0, k * n, n)[:, None]).ravel(), minlength=k * n)
+    counts = counts.reshape(k, 1, n).astype(float)
+    mean = np.matmul(counts, pirs) / n
+    sq = np.subtract(pirs, mean, out=out)
     sq *= sq
-    return mean, sq
+    var = np.matmul(counts, sq) / (n - 1)
+    return mean[:, 0], var[:, 0], sq
 
 
 def _blocks(pirs: np.ndarray, count: int):
     """The band walk: `count` replications in blocks of k, each yielding
     ``(rows, out)``, its slice of a (count, N) record and its (k', N, T)
     slice of one buffer, which the next block overwrites.  k is as many
-    replications as fit their gathered rows, N*T doubles each, in
+    replications as fit their rows' deviations, N*T doubles each, in
     `resampling._BATCH_BYTES`, and at least one; the last block may be
     shorter."""
     buf = np.empty((_per_batch(pirs.nbytes), *pirs.shape))
@@ -149,43 +150,43 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
 
     Replication b resamples the rows of `pirs` from stream b of `streams`
     (None for ``IndexStreams(cfg.seed)``): first in its block's draw, then,
-    while its std is zero somewhere, alone under the `_draw_with_spread`
+    while its variance is zero somewhere, alone under the `_draw_with_spread`
     rule; row b of the record `indices` gets the accepted resample.  Each
-    block yields ``(rows, means, stds, sq)``: its rows of the record, the
-    means and N-1 stds of its resamples (k, T), and their rows' squared
-    deviations from those means (k, N, T) in the walk's buffer, which a
-    caller may use as scratch.  Callers check the set first (`_checked_stats`).
+    block yields ``(rows, means, var, sq)``: its rows of the record, the
+    means and N-1 variances of its resamples (k, T), and every row's squared
+    deviation from those means (k, N, T) in the walk's buffer, which a
+    caller may use as scratch (`_resample_rows`).  Callers check the set
+    first (`_checked_stats`).
     """
     streams = IndexStreams(cfg.seed) if streams is None else streams
     n = pirs.shape[0]
 
     def redraws(first, gen, out):
         # A replication's draws: `first`, its row of the block draw, then
-        # redraws from its own stream, each gathered into its buffer row `out`.
+        # redraws from its own stream, each scored into its buffer row `out`.
         yield first
         while True:
             idx = gen.integers(0, n, size=n)
-            mean, sq = _resample_rows(pirs, idx, out)
-            yield (idx, mean), np.sqrt(sq.sum(axis=0) / (n - 1))
+            mean, var, _ = _resample_rows(pirs, idx[None], out)
+            yield (idx, mean[0]), var[0]
 
     for rows, out in _blocks(pirs, cfg.replications):
         gens = [streams.stream(b) for b in range(rows.start, rows.stop)]
         idx = np.array([gen.integers(0, n, size=n) for gen in gens])
-        means, sq = _resample_rows(pirs, idx, out)
-        stds = np.sqrt(sq.sum(axis=1) / (n - 1))
-        if not (stds > 0.0).all():
-            for j in np.flatnonzero(~(stds > 0.0).all(axis=1)):
-                (idx[j], means[j]), stds[j] = _draw_with_spread(
+        means, var, sq = _resample_rows(pirs, idx, out)
+        if not (var > 0.0).all():
+            for j in np.flatnonzero(~(var > 0.0).all(axis=1)):
+                (idx[j], means[j]), var[j] = _draw_with_spread(
                     "a bootstrap replication kept zero spread",
-                    next, redraws(((idx[j], means[j]), stds[j]), gens[j], out[j]),
+                    next, redraws(((idx[j], means[j]), var[j]), gens[j], out[j : j + 1]),
                 )
         indices[rows] = idx
-        yield rows, means, stds, sq
+        yield rows, means, var, sq
 
 
 def _replayed(pirs: np.ndarray, indices: np.ndarray):
     """The recorded resamples `indices` on `_blocks`' walk, as
-    ``(rows, means, sq)``; `sq` is again the walk's buffer."""
+    ``(rows, means, var, sq)``; `sq` is again the walk's buffer."""
     for rows, out in _blocks(pirs, len(indices)):
         yield rows, *_resample_rows(pirs, indices[rows], out)
 
@@ -299,13 +300,17 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     B, n = cfg.replications, frf_set.n
     indices = np.empty((B, n), dtype=_index_type(n))
     stats = np.empty((B, n))
-    for rows, rep_mean, rep_std, dev in _replicates(pirs, cfg, streams, indices):
-        # The block's statistics, in its own buffer: dev[j, i, t] is row i's
-        # standardized deviation at t from replication j's mean.
-        np.subtract(pirs, rep_mean[:, None, :], out=dev)
-        np.abs(dev, out=dev)
-        dev /= rep_std[:, None, :]
-        dev.max(axis=2, out=stats[rows])
+    for rows, _, rep_var, sq in _replicates(pirs, cfg, streams, indices):
+        # The block's statistics, in its own buffer: sq[j, i, t] becomes row
+        # i's squared standardized deviation at t from replication j's mean.
+        with np.errstate(over="ignore"):
+            sq /= rep_var[:, None, :]
+        stats[rows] = np.sqrt(sq.max(axis=2))
+    # That square overflows once |d| / s passes 1.3e154: such a statistic
+    # takes |d| / s, from its replication's moments formed again alone.
+    for b, i in zip(*np.nonzero(~np.isfinite(stats))):
+        rep_mean, rep_var, _ = _resample_rows(pirs, indices[b : b + 1], np.empty((1, *pirs.shape)))
+        stats[b, i] = np.max(np.abs(pirs[i] - rep_mean[0]) / np.sqrt(rep_var[0]))
     pool = _Pool(key=_key(cfg, streams), pirs=pirs, mean=mean, std=std,
                  draws=ReplicateDraws(indices=indices, stats=stats), stat_ecdf=ecdf(stats))
     _LAST = pool
@@ -330,7 +335,7 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
     if pool is None:
         mean, _ = _checked_stats(pirs)
         recorded = np.empty((cfg.replications, frf_set.n), dtype=_index_type(frf_set.n))
-        drawn = ((rows, m, sq) for rows, m, _, sq in _replicates(pirs, cfg, streams, recorded))
+        drawn = _replicates(pirs, cfg, streams, recorded)
     else:
         mean, recorded = pool.mean, pool.draws.indices
         drawn = _replayed(pirs, recorded)
@@ -338,22 +343,23 @@ def _ranked(test: FRF, frf_set: FRFSet, grid, cfg, metric: str, streams):
         if pool is None:
             deque(drawn, maxlen=0)  # runs the draw, which writes `recorded`
         return _squared_ranked(pirs, mean, recorded, x)
-    return _max_ranked(drawn, x, cfg.replications)
+    return _max_ranked(drawn, x, recorded)
 
 
-def _max_ranked(drawn, x: np.ndarray, count: int):
+def _max_ranked(drawn, x: np.ndarray, recorded: np.ndarray):
     """`_ranked` for the maximum absolute difference, from the walk's
-    blocks gathered until they hold `_GRAM_ROWS` replications or the walk's
-    `count` ends (a walk block can hold a single replication)."""
+    blocks: every row's distance, looked up along the block's resamples in
+    the record `recorded`, collected until the blocks hold `_GRAM_ROWS`
+    replications or the walk ends (a walk block can hold a single one)."""
     es, et, start = [], [], 0
-    for rows, rep_mean, sq in drawn:
+    for rows, rep_mean, _, sq in drawn:
+        es.append(np.take_along_axis(np.sqrt(sq.max(axis=2)), recorded[rows], axis=1))
         # sqrt(x * x) == |x| exactly while x * x neither underflows nor
         # overflows.  Only a huge test's distance can overflow (finite member
         # statistics are checked up front): it ranks last.
         with np.errstate(over="ignore"):
-            es.append(np.sqrt(sq.max(axis=2)))
             et.append(np.sqrt(np.square(x - rep_mean).max(axis=1)))
-        if rows.stop - start >= _GRAM_ROWS or rows.stop == count:
+        if rows.stop - start >= _GRAM_ROWS or rows.stop == len(recorded):
             block, test = np.concatenate(es), np.concatenate(et)
             block.sort(axis=1)
             yield slice(start, rows.stop), block, np.count_nonzero(block <= test[:, None], axis=1)

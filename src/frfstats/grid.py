@@ -27,7 +27,7 @@ COMMENSURATE_RTOL = 1e-9
 _RTOL_NUM, _RTOL_DEN = COMMENSURATE_RTOL.as_integer_ratio()
 
 #: Most time samples per period a grid may have.  Each bootstrap
-#: replication gathers N * n_samples floats, so a grid far past the
+#: replication works on N * n_samples floats, so a grid far past the
 #: experiment grids (90 and 440 samples) comes from a wrong rate or
 #: frequency, not from a real study.
 MAX_SAMPLES = 100_000

@@ -9,8 +9,9 @@ that the bands and the density read live in `frfstats.bands`.  Every
 bootstrap loop runs serially, in batches of replications that fit
 `_BATCH_BYTES` (`_per_batch`): the band forms a block's statistics at
 once, and the comparison draws several index blocks per call.  Each
-replication still reads its own draws, so results depend only on the
-seed, not on the batch size.
+replication still reads its own draws, and the band forms each one's
+means and variances by products of its own pick counts, so results
+depend only on the seed, not on the batch size.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class BootstrapConfig:
 #: resample for both.  Comparison group g draws everything from one
 #: stream, GROUP_KEY_OFFSET + g: the sigma resamples, then one block
 #: of outer and nested rows per replication (see `frfstats.compare`).
-STREAM_LAYOUT = 8
+STREAM_LAYOUT = 9
 
 
 class IndexStreams:
@@ -99,9 +100,9 @@ class IndexStreams:
         return self._seeds.generator(k)
 
 
-#: Bytes of one batch of a bootstrap loop: the band's gathered rows of a
-#: block of replications, or one comparison group's index blocks with
-#: their weights.
+#: Bytes of one batch of a bootstrap loop: every row's squared deviations
+#: for a block of band replications, or one comparison group's index
+#: blocks with their weights.
 _BATCH_BYTES = 256 * 1024
 
 

@@ -389,7 +389,7 @@ def test_criterion_8_hand_oracles():
     band_checks = [
         np.array_equal(draws.indices, band_draws),
         np.allclose(np.concatenate([means for _, means, _, _ in blocks]), hand_means, **tol),
-        np.allclose(np.concatenate([stds for _, _, stds, _ in blocks]), hand_stds, **tol),
+        np.allclose(np.concatenate([var for _, _, var, _ in blocks]), np.square(hand_stds), **tol),
         np.allclose(draws.stats, hand_stats, **tol),
         np.allclose(pool_ecdf.pool, hand_sorted, **tol),
         np.isclose(band.scale, hand_cp, **tol),

@@ -74,17 +74,38 @@ def test_injected_indices_match_loop_arithmetic():
     blocks = list(_replicates(pirs, cfg, band_streams(*picks), recorded))
     np.testing.assert_array_equal(recorded, picks)
     rep_means = np.concatenate([means for _, means, _, _ in blocks])
-    rep_stds = np.concatenate([stds for _, _, stds, _ in blocks])
-    for b, (drawn, rep_mean, rep_std) in enumerate(zip(picks, rep_means, rep_stds, strict=True)):
+    rep_vars = np.concatenate([var for _, _, var, _ in blocks])
+    for b, (drawn, rep_mean, rep_var) in enumerate(zip(picks, rep_means, rep_vars, strict=True)):
         rows = [pirs[i] for i in drawn]
         mean = sum(rows) / 3.0
         var = sum((r - mean) ** 2 for r in rows) / 2.0
         std = np.sqrt(var)
         np.testing.assert_allclose(rep_mean, mean, atol=1e-12)
-        np.testing.assert_allclose(rep_std, std, atol=1e-12)
+        np.testing.assert_allclose(rep_var, var, atol=1e-12)
         for i in range(3):
             expected = max(abs(pirs[i] - mean) / std)
             assert draws.stats[b, i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_statistics_past_the_squared_range_stay_finite():
+    # Members 0 and 1 differ by 2**-8 relative and member 2 is 1e152 times
+    # member 0, inside the overflow refusal.  Resample [0, 1, 1] scores
+    # member 2 at |d| / s of about 4.4e154, whose square overflows: the pool
+    # must hold |d| / s, as a loop over the resample's rows computes it.
+    grid = derive_grid([1.0])
+    z = np.array([1.0 + 0.5j])
+    frfs = FRFSet(np.array([z, z * (1 + 2**-8), z * 1e152]))
+    picks = [[0, 1, 1], [0, 1, 2]]
+    cfg = BootstrapConfig(replications=2, seed=0)
+    draws = bootstrap_deviation_stats(frfs, grid, cfg, band_streams(*picks))
+    pirs = pir_matrix(frfs, grid)
+    assert np.sqrt(np.finfo(float).max) < draws.stats[0, 2] < np.inf
+    for drawn, stats in zip(picks, draws.stats, strict=True):
+        rows = pirs[drawn]
+        loop = np.max(np.abs(pirs - rows.mean(axis=0)) / rows.std(axis=0, ddof=1), axis=1)
+        np.testing.assert_allclose(stats, loop, rtol=1e-14)
+    band = prediction_band(frfs, grid, 1.0, cfg, band_streams(*picks))
+    assert band.scale == draws.stats.max()
 
 
 def test_full_alpha_band_covers_every_original():

@@ -334,9 +334,9 @@ def test_validation():
 
 
 def per_row_density(test, frf_set, grid, picks, metric, numerator_mode):
-    """``(cdf_stats, pdf_stats)`` as the per-replication loop computed them:
-    each replication's mean by ``.mean(axis=0)`` and its distances sorted
-    as they are made."""
+    """``(cdf_stats, pdf_stats)`` as a per-replication loop computes them:
+    each replication's mean from its pick counts, as the band walk forms
+    it, and its distances sorted as they are made."""
     distance = {"squared": lambda sq: np.sum(sq, axis=-1),
                 "max": lambda sq: np.sqrt(np.max(sq, axis=-1))}[metric]
     pirs, x_test = pir_matrix(frf_set, grid), pir_from_frf(test, grid).values
@@ -344,7 +344,7 @@ def per_row_density(test, frf_set, grid, picks, metric, numerator_mode):
     ds = max(1, n // 20)
     es, et = np.empty((B, n)), np.empty(B)
     for b, idx in enumerate(picks):
-        mean = pirs[idx].mean(axis=0)
+        mean = np.bincount(idx, minlength=n) @ pirs / n
         es[b] = np.sort(distance(np.square(pirs[idx] - mean)))
         et[b] = distance(np.square(x_test - mean))
     rank = np.minimum(np.sum(es <= et[:, None], axis=1) + 1, n)
