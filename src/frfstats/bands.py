@@ -38,7 +38,7 @@ import numpy as np
 from ._frozen import fix, hold
 from .errors import BandContainment, DegenerateSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, _refuse_overflowing_stats, pir_from_frf, pir_matrix
+from .pir import FRF, FRFSet, _mean_std, pir_from_frf, pir_matrix
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
@@ -277,8 +277,7 @@ def _checked_stats(pirs: np.ndarray):
     Refuses PIRs too large for finite statistics and zero spread at some
     time point, which every replication would keep.
     """
-    _refuse_overflowing_stats(pirs)
-    mean, std = pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
+    mean, std = _mean_std(pirs)
     if np.any(std == 0.0):
         raise DegenerateSpread("the sample set has zero spread at some time point")
     return mean, std

@@ -135,10 +135,14 @@ def _refuse_overflowing_stats(pirs: np.ndarray, nested: int = 0) -> None:
         raise ValueError("FRF values are too large: statistics of their PIRs overflow")
 
 
+def _mean_std(pirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise mean and N-1 std of PIRs, refused if those would overflow."""
+    _refuse_overflowing_stats(pirs)
+    return pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
+
+
 def pir_stats(frf_set: FRFSet, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise ``(mean, std)`` of the set's PIRs; the std uses N-1."""
     if frf_set.n < 2:
         raise ValueError("need at least two samples for PIR statistics")
-    pirs = pir_matrix(frf_set, grid)
-    _refuse_overflowing_stats(pirs)
-    return pirs.mean(axis=0), pirs.std(axis=0, ddof=1)
+    return _mean_std(pir_matrix(frf_set, grid))

@@ -636,3 +636,32 @@ def test_density_and_minimal_band_refuse_a_mismatched_test_first():
         assert bands._LAST is None
     with pytest.raises(DegenerateSpread):
         estimate_density(FRF(lowpass_mean_frf(grid)), flat, grid, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rate, n", [(22.0, 20), (4.5, 200)], ids=["T440-N20", "T90-N200"])
+def test_negating_or_scaling_by_8_moves_no_band_or_comparison_bit(rate, n, seed):
+    # Negation and scaling by 8 are exact, and every statistic is a ratio of
+    # deviations to stds that follow them exactly, so each keeps its bits;
+    # the comparison's residuals, read off the band, follow the factor.
+    grid, group, test = scored_group(rate, n, seed)
+    spec = SyntheticSpec(1.3 * lowpass_mean_frf(grid), noise_std=0.1, n=n)
+    other = generate_synthetic(spec, seed=200 + seed)
+    cfg = BootstrapConfig(replications=200, nested_replications=20, seed=seed)
+
+    def answers(k):
+        scaled = FRFSet(k * group.values)
+        minimal = minimal_prediction_band(FRF(k * test.values), scaled, grid, cfg)
+        comparison = compare_unpaired(scaled, FRFSet(k * other.values), grid, 0.95, cfg)
+        return {
+            "scale": prediction_band(scaled, grid, 0.95, cfg).scale,
+            "stats": bootstrap_deviation_stats(scaled, grid, cfg).stats.tobytes(),
+            "alpha": minimal.alpha, "C_p": minimal.band.scale,
+            "C_u": comparison.band.scale, "draws": comparison.draws.stats.tobytes(),
+        }, comparison.residuals
+
+    base, residuals = answers(1.0)
+    for k in (-1.0, 8.0):
+        got, moved = answers(k)
+        assert got == base, k
+        assert np.array_equal(moved, k * residuals), k

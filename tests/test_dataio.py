@@ -1,6 +1,7 @@
 import codecs
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ def example_dataset():
         "patient": FRFSet(rng.standard_normal(shape2) + 1j * rng.standard_normal(shape2)),
     }
     return Dataset(grid=grid, groups=groups, metadata={"site": "lab-3", "task": "sway"})
+
+
+def test_readme_csv_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "study.csv"
+    path.write_text(block)
+    dataset = load_dataset(path)
+    assert dataset.grid.sample_rate == 22.0
+    assert dataset.grid.frequencies.tolist() == [0.05, 0.15]
+    assert dataset.metadata == {"condition": "eyes-closed"}
+    assert list(dataset.groups) == ["control"]
+    assert dataset.groups["control"].values.tolist() == [[1 + 0.5j, 0.3 - 0.2j],
+                                                         [0.9 + 0.6j, 0.2 - 0.1j]]
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])

@@ -1,6 +1,8 @@
 """Tests for how the records hold their arrays, derive fields and compare."""
 
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -234,6 +236,21 @@ def test_readme_quickstart_finds_a_difference():
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["comparison"].reject_null
+
+
+def test_readme_names_no_private_identifier():
+    # The README states what a user can rely on; a private module, function
+    # or constant is explained by its own docstring instead.  File-name
+    # suffixes such as `_ecdf.csv` are not identifiers.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = {m.name for m in pkgutil.iter_modules(frfstats.__path__)}
+    modules = [frfstats, *(importlib.import_module(f"frfstats.{name}") for name in names)]
+    private = {name for name in names if name.startswith("_")} | {
+        name for module in modules for name in vars(module)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    named = set(re.findall(r"(?<!\w)_[A-Za-z]\w*(?!\w|\.(?:csv|json))", readme))
+    assert not named & private, sorted(named & private)
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
