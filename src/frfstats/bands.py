@@ -113,13 +113,14 @@ class ReplicateDraws:
 
 
 def _resample_rows(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
-    """Means and N-1 variances of k resamples `idx` (k, N) of the rows of `pirs`.
+    """Means of k resamples `idx` (k, N) of the rows of `pirs`, and every
+    row's squared deviation from them.
 
-    With c a resample's pick counts, its mean is ``c @ pirs / N``, `out`
-    (k, N, T) gets every row's squared deviation from it, and its variance
-    is ``c @ out / (N - 1)``; returns the means and variances (k, T) and
-    `out`.  Each product is a replication's own (1, N) @ (N, T): one
-    (k, N) @ (N, T) product would round a row differently with k.
+    With c a resample's pick counts, its mean is ``c @ pirs / N`` and `out`
+    (k, N, T) gets every row's squared deviation from it; returns the
+    counts c (k, 1, N), the means (k, T) and `out`.  Each product is a
+    replication's own (1, N) @ (N, T): one (k, N) @ (N, T) product would
+    round a row differently with k.
     """
     k, n = idx.shape
     counts = np.bincount((idx + np.arange(0, k * n, n)[:, None]).ravel(), minlength=k * n)
@@ -127,8 +128,14 @@ def _resample_rows(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
     mean = np.matmul(counts, pirs) / n
     sq = np.subtract(pirs, mean, out=out)
     sq *= sq
-    var = np.matmul(counts, sq) / (n - 1)
-    return mean[:, 0], var[:, 0], sq
+    return counts, mean[:, 0], sq
+
+
+def _moments(pirs: np.ndarray, idx: np.ndarray, out: np.ndarray):
+    """`_resample_rows` with each resample's N-1 variance ``c @ out / (N - 1)``:
+    the means and variances (k, T) and `out`."""
+    counts, mean, sq = _resample_rows(pirs, idx, out)
+    return mean, np.matmul(counts, sq)[:, 0] / (len(pirs) - 1), sq
 
 
 def _blocks(pirs: np.ndarray, count: int):
@@ -167,13 +174,13 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
         yield first
         while True:
             idx = gen.integers(0, n, size=n)
-            mean, var, _ = _resample_rows(pirs, idx[None], out)
+            mean, var, _ = _moments(pirs, idx[None], out)
             yield (idx, mean[0]), var[0]
 
     for rows, out in _blocks(pirs, cfg.replications):
         gens = [streams.stream(b) for b in range(rows.start, rows.stop)]
         idx = np.array([gen.integers(0, n, size=n) for gen in gens])
-        means, var, sq = _resample_rows(pirs, idx, out)
+        means, var, sq = _moments(pirs, idx, out)
         if not (var > 0.0).all():
             for j in np.flatnonzero(~(var > 0.0).all(axis=1)):
                 (idx[j], means[j]), var[j] = _draw_with_spread(
@@ -186,9 +193,11 @@ def _replicates(pirs: np.ndarray, cfg: BootstrapConfig, streams: IndexStreams | 
 
 def _replayed(pirs: np.ndarray, indices: np.ndarray):
     """The recorded resamples `indices` on `_blocks`' walk, as
-    ``(rows, means, var, sq)``; `sq` is again the walk's buffer."""
+    ``(rows, means, None, sq)``: its one reader, `_max_ranked`, reads no
+    variance, so none is formed; `sq` is again the walk's buffer."""
     for rows, out in _blocks(pirs, len(indices)):
-        yield rows, *_resample_rows(pirs, indices[rows], out)
+        _, means, sq = _resample_rows(pirs, indices[rows], out)
+        yield rows, means, None, sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +317,7 @@ def _band_pool(frf_set: FRFSet, grid, cfg, streams) -> _Pool:
     # That square overflows once |d| / s passes 1.3e154: such a statistic
     # takes |d| / s, from its replication's moments formed again alone.
     for b, i in zip(*np.nonzero(~np.isfinite(stats))):
-        rep_mean, rep_var, _ = _resample_rows(pirs, indices[b : b + 1], np.empty((1, *pirs.shape)))
+        rep_mean, rep_var, _ = _moments(pirs, indices[b : b + 1], np.empty((1, *pirs.shape)))
         stats[b, i] = np.max(np.abs(pirs[i] - rep_mean[0]) / np.sqrt(rep_var[0]))
     pool = _Pool(key=_key(cfg, streams), pirs=pirs, mean=mean, std=std,
                  draws=ReplicateDraws(indices=indices, stats=stats), stat_ecdf=ecdf(stats))

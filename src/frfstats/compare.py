@@ -22,7 +22,7 @@ from ._frozen import fix
 from .bands import Band
 from .errors import DegenerateSpread
 from .grid import FrequencyGrid
-from .pir import FRF, FRFSet, PIR, _refuse_overflowing_stats, frf_from_pir, pir_matrix
+from .pir import FRF, FRFSet, PIR, _basis, _refuse_overflowing_stats, frf_from_pir, pir_matrix
 from .resampling import (
     BootstrapConfig,
     IndexStreams,
@@ -30,6 +30,7 @@ from .resampling import (
     _draw_with_spread,
     _index_type,
     _per_batch,
+    _tie_columns,
     c_at,
     ecdf,
 )
@@ -153,6 +154,27 @@ def _weigh_blocks(blocks: np.ndarray):
     return zip(first, w)
 
 
+def _held(pirs, ties, outers, weights) -> np.ndarray:
+    """The time points where both groups' nested deviations are exactly zero.
+
+    Group g's nested deviation at t, ``w[1:] @ (p - p[outer[0]])`` in PIR
+    space, is exactly zero in every row when each member with a nonzero
+    nested weight equals the first pick ``p[outer[0], t]`` there: the group
+    holds still at t.  Besides the first pick, that can only be a member
+    tied with it, so only in the group's tie columns `ties[g]`, unless no
+    other member carries a nonzero weight, when it holds still everywhere.
+    """
+    held = np.ones(pirs[0].shape[1], dtype=bool)
+    for p, cols, outer, w in zip(pirs, ties, outers, weights):
+        moving = (w[1:] != 0.0).any(axis=0)
+        moving[outer[0]] = False
+        if moving.any():
+            still = np.zeros_like(held)
+            still[cols] = (p[moving][:, cols] == p[outer[0], cols]).all(axis=0)
+            held &= still
+    return held
+
+
 def compare_unpaired(
     set1: FRFSet,
     set2: FRFSet,
@@ -172,12 +194,18 @@ def compare_unpaired(
     over Bs resamples of the original groups (the identity resample).
 
     Each group is set up once: its PIR matrix, refused if its statistics
-    would overflow, its stream and one reader that weighs its blocks
-    (`_weigh_blocks`), the sigma block first and then the replications'.
-    `draw` takes the next block from both readers and forms every resample
-    mean from their weights, for sigma and each replication alike, so the
-    nested std is the root of the summed squares of the centred nested
-    mean differences over Bs - 1, with no centring pass of its own.
+    would overflow, its FRF coefficients [Re H, Im H] (n, 2m), its tie
+    columns (`resampling._tie_columns`), its stream and one reader that
+    weighs its blocks (`_weigh_blocks`), the sigma block first and then
+    the replications'.  `draw` takes the next block from both readers and
+    forms every resample mean from their weights, for sigma and each
+    replication alike: the outer means on the PIRs, the centred nested
+    means on the 2m coefficients, whose difference one (Bs, 2m) @ (2m, T)
+    product by the grid's basis (`pir._basis`) maps to time.  The nested
+    std is the root of the summed squares of those centred nested mean
+    differences over Bs - 1, with no centring pass of its own; it is
+    exactly zero where both groups hold still (`_held`), as the PIR-space
+    means would give it, not zero up to rounding.
     A sigma with zero spread at some time point, which would give a
     zero-width band there, raises DegenerateSpread before any replication
     is drawn.  Replications whose nested std hits zero anywhere are
@@ -194,6 +222,11 @@ def compare_unpaired(
     for p in pirs:
         _refuse_overflowing_stats(p, bs)
     diff_mean = pirs[0].mean(axis=0) - pirs[1].mean(axis=0)
+    coefs = [np.hstack([s.values.real, s.values.imag]) for s in sets]
+    basis = _basis(grid)
+    ties = [_tie_columns(p) for p in pirs]
+    tied = any(cols.size for cols in ties)
+    buf = np.empty((bs, grid.n_samples))
     # Each group's record indices, in the record's narrow index type: its
     # Bs sigma resamples, then its B accepted outer resamples.
     indices = [np.empty((bs + B, s.n), dtype=_index_type(s.n)) for s in sets]
@@ -212,17 +245,26 @@ def compare_unpaired(
     def draw(*readers):
         # The next block of each reader, both fetched before either
         # group's means, and the mean difference and nested std they
-        # give.  The nested weights multiply the rows shifted by the
-        # outer resample's first member: a member outside the resample
-        # weighs exactly zero in every row, so where all its members agree
-        # the nested means are exactly zero, not zero up to rounding.
+        # give.  The nested weights multiply the FRF coefficients shifted
+        # by the outer resample's first member, and the difference c of
+        # the groups' nested means goes to time in the call's one buffer.
+        # Where both groups hold still the PIR-space means are exactly
+        # zero, but c @ basis rounds to about 1e-17: the variance is set
+        # to zero there.  With no tie column in either group, both hold
+        # still only where both do everywhere, and there c is exactly
+        # zero already.
         outers, weights = zip(*[next(r) for r in readers])
-        (mean1, dev), (mean2, dev2) = [
-            (w[0] @ p, w[1:] @ (p - p[outer[0]])) for p, outer, w in zip(pirs, outers, weights)
+        (mean1, c), (mean2, c2) = [
+            (w[0] @ p, w[1:] @ (f - f[outer[0]]))
+            for p, f, outer, w in zip(pirs, coefs, outers, weights)
         ]
-        dev -= dev2
+        c -= c2
+        dev = np.matmul(c, basis, out=buf)
         dev *= dev
-        return (outers, mean1 - mean2), np.sqrt(dev.sum(axis=0) / (bs - 1))
+        var = dev.sum(axis=0)
+        if tied:
+            var[_held(pirs, ties, outers, weights)] = 0.0
+        return (outers, mean1 - mean2), np.sqrt(var / (bs - 1))
 
     readers = [reader(g, streams.stream(GROUP_KEY_OFFSET + g), s.n) for g, s in enumerate(sets)]
     _, sigma = draw(*readers)

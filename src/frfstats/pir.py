@@ -96,6 +96,15 @@ def _pirs(values: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return pirs
 
 
+def _basis(grid: FrequencyGrid) -> np.ndarray:
+    """The grid's (2m, T) basis: the PIRs of the 2m unit responses, the real
+    ones first, so ``[H.real, H.imag] @ _basis(grid)`` is H's PIR up to
+    rounding.  Each row is a cosine or sine over one period, so no entry
+    exceeds 1 in absolute value by more than rounding."""
+    eye = np.eye(grid.m)
+    return _pirs(np.vstack([eye, 1j * eye]), grid)
+
+
 def pir_from_frf(frf: FRF, grid: FrequencyGrid) -> PIR:
     """Time-domain signal of a single FRF over one period."""
     return PIR(values=_pirs(frf.values, grid), grid=grid)
@@ -129,6 +138,16 @@ def _refuse_overflowing_stats(pirs: np.ndarray, nested: int = 0) -> None:
     Each sum of squares runs over at most K = max(N, T, nested) terms, so
     it stays finite, with a factor of two to spare for rounding, while
     128 * K * P**2 is at most the largest float.
+
+    `draw` forms those nested means on the FRF coefficients [Re H, Im H]
+    and maps their difference c to time by `_basis`.  Each |H_k| is twice
+    a DFT bin of the PIR, at most 2 * P, so shifted coefficients differ by
+    at most 4 * P, each group's nested coefficient mean is at most 8 * P
+    and |c_j| at most 16 * P.  The basis entries are at most 1, so every
+    partial sum of ``c @ basis`` stays within 2m * 16 * P <= 16 * K * P
+    (2m < T), finite while 128 * K * P**2 is, and the whole sum is the
+    nested mean difference above up to rounding, at most 8 * P: the bound
+    holds unchanged.
     """
     terms = max(*pirs.shape, nested)
     if np.max(np.abs(pirs)) > np.sqrt(np.finfo(float).max / (128 * terms)):

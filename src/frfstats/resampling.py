@@ -72,7 +72,9 @@ class BootstrapConfig:
 #: resample for both.  Comparison group g draws everything from one
 #: stream, GROUP_KEY_OFFSET + g: the sigma resamples, then one block
 #: of outer and nested rows per replication (see `frfstats.compare`).
-STREAM_LAYOUT = 9
+#: Layout 10 moved no draw: the comparison's nested deviations come
+#: from the FRF coefficients, which moves its floats by rounding only.
+STREAM_LAYOUT = 10
 
 
 class IndexStreams:
@@ -114,6 +116,14 @@ def _per_batch(item_bytes: int) -> int:
 def _index_type(n: int) -> np.dtype:
     """The narrowest unsigned integer type of a record's indices into N rows."""
     return np.min_scalar_type(n - 1)
+
+
+def _tie_columns(rows: np.ndarray) -> np.ndarray:
+    """Indices of the columns of `rows` (N, T) where two rows hold the same
+    value, -0.0 equal to +0.0: the only columns where the picks of two or
+    more different rows can all be equal."""
+    s = np.sort(rows, axis=0)
+    return np.flatnonzero((s[1:] == s[:-1]).any(axis=0))
 
 
 #: Redraws per replication before zero spread is given up on.

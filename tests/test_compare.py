@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from frfstats import DegenerateSpread, GridMismatch, derive_grid
+from frfstats import (
+    DegenerateSpread,
+    GridMismatch,
+    SyntheticSpec,
+    derive_grid,
+    generate_synthetic,
+    lowpass_mean_frf,
+)
 from frfstats import compare, resampling
 from frfstats.bands import Band
 from frfstats.compare import compare_unpaired, residual_frf, residuals
@@ -278,42 +285,80 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
             np.testing.assert_array_equal(w, weights(block))
         per_group.append(mine[0][1] + pairs)
 
-    # Each group's weights meet its own PIR matrix: sigma and the accepted
-    # replications' statistics, from the recorded weights.
-    p1, p2 = pir_matrix(a, grid), pir_matrix(b, grid)
+    # Each group's weights meet its own PIR matrix and FRF coefficients:
+    # sigma and the accepted replications' statistics, from the recorded
+    # weights.
+    groups = [Group(a, grid), Group(b, grid)]
 
     def spread(i):
-        (o1, w1), (o2, w2) = per_group[0][i], per_group[1][i]
-        dev = w1[1:] @ (p1 - p1[o1[0]]) - w2[1:] @ (p2 - p2[o2[0]])
-        nested_std = np.sqrt((dev * dev).sum(axis=0) / (cfg.nested_replications - 1))
-        return w1[0] @ p1 - w2[0] @ p2, nested_std
+        return coefficient_spread(groups, [per_group[0][i], per_group[1][i]])
 
     np.testing.assert_array_equal(result.sigma, spread(0)[1])
-    diff_mean = p1.mean(axis=0) - p2.mean(axis=0)
+    diff_mean = groups[0].pirs.mean(axis=0) - groups[1].pirs.mean(axis=0)
     for rep, i in enumerate((2, 3)):
         xb, nested_std = spread(i)
         assert result.draws.stats[rep] == np.max(np.abs(diff_mean - xb) / nested_std)
 
 
-def reference_compare(set1, set2, grid, alpha, cfg, streams):
-    """The comparison drawn one block per ``integers`` call, with the
-    arithmetic of the loop before batching (``np.vstack``, ``.mean``)."""
-    bs = cfg.nested_replications
-    pirs = (pir_matrix(set1, grid), pir_matrix(set2, grid))
+class Group:
+    """A group's PIR matrix, its FRF coefficients [Re H, Im H] and the
+    grid's basis, the PIRs of the 2m unit responses."""
 
-    def means(p, draw):
-        n = p.shape[0]
+    def __init__(self, frfs, grid):
+        self.pirs = pir_matrix(frfs, grid)
+        self.coefs = np.hstack([frfs.values.real, frfs.values.imag])
+        eye = np.eye(grid.m)
+        self.basis = pir_matrix(FRFSet(np.vstack([eye, 1j * eye])), grid)
+
+    def holds_still(self, outer, w):
+        """Per time point: every member with a nonzero nested weight equals
+        the outer resample's first member there."""
+        weighted = (w[1:] != 0.0).any(axis=0)
+        return (self.pirs[weighted] == self.pirs[outer[0]]).all(axis=0)
+
+
+def coefficient_spread(groups, weighed):
+    """The mean difference and nested std of one block per group, ``(outer,
+    w)``, as the comparison forms them: the nested means on the FRF
+    coefficients, their difference mapped to time by the basis, and zero
+    variance where both groups hold still."""
+    (g1, (o1, w1)), (g2, (o2, w2)) = zip(groups, weighed)
+    c = w1[1:] @ (g1.coefs - g1.coefs[o1[0]]) - w2[1:] @ (g2.coefs - g2.coefs[o2[0]])
+    dev = c @ g1.basis
+    var = (dev * dev).sum(axis=0)
+    var[g1.holds_still(o1, w1) & g2.holds_still(o2, w2)] = 0.0
+    bs = len(w1) - 1
+    return w1[0] @ g1.pirs - w2[0] @ g2.pirs, np.sqrt(var / (bs - 1))
+
+
+def pir_spread(groups, weighed):
+    """The same on the PIRs, with the paper's nested means ``w[1:] @ (p -
+    p[outer[0]])``: equal up to rounding, exact zeros included."""
+    (g1, (o1, w1)), (g2, (o2, w2)) = zip(groups, weighed)
+    p1, p2 = g1.pirs, g2.pirs
+    dev = w1[1:] @ (p1 - p1[o1[0]]) - w2[1:] @ (p2 - p2[o2[0]])
+    bs = len(w1) - 1
+    return w1[0] @ p1 - w2[0] @ p2, np.sqrt((dev * dev).sum(axis=0) / (bs - 1))
+
+
+def reference_compare(set1, set2, grid, alpha, cfg, streams, nested=coefficient_spread):
+    """The comparison drawn one block per ``integers`` call, with the
+    arithmetic of the loop before batching (``np.vstack``, ``.mean``), and
+    each block's mean difference and nested std from `nested`."""
+    bs = cfg.nested_replications
+    groups = [Group(set1, grid), Group(set2, grid)]
+    pirs = [g.pirs for g in groups]
+
+    def weighed(draw):
+        n = draw.shape[1]
         picks = np.vstack([draw[0], draw[0][draw[1:]]])
         rows = picks + n * np.arange(picks.shape[0])[:, None]
         w = np.bincount(rows.ravel(), minlength=picks.size).reshape(picks.shape) / n
         w[1:] -= w[1:].mean(axis=0)
-        return w[0] @ p, w[1:] @ (p - p[draw[0][0]])
+        return draw[0], w
 
     def spread(draw1, draw2):
-        mean1, dev1 = means(pirs[0], draw1)
-        mean2, dev2 = means(pirs[1], draw2)
-        dev = dev1 - dev2
-        return mean1 - mean2, np.sqrt((dev * dev).sum(axis=0) / (bs - 1))
+        return nested(groups, [weighed(draw1), weighed(draw2)])
 
     ns = (set1.n, set2.n)
     gens = [streams.stream(compare.GROUP_KEY_OFFSET + g) for g in (0, 1)]
@@ -423,6 +468,34 @@ def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
     assert not any(streams._table.values())
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "rate, n, bs, rtol",
+    [(22.0, 20, 20, 1e-12), (4.5, 200, 20, 1e-12), (22.0, 3, 2, 1e-9)],
+    ids=["T440-N20", "T90-N200", "T440-N3-Bs2"],
+)
+def test_nested_std_matches_the_pir_space_oracle(rate, n, bs, rtol, seed):
+    # The paper's nested std, formed on the PIRs, draws the same indices
+    # and gives sigma and every statistic up to rounding; with three
+    # members and two nested resamples a spread can be a small difference
+    # of large terms, so it is checked more loosely there.
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    mean = lowpass_mean_frf(grid)
+    a = generate_synthetic(SyntheticSpec(mean, noise_std=0.1, n=n), seed=10 * seed)
+    b = generate_synthetic(SyntheticSpec(mean, noise_std=0.1, n=n, gain_factor=1.3),
+                           seed=10 * seed + 1)
+    cfg = BootstrapConfig(replications=200, nested_replications=bs, seed=seed)
+    result = compare_unpaired(a, b, grid, 0.95, cfg)
+    ref = reference_compare(a, b, grid, 0.95, cfg, IndexStreams(cfg.seed), nested=pir_spread)
+    for name in result.draws.__dataclass_fields__:
+        if name != "stats":
+            assert np.array_equal(getattr(result.draws, name), ref[name]), name
+    np.testing.assert_allclose(result.sigma, ref["sigma"], rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(result.draws.stats, ref["stats"], rtol=rtol, atol=0.0)
+    assert result.band.scale == pytest.approx(ref["scale"], rel=rtol, abs=0.0)
+    assert result.reject_null == bool(np.any(ref["residuals"] != 0.0))
+
+
 def test_degenerate_groups_raise():
     row = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     a = FRFSet(np.tile(row, (4, 1)))
@@ -467,6 +540,104 @@ def test_zero_spread_at_one_time_point_is_caught_exactly():
     cfg = BootstrapConfig(replications=5, nested_replications=8, seed=16)
     with pytest.raises(DegenerateSpread):
         compare_unpaired(a, b, grid, 0.95, cfg)
+
+
+def test_members_with_equal_pirs_hold_still():
+    # Members 0 and 1 of each group differ by 1e-30 in one real part, which
+    # their PIRs do not resolve: their PIR rows are equal, bit for bit.
+    # Outer resamples that pick only those two have exactly zero nested
+    # spread in PIR space, so the replication is redrawn and takes the next
+    # blocks, as after a resample of one repeated member; the nested means
+    # on the FRF coefficients alone would leave a spread of about 1e-30.
+    grid = GRID
+    a = FRFSet(np.array([[1.0 + 0.5j, 0.0 + 0.25j], [1.0 + 0.5j, 1e-30 + 0.25j],
+                         [-0.5 + 0.2j, 0.3 - 0.1j]]))
+    b = FRFSet(np.array([[0.0 - 0.4j, 0.7 + 0.6j], [1e-30 - 0.4j, 0.7 + 0.6j],
+                         [0.9 + 0.3j, -0.4 + 0.2j]]))
+    for frfs in (a, b):
+        assert not np.array_equal(frfs.values[0], frfs.values[1])
+        p = pir_matrix(frfs, grid)
+        assert np.array_equal(p[0], p[1])
+    cfg = BootstrapConfig(replications=1, nested_replications=2, seed=0)
+    sigma = {2: [[[0, 1, 2], [2, 2, 0]]], 3: [[[2, 0, 1], [1, 2, 2]]]}
+    valid = {
+        2: [[[2, 1, 0], [1, 1, 2], [0, 2, 2]]],
+        3: [[[0, 2, 1], [2, 0, 1], [1, 1, 0]]],
+    }
+    still = {
+        2: [[[1, 0, 1], [0, 1, 2], [1, 1, 0]]],
+        3: [[[0, 1, 0], [2, 2, 1], [0, 1, 1]]],
+    }
+
+    def streams(blocks):
+        return FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
+
+    direct = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams(valid))
+    redrawn = compare_unpaired(
+        a, b, grid, 0.5, cfg, streams=streams({k: still[k] + valid[k] for k in valid})
+    )
+    np.testing.assert_array_equal(redrawn.draws.outer_indices1, [[2, 1, 0]])
+    np.testing.assert_array_equal(redrawn.draws.outer_indices2, [[0, 2, 1]])
+    np.testing.assert_array_equal(redrawn.draws.stats, direct.draws.stats)
+    np.testing.assert_array_equal(redrawn.sigma, direct.sigma)
+
+
+def test_a_group_weighing_only_its_first_pick_holds_still_everywhere():
+    # Group 1's nested weights are nonzero for its first pick alone, as a
+    # rounded centring can leave them: its nested deviations are exactly
+    # zero at every time point, tie column or not, so wherever group 2
+    # holds still (t = 0, where all its members agree) both do.
+    p1 = pir_matrix(group(50, n=3), GRID)
+    p2 = pir_matrix(FRFSet(0.4 + 1j * np.random.default_rng(51).standard_normal((3, 2))), GRID)
+    ties = [resampling._tie_columns(p) for p in (p1, p2)]
+    assert ties[0].size == 0 and 0 in ties[1]
+    np.testing.assert_array_equal(np.flatnonzero(np.ptp(p2, axis=0) == 0.0), [0])
+    w1 = np.array([[1, 1, 1], [0, 1e-17, 0], [0, -1e-17, 0]]) / 3
+    w2 = np.array([[1, 1, 1], [1, -1, 0], [-1, 1, 0]]) / 3
+    held = compare._held([p1, p2], ties, ([1, 0, 2], [2, 0, 1]), (w1, w2))
+    np.testing.assert_array_equal(np.flatnonzero(held), [0])
+
+
+def tied_at_zero(rng, grid, n):
+    """A group tied at t = 0, bit for bit: the bench's low-pass mean times a
+    common gain plus a common real offset, with noise in the imaginary
+    parts only."""
+    gain, offset = rng.uniform(0.5, 2.0), rng.normal()
+    noise = 1j * rng.normal(scale=0.1, size=(n, grid.m))
+    frfs = FRFSet(lowpass_mean_frf(grid) * gain + offset + noise)
+    assert np.ptp(pir_matrix(frfs, grid)[:, 0]) == 0.0
+    return frfs
+
+
+def test_groups_tied_at_one_time_point_refuse_sigma():
+    # Both groups agree within themselves at t = 0, so every nested mean
+    # difference is exactly zero there: sigma has zero spread in every set.
+    grid = derive_grid(EXPERIMENT_FREQS, 22.0)
+    rng = np.random.default_rng(44)
+    cfg = BootstrapConfig(replications=20, nested_replications=20, seed=0)
+    message = "^the comparison's sigma has zero spread at some time point$"
+    for _ in range(40):
+        a, b = tied_at_zero(rng, grid, 20), tied_at_zero(rng, grid, 20)
+        with pytest.raises(DegenerateSpread, match=message):
+            compare_unpaired(a, b, grid, 0.95, cfg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_group_tied_at_one_time_point_keeps_the_others_spread(seed):
+    # Only group 1 holds still at t = 0; group 2's nested means move there,
+    # so sigma and every statistic are the PIR-space oracle's up to
+    # rounding, with no zero forced.
+    grid = derive_grid(EXPERIMENT_FREQS, 22.0)
+    a = tied_at_zero(np.random.default_rng(seed), grid, 20)
+    b = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=20),
+                           seed=seed)
+    cfg = BootstrapConfig(replications=200, nested_replications=20, seed=seed)
+    result = compare_unpaired(a, b, grid, 0.95, cfg)
+    ref = reference_compare(a, b, grid, 0.95, cfg, IndexStreams(cfg.seed), nested=pir_spread)
+    np.testing.assert_array_equal(result.draws.outer_indices1, ref["outer_indices1"])
+    np.testing.assert_allclose(result.sigma, ref["sigma"], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(result.draws.stats, ref["stats"], rtol=1e-12, atol=0.0)
+    assert result.band.scale == pytest.approx(ref["scale"], rel=1e-12, abs=0.0)
 
 
 def test_validation():

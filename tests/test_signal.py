@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from frfstats import GridMismatch, SyntheticSpec, derive_grid, generate_synthetic, lowpass_mean_frf
-from frfstats.pir import FRF, FRFSet, PIR, frf_from_pir, pir_from_frf, pir_matrix, pir_stats
+from frfstats.pir import (
+    FRF,
+    FRFSet,
+    PIR,
+    _basis,
+    frf_from_pir,
+    pir_from_frf,
+    pir_matrix,
+    pir_stats,
+)
 
 from support import EXPERIMENT_FREQS
 
@@ -79,6 +88,26 @@ def test_single_pir_equals_its_set_row_bit_for_bit(freqs, rate, n):
     pirs = pir_matrix(frfs, grid)
     for i in range(frfs.n):
         assert np.array_equal(pir_from_frf(FRF(frfs.values[i]), grid).values, pirs[i]), i
+
+
+@pytest.mark.parametrize("freqs, rate", [(EXPERIMENT_FREQS, 22.0), (EXPERIMENT_FREQS, 4.5),
+                                         ([1.0], None)], ids=["T440", "T90", "1Hz"])
+def test_coefficients_times_basis_reproduce_the_pirs(freqs, rate):
+    # The basis rows are the PIRs of the unit responses, real parts first,
+    # so [Re H, Im H] @ basis is the PIR matrix within 8 ulp of its largest
+    # value, for values over six decades of scale.
+    grid = derive_grid(freqs, rate)
+    basis = _basis(grid)
+    eye = np.eye(grid.m)
+    np.testing.assert_array_equal(basis, pir_matrix(FRFSet(np.vstack([eye, 1j * eye])), grid))
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((30, grid.m)) + 1j * rng.standard_normal((30, grid.m))
+        values *= 10.0 ** rng.uniform(-3.0, 3.0)
+        pirs = pir_matrix(FRFSet(values), grid)
+        got = np.hstack([values.real, values.imag]) @ basis
+        ulp = np.finfo(float).eps * np.max(np.abs(pirs))
+        assert np.max(np.abs(got - pirs)) <= 8 * ulp
 
 
 def test_transform_is_linear():
