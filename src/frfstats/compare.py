@@ -14,7 +14,6 @@ spectrum localizes the difference in frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,16 +43,18 @@ from .resampling import (
 GROUP_KEY_OFFSET = 2
 
 
-def _batch_blocks(n: int, bs: int) -> int:
-    """Most (1 + Bs, n) blocks that one call draws for a group of n.
+def _batch_blocks(n: int, bs: int, m: int, t: int) -> int:
+    """Most (1 + Bs, n) blocks in a batch for a group of n, on a grid of m
+    frequencies and T samples: as many as fit in `resampling._BATCH_BYTES`,
+    and at least one.
 
-    As many as fit in `resampling._BATCH_BYTES`, 16 bytes an index with its
-    weight (the int64 index and its float64 weight), and at least one.
-    Weighing a batch briefly takes two more arrays the size of its indices.
-    A call also never draws more than the replications still to accept, so
-    every block drawn is read.
+    A group's share of a batch holds, per block, its indices and weights
+    (an int64 and a float64 an entry), its Bs * 2m nested and n * 2m
+    shifted coefficients, and two rows of T doubles: its outer means and
+    its share of the block's nested std and statistic.  Weighing briefly
+    takes two more arrays the size of the indices.
     """
-    return _per_batch((1 + bs) * n * 16)
+    return _per_batch(16 * (1 + bs) * n + 8 * (bs + n) * 2 * m + 2 * 8 * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,27 +132,30 @@ def residual_frf(r, grid: FrequencyGrid) -> FRF:
     return frf_from_pir(PIR(values=r, grid=grid))
 
 
-def _weigh_blocks(blocks: np.ndarray):
-    """Each block's outer resample and count weights, for a stack of blocks.
+def _weigh_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outer resamples and count weights of a stack of blocks.
 
-    In block j, row 0 of the weights counts the outer resample
-    ``blocks[j, 0]``'s picks of each original row, and row 1 + i those of
-    ``blocks[j, 0][blocks[j, 1 + i]]``, each over n, so no (Bs, n, T)
-    gather is built.  The nested rows are centred over the Bs rows, so
-    the nested means come out centred without a (Bs, T) pass.  Each
-    block's weights are bit-identical to those of a stack of that block
-    alone.  No block is kept.
+    Returns ``(first, w)``, of shapes (k, n) and (k, 1 + Bs, n).  Row 0 of
+    block j's weights counts its outer resample ``first[j] = blocks[j, 0]``'s
+    picks of each original row, and row 1 + i those of
+    ``first[j][blocks[j, 1 + i]]``, each over n, so no (Bs, n, T) gather is
+    built.  The counts are laid out row by row across the blocks, so the
+    sums over the nested rows run along long rows; `w` is a view of that
+    layout.  The nested rows are centred over the Bs rows, so the nested
+    means come out centred without a (Bs, T) pass.  Each block's weights
+    are bit-identical to those of a stack of that block alone.  No block is
+    kept.
     """
     k, rows, n = blocks.shape
     first = blocks[:, 0].copy()
     picks = np.take(first, blocks + np.arange(0, first.size, n).reshape(k, 1, 1))
     picks[:, 0] = first
-    picks += np.arange(0, picks.size, n).reshape(k, rows, 1)
-    counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(blocks.shape)
+    picks += np.arange(0, picks.size, n).reshape(rows, k).T[:, :, None]
+    counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(rows, k, n)
     del picks  # freed before the weights are made
     w = counts / n
-    w[:, 1:] -= w[:, 1:].mean(axis=1, keepdims=True)
-    return zip(first, w)
+    w[1:] -= w[1:].sum(axis=0) / (rows - 1)
+    return first, w.transpose(1, 0, 2)
 
 
 def _held(pirs, ties, outers, weights) -> np.ndarray:
@@ -195,22 +199,24 @@ def compare_unpaired(
 
     Each group is set up once: its PIR matrix, refused if its statistics
     would overflow, its FRF coefficients [Re H, Im H] (n, 2m), its tie
-    columns (`resampling._tie_columns`), its stream and one reader that
-    weighs its blocks (`_weigh_blocks`), the sigma block first and then
-    the replications'.  `draw` takes the next block from both readers and
-    forms every resample mean from their weights, for sigma and each
-    replication alike: the outer means on the PIRs, the centred nested
-    means on the 2m coefficients, whose difference one (Bs, 2m) @ (2m, T)
-    product by the grid's basis (`pir._basis`) maps to time.  The nested
-    std is the root of the summed squares of those centred nested mean
-    differences over Bs - 1, with no centring pass of its own; it is
-    exactly zero where both groups hold still (`_held`), as the PIR-space
-    means would give it, not zero up to rounding.
+    columns (`resampling._tie_columns`) and its stream.  Blocks are scored
+    a batch at a time, the sigma block alone and then k blocks from each
+    group (`_batch_blocks`), weighed in one call per group
+    (`_weigh_blocks`).  `score` forms a batch's resample means from the
+    weights in stacked products: the outer means on the PIRs, the centred
+    nested means on the 2m coefficients, whose difference one (Bs, 2m) @
+    (2m, T) product per block by the grid's basis (`pir._basis`) maps to
+    time.  The nested std is the root of the summed squares of those
+    centred nested mean differences over Bs - 1, with no centring pass of
+    its own; it is exactly zero where both groups hold still (`_held`), as
+    the PIR-space means would give it, not zero up to rounding.
     A sigma with zero spread at some time point, which would give a
     zero-width band there, raises DegenerateSpread before any replication
-    is drawn.  Replications whose nested std hits zero anywhere are
-    redrawn from the groups' streams, at most `resampling.MAX_REDRAWS`
-    times, then DegenerateSpread.
+    is drawn.  Only the redraw rule and the record writes run per
+    replication: a block whose nested std hits zero anywhere is passed
+    over for the next one, batch boundaries included, at most
+    `resampling.MAX_REDRAWS` times (`resampling._draw_with_spread`), then
+    DegenerateSpread.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -230,54 +236,66 @@ def compare_unpaired(
     # Each group's record indices, in the record's narrow index type: its
     # Bs sigma resamples, then its B accepted outer resamples.
     indices = [np.empty((bs + B, s.n), dtype=_index_type(s.n)) for s in sets]
+    gens = [streams.stream(GROUP_KEY_OFFSET + g) for g in (0, 1)]
 
-    def reader(g, gen, n):
-        # Group g's blocks, weighed: its sigma block first, the identity
-        # row over the Bs sigma resamples, then the replications' blocks,
-        # k per call: cap at a time up to B, then one at a time for the
-        # redraws past B, so every block drawn is read.
-        indices[g][:bs] = gen.integers(0, n, size=(bs, n))
-        yield from _weigh_blocks(np.vstack([np.arange(n), indices[g][:bs]])[None])
-        cap = _batch_blocks(n, bs)
-        for k in chain((min(cap, B - drawn) for drawn in range(0, B, cap)), repeat(1)):
-            yield from _weigh_blocks(gen.integers(0, n, size=(k, 1 + bs, n)))
-
-    def draw(*readers):
-        # The next block of each reader, both fetched before either
-        # group's means, and the mean difference and nested std they
-        # give.  The nested weights multiply the FRF coefficients shifted
-        # by the outer resample's first member, and the difference c of
-        # the groups' nested means goes to time in the call's one buffer.
-        # Where both groups hold still the PIR-space means are exactly
-        # zero, but c @ basis rounds to about 1e-17: the variance is set
-        # to zero there.  With no tie column in either group, both hold
-        # still only where both do everywhere, and there c is exactly
-        # zero already.
-        outers, weights = zip(*[next(r) for r in readers])
+    def score(weighed):
+        # Each block of a batch, ((outers, stat), nested std), from both
+        # groups' weighed blocks.  The nested weights multiply the FRF
+        # coefficients shifted by the outer resample's first member, and
+        # the difference c of the groups' nested means goes to time one
+        # block at a time in the call's one buffer.  Where both groups hold
+        # still the PIR-space means are exactly zero, but c @ basis rounds
+        # to about 1e-17: the variance is set to zero there.  With no tie
+        # column in either group, both hold still only where both do
+        # everywhere, and there c is exactly zero already.  A block with
+        # zero spread gets a statistic too, which its redraw discards.
+        (first1, w1), (first2, w2) = weighed
         (mean1, c), (mean2, c2) = [
-            (w[0] @ p, w[1:] @ (f - f[outer[0]]))
-            for p, f, outer, w in zip(pirs, coefs, outers, weights)
+            (np.matmul(w[:, :1], p)[:, 0], np.matmul(w[:, 1:], f - f[first[:, :1]]))
+            for p, f, (first, w) in zip(pirs, coefs, weighed)
         ]
         c -= c2
-        dev = np.matmul(c, basis, out=buf)
-        dev *= dev
-        var = dev.sum(axis=0)
-        if tied:
-            var[_held(pirs, ties, outers, weights)] = 0.0
-        return (outers, mean1 - mean2), np.sqrt(var / (bs - 1))
+        var = np.empty(mean1.shape)
+        for j, cj in enumerate(c):
+            dev = np.matmul(cj, basis, out=buf)
+            dev *= dev
+            dev.sum(axis=0, out=var[j])
+            if tied:
+                var[j, _held(pirs, ties, (first1[j], first2[j]), (w1[j], w2[j]))] = 0.0
+        var /= bs - 1
+        nested_std = np.sqrt(var, out=var)
+        gap = np.subtract(diff_mean, mean1 - mean2, out=mean1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = (np.abs(gap, out=gap) / nested_std).max(axis=1)
+        return zip(zip(zip(first1, first2), stat), nested_std)
 
-    readers = [reader(g, streams.stream(GROUP_KEY_OFFSET + g), s.n) for g, s in enumerate(sets)]
-    _, sigma = draw(*readers)
+    # Sigma is the nested spread of the identity row over the Bs sigma
+    # resamples, each group's first draw.
+    for idx, gen, s in zip(indices, gens, sets):
+        idx[:bs] = gen.integers(0, s.n, size=(bs, s.n))
+    [(_, sigma)] = score([_weigh_blocks(np.vstack([np.arange(s.n), idx[:bs]])[None])
+                          for idx, s in zip(indices, sets)])
     if np.any(sigma == 0.0):
         raise DegenerateSpread("the comparison's sigma has zero spread at some time point")
+    cap = min(_batch_blocks(s.n, bs, grid.m, grid.n_samples) for s in sets)
+
+    def scored():
+        # The replications' blocks, a batch at a time: k blocks from each
+        # group, k no more than the replications still to accept, B - b, so
+        # every block drawn is read unless the redraws run out.
+        while True:
+            k = min(cap, B - b)
+            yield from score([_weigh_blocks(gen.integers(0, s.n, size=(k, 1 + bs, s.n)))
+                              for gen, s in zip(gens, sets)])
+
     stats = np.empty(B)
+    blocks = scored()
     for b in range(B):
-        (outers, xb), nested_std = _draw_with_spread(
-            "a comparison replication kept zero nested spread", draw, *readers
+        (outers, stats[b]), _ = _draw_with_spread(
+            "a comparison replication kept zero nested spread", next, blocks
         )
         for idx, outer in zip(indices, outers):
             idx[bs + b] = outer
-        stats[b] = np.max(np.abs(diff_mean - xb) / nested_std)
     draws = DifferenceDraws(
         sigma_indices1=indices[0][:bs],
         sigma_indices2=indices[1][:bs],

@@ -8,10 +8,11 @@ levels.  The band bootstrap's replicate loop, its record and the pool
 that the bands and the density read live in `frfstats.bands`.  Every
 bootstrap loop runs serially, in batches of replications that fit
 `_BATCH_BYTES` (`_per_batch`): the band forms a block's statistics at
-once, and the comparison draws several index blocks per call.  Each
-replication still reads its own draws, and the band forms each one's
-means and variances by products of its own pick counts, so results
-depend only on the seed, not on the batch size.
+once, and the comparison draws and scores several blocks per call.  Each
+replication still reads its own draws, the band forms each one's means
+and variances by products of its own pick counts, and the comparison's
+stacked products equal its per-block ones bit for bit, so results depend
+only on the seed, not on the batch size.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class IndexStreams:
 
 
 #: Bytes of one batch of a bootstrap loop: every row's squared deviations
-#: for a block of band replications, or one comparison group's index
-#: blocks with their weights.
+#: for a block of band replications, or one comparison group's share of
+#: a batch of blocks (`compare._batch_blocks`).
 _BATCH_BYTES = 256 * 1024
 
 

@@ -239,12 +239,15 @@ def test_every_resample_mean_comes_from_one_helper(monkeypatch):
     helper = compare._weigh_blocks
 
     def recorded(blocks):
-        weighed = [(np.array(outer), np.array(w)) for outer, w in helper(blocks)]
-        calls.append((np.array(blocks), weighed))
-        return iter(weighed)
+        # The batch's outer resamples and weights, (k, n) and (k, 1 + Bs, n),
+        # recorded per block.
+        first, w = helper(blocks)
+        assert first.shape == (len(blocks), blocks.shape[2]) and w.shape == blocks.shape
+        calls.append((np.array(blocks), list(zip(first.copy(), w.copy()))))
+        return first, w
 
     def weights(block):
-        [(_, w)] = helper(np.array(block)[None])
+        _, (w,) = helper(np.array(block)[None])
         return w
 
     monkeypatch.setattr(compare, "_weigh_blocks", recorded)
@@ -404,8 +407,8 @@ def test_batched_blocks_match_one_call_per_block(replications):
     bs = 50
     assert (1 + bs) * a.n % 2 == 1 and (1 + bs) * b.n % 2 == 1
     if replications == 70:
-        assert replications > compare._batch_blocks(a.n, bs)
-        assert replications > compare._batch_blocks(b.n, bs)
+        assert replications > compare._batch_blocks(a.n, bs, GRID.m, GRID.n_samples)
+        assert replications > compare._batch_blocks(b.n, bs, GRID.m, GRID.n_samples)
     cfg = BootstrapConfig(replications=replications, nested_replications=bs, seed=32)
     result = compare_unpaired(a, b, GRID, 0.95, cfg)
     ref = reference_compare(a, b, GRID, 0.95, cfg, IndexStreams(cfg.seed))
@@ -441,8 +444,11 @@ def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
     grid = derive_grid([1.0])
     a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
     b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
-    monkeypatch.setattr(resampling, "_BATCH_BYTES", 2 * (1 + 2) * 3 * 16)
-    assert compare._batch_blocks(3, 2) == 2
+    # Two blocks: their indices and weights, nested and shifted coefficients
+    # and two rows of T samples.
+    block = 16 * (1 + 2) * 3 + 8 * (2 + 3) * 2 * grid.m + 2 * 8 * grid.n_samples
+    monkeypatch.setattr(resampling, "_BATCH_BYTES", 2 * block)
+    assert compare._batch_blocks(3, 2, grid.m, grid.n_samples) == 2
     cfg = BootstrapConfig(replications=4, nested_replications=2, seed=0)
     # Batches of 2, 2, 1 and 1 blocks: replication 0's first blocks and
     # replication 3's first blocks have zero nested spread, so one redraw
@@ -466,6 +472,88 @@ def test_redraws_in_two_batches_match_one_call_per_block(monkeypatch):
     )
     # Every canned block was drawn, and none past them.
     assert not any(streams._table.values())
+
+
+def test_redraws_run_out_across_batches(monkeypatch):
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    block = 16 * (1 + 2) * 3 + 8 * (2 + 3) * 2 * grid.m + 2 * 8 * grid.n_samples
+    monkeypatch.setattr(resampling, "_BATCH_BYTES", 5 * block)
+    assert compare._batch_blocks(3, 2, grid.m, grid.n_samples) == 5
+    cfg = BootstrapConfig(replications=2, nested_replications=2, seed=0)
+    # The first batch holds two blocks, one per replication still to
+    # accept: replication 0 takes the first, and replication 1 meets zero
+    # nested spread in the second and in each of the ten batches of one
+    # after it.  The table holds no block past its eleventh try, so a batch
+    # of more than the replications still to accept would fail to draw.
+    table = {
+        2: [[[0, 1, 1], [1, 0, 2]], [[2, 1, 0], [1, 1, 2], [0, 2, 2]]]
+        + [[[1, 1, 1], [0, 1, 2], [2, 0, 1]]] * (1 + MAX_REDRAWS),
+        3: [[[2, 2, 0], [0, 1, 2]], [[0, 0, 1], [2, 0, 1], [1, 1, 0]]]
+        + [[[2, 2, 2], [1, 2, 0], [0, 0, 1]]] * (1 + MAX_REDRAWS),
+    }
+    streams = FixedStreams(table)
+    message = (
+        f"^a comparison replication kept zero nested spread after {MAX_REDRAWS} redraws$"
+    )
+    with pytest.raises(DegenerateSpread, match=message):
+        compare_unpaired(a, b, grid, 0.5, cfg, streams=streams)
+    assert not any(streams._table.values())
+
+
+def equal_pir_groups():
+    """Two groups of three whose members 0 and 1 differ by 1e-30 in one
+    real part, which their PIRs on `GRID` do not resolve."""
+    a = FRFSet(np.array([[1.0 + 0.5j, 0.0 + 0.25j], [1.0 + 0.5j, 1e-30 + 0.25j],
+                         [-0.5 + 0.2j, 0.3 - 0.1j]]))
+    b = FRFSet(np.array([[0.0 - 0.4j, 0.7 + 0.6j], [1e-30 - 0.4j, 0.7 + 0.6j],
+                         [0.9 + 0.3j, -0.4 + 0.2j]]))
+    return a, b
+
+
+def test_a_still_block_inside_a_batch_matches_one_call_per_block():
+    # Replication 1's first blocks, the second of a batch of three, pick
+    # only the two members with equal PIRs in each group: both hold still
+    # everywhere and the replication takes the batch's third blocks.
+    a, b = equal_pir_groups()
+    cfg = BootstrapConfig(replications=3, nested_replications=2, seed=0)
+    assert compare._batch_blocks(3, 2, GRID.m, GRID.n_samples) >= 3
+    table = {
+        2: [[[0, 1, 2], [2, 2, 0]],
+            [[2, 1, 0], [1, 1, 2], [0, 2, 2]], [[1, 0, 1], [0, 1, 2], [1, 1, 0]],
+            [[0, 2, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 2], [0, 0, 1], [2, 1, 2]]],
+        3: [[[2, 0, 1], [1, 2, 2]],
+            [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 0], [2, 2, 1], [0, 1, 1]],
+            [[1, 2, 0], [0, 0, 2], [2, 1, 1]], [[2, 1, 1], [1, 0, 2], [0, 2, 0]]],
+    }
+    streams = FixedStreams(table)
+    result = compare_unpaired(a, b, GRID, 0.5, cfg, streams=streams)
+    ref = reference_compare(a, b, GRID, 0.5, cfg, FixedStreams(table))
+    assert_matches_reference(result, ref)
+    np.testing.assert_array_equal(result.draws.outer_indices1, [[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    np.testing.assert_array_equal(result.draws.outer_indices2, [[0, 2, 1], [1, 2, 0], [2, 1, 1]])
+    assert not any(streams._table.values())
+
+
+@pytest.mark.parametrize(
+    "rate, n, bs", [(22.0, 20, 50), (4.5, 200, 20), (22.0, 3, 2)],
+    ids=["T440-N20", "T90-N200", "T440-N3-Bs2"],
+)
+def test_stacked_products_equal_the_per_block_products(rate, n, bs):
+    # The comparison forms a batch's outer means and nested coefficients
+    # in stacked products; each block's must equal its own 2-D product bit
+    # for bit, so no float depends on the batch size.
+    grid = derive_grid(EXPERIMENT_FREQS, rate)
+    frfs = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=n)
+    p = pir_matrix(frfs, grid)
+    f = np.hstack([frfs.values.real, frfs.values.imag])
+    first, w = compare._weigh_blocks(np.random.default_rng(bs).integers(0, n, size=(9, 1 + bs, n)))
+    means = np.matmul(w[:, :1], p)[:, 0]
+    nested = np.matmul(w[:, 1:], f - f[first[:, :1]])
+    for j in range(len(w)):
+        assert np.array_equal(means[j], w[j, 0] @ p), j
+        assert np.array_equal(nested[j], w[j, 1:] @ (f - f[first[j, 0]])), j
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -550,10 +638,7 @@ def test_members_with_equal_pirs_hold_still():
     # blocks, as after a resample of one repeated member; the nested means
     # on the FRF coefficients alone would leave a spread of about 1e-30.
     grid = GRID
-    a = FRFSet(np.array([[1.0 + 0.5j, 0.0 + 0.25j], [1.0 + 0.5j, 1e-30 + 0.25j],
-                         [-0.5 + 0.2j, 0.3 - 0.1j]]))
-    b = FRFSet(np.array([[0.0 - 0.4j, 0.7 + 0.6j], [1e-30 - 0.4j, 0.7 + 0.6j],
-                         [0.9 + 0.3j, -0.4 + 0.2j]]))
+    a, b = equal_pir_groups()
     for frfs in (a, b):
         assert not np.array_equal(frfs.values[0], frfs.values[1])
         p = pir_matrix(frfs, grid)
