@@ -142,9 +142,11 @@ def _weigh_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     built.  The counts are laid out row by row across the blocks, so the
     sums over the nested rows run along long rows; `w` is a view of that
     layout.  The nested rows are centred over the Bs rows, so the nested
-    means come out centred without a (Bs, T) pass.  Each block's weights
-    are bit-identical to those of a stack of that block alone.  No block is
-    kept.
+    means come out centred without a (Bs, T) pass; a member picked equally
+    often in every nested row, as the integer counts decide, gets a centred
+    weight of exactly zero, which the float mean of its equal weights need
+    not give.  Each block's weights are bit-identical to those of a stack
+    of that block alone.  No block is kept.
     """
     k, rows, n = blocks.shape
     first = blocks[:, 0].copy()
@@ -154,7 +156,9 @@ def _weigh_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(rows, k, n)
     del picks  # freed before the weights are made
     w = counts / n
-    w[1:] -= w[1:].sum(axis=0) / (rows - 1)
+    nested = w[1:]
+    same = (counts[2:] == counts[1:-1]).all(axis=0)
+    nested -= np.where(same, nested[0], nested.sum(axis=0) / (rows - 1))
     return first, w.transpose(1, 0, 2)
 
 

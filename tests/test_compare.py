@@ -202,6 +202,36 @@ def test_degenerate_replication_is_redrawn():
         compare_unpaired(a, b, grid, 0.5, cfg, streams=exhausted)
 
 
+def test_nested_rows_of_equal_counts_are_redrawn():
+    # Outer resample [0, 2, 2] in both groups and every nested row a
+    # permutation of [0, 1, 2]: each nested resample picks member 0 once
+    # and member 2 twice, so every nested mean equals the outer mean and
+    # the block has no nested spread at all.  Its centred weights are
+    # exactly zero and the replication is redrawn; a float mean of the ten
+    # equal weights 2/3 leaves about 1e-17, a statistic near 1e16.
+    grid = derive_grid([1.0])
+    a = FRFSet(np.array([[1.0 + 0.0j], [0.0 + 1.0j], [2.0 - 1.0j]]))
+    b = FRFSet(np.array([[0.5 + 0.5j], [-1.0 + 0.0j], [1.0 + 1.0j]]))
+    cfg = BootstrapConfig(replications=1, nested_replications=10, seed=0)
+    rng = np.random.default_rng(60)
+    sigma = {k: [rng.integers(0, 3, size=(10, 3))] for k in (2, 3)}
+    valid = {k: [rng.integers(0, 3, size=(11, 3))] for k in (2, 3)}
+    still = [[0, 2, 2]] + [list(rng.permutation(3)) for _ in range(10)]
+
+    def streams(blocks):
+        return FixedStreams({k: sigma[k] + blocks[k] for k in sigma})
+
+    _, (w,) = compare._weigh_blocks(np.array(still)[None])
+    assert np.array_equal(w[1:], np.zeros((10, 3)))
+    direct = compare_unpaired(a, b, grid, 0.5, cfg, streams=streams(valid))
+    redrawn = compare_unpaired(
+        a, b, grid, 0.5, cfg, streams=streams({k: [still] + valid[k] for k in valid})
+    )
+    np.testing.assert_array_equal(redrawn.draws.outer_indices1, [valid[2][0][0]])
+    np.testing.assert_array_equal(redrawn.draws.outer_indices2, [valid[3][0][0]])
+    np.testing.assert_array_equal(redrawn.draws.stats, direct.draws.stats)
+
+
 @pytest.mark.parametrize("replications", [1, 50])
 def test_one_stream_per_group_serves_every_draw(replications):
     a, b = group(17), group(18, n=6, center=0.3)
@@ -668,8 +698,8 @@ def test_members_with_equal_pirs_hold_still():
 
 
 def test_a_group_weighing_only_its_first_pick_holds_still_everywhere():
-    # Group 1's nested weights are nonzero for its first pick alone, as a
-    # rounded centring can leave them: its nested deviations are exactly
+    # Group 1's nested weights, made by hand, are nonzero for its first
+    # pick alone: its nested deviations are exactly
     # zero at every time point, tie column or not, so wherever group 2
     # holds still (t = 0, where all its members agree) both do.
     p1 = pir_matrix(group(50, n=3), GRID)
