@@ -572,8 +572,9 @@ def test_a_still_block_inside_a_batch_matches_one_call_per_block():
 )
 def test_stacked_products_equal_the_per_block_products(rate, n, bs):
     # The comparison forms a batch's outer means and nested coefficients
-    # in stacked products; each block's must equal its own 2-D product bit
-    # for bit, so no float depends on the batch size.
+    # in stacked products on the batch's strided weights; each block's must
+    # equal the 2-D products of its own contiguous weights bit for bit, so
+    # no float depends on the batch size or the weights' layout.
     grid = derive_grid(EXPERIMENT_FREQS, rate)
     frfs = generate_synthetic(SyntheticSpec(lowpass_mean_frf(grid), noise_std=0.1, n=n), seed=n)
     p = pir_matrix(frfs, grid)
@@ -582,8 +583,9 @@ def test_stacked_products_equal_the_per_block_products(rate, n, bs):
     means = np.matmul(w[:, :1], p)[:, 0]
     nested = np.matmul(w[:, 1:], f - f[first[:, :1]])
     for j in range(len(w)):
-        assert np.array_equal(means[j], w[j, 0] @ p), j
-        assert np.array_equal(nested[j], w[j, 1:] @ (f - f[first[j, 0]])), j
+        wj = np.ascontiguousarray(w[j])
+        assert np.array_equal(means[j], wj[0] @ p), j
+        assert np.array_equal(nested[j], wj[1:] @ (f - f[first[j, 0]])), j
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -699,9 +701,9 @@ def test_members_with_equal_pirs_hold_still():
 
 def test_a_group_weighing_only_its_first_pick_holds_still_everywhere():
     # Group 1's nested weights, made by hand, are nonzero for its first
-    # pick alone: its nested deviations are exactly
-    # zero at every time point, tie column or not, so wherever group 2
-    # holds still (t = 0, where all its members agree) both do.
+    # pick alone: its nested deviations are exactly zero at every time
+    # point, tie column or not, so wherever group 2 holds still (t = 0,
+    # where all its members agree) both do.
     p1 = pir_matrix(group(50, n=3), GRID)
     p2 = pir_matrix(FRFSet(0.4 + 1j * np.random.default_rng(51).standard_normal((3, 2))), GRID)
     ties = [resampling._tie_columns(p) for p in (p1, p2)]
